@@ -9,9 +9,12 @@ import argparse
 import os
 import sys
 import time
+from importlib.metadata import PackageNotFoundError
+from importlib.metadata import version as _pkg_version
 
 import numpy as np
 
+from . import __version__
 from . import convergence as cv
 from . import output as out_mod
 from . import physics as ph
@@ -26,11 +29,17 @@ from .refelem import ConfigurationError, build_reference_element
 from .stationary import (ConvergenceError, StationaryProblem,
                          load_checkpoint, save_checkpoint)
 
-try:
-    from importlib.metadata import version as _pkg_version
-    CODE_VERSION = _pkg_version("pcddg")
-except Exception:             # pragma: no cover - metadata unavailable
-    CODE_VERSION = "unknown"
+
+def code_version():
+    """Version of the installed distribution, else of the package itself
+    (a source checkout on the path has no distribution metadata)."""
+    try:
+        return _pkg_version("pcddg")
+    except PackageNotFoundError:
+        return __version__
+
+
+CODE_VERSION = code_version()
 
 
 def build_parser():

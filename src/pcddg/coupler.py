@@ -38,12 +38,21 @@ def tvd_rk3_step(state, rhs, dt, t=0.0):
 
 
 def lsrk45_step(state, rhs, dt, t=0.0):
-    """One low-storage five-stage fourth-order RK step (two extra registers)."""
-    u = np.array(state, copy=True)
-    res = np.zeros_like(u)
+    """One low-storage five-stage fourth-order RK step.
+
+    The three state-sized registers (the new state, the residual and a
+    scratch product) are one allocation per step, updated in place; the
+    returned state is the first of them.  Writes neither into state nor
+    into the arrays rhs returns."""
+    u, res, tmp = np.empty((3,) + np.shape(state))
+    np.copyto(u, state)
+    res.fill(0.0)
     for a, b, c in zip(RK4A, RK4B, RK4C):
-        res = a * res + dt * rhs(u, t + c * dt)
-        u += b * res
+        res *= a
+        np.multiply(rhs(u, t + c * dt), dt, out=tmp)
+        res += tmp
+        np.multiply(res, b, out=tmp)
+        u += tmp
     return u
 
 
@@ -138,11 +147,14 @@ class ProbeSet:
     point_ex: list = field(default_factory=list)
     carriers: list = field(default_factory=list)
     em_energy: list = field(default_factory=list)
+    # (elements, interpolation rows) of the points, set by validate
+    interp: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self, disc):
+        """Check the cadence and locate the points once for record."""
         if self.points is not None:
-            from .dgops import locate_points
-            locate_points(disc, np.atleast_2d(self.points))
+            from .dgops import interpolation_rows
+            self.interp = interpolation_rows(disc, np.atleast_2d(self.points))
         if self.cadence < 1:
             raise PhysicsError("probe cadence must be >= 1")
 
@@ -153,10 +165,9 @@ class ProbeSet:
             for name, val in cur.items():
                 self.currents.setdefault(name, []).append(val)
         if self.points is not None:
-            from .dgops import evaluate_at_points
-            ex = em_state[cs.em.idx["ex"]]
+            from .dgops import interpolate
             self.point_ex.append(
-                evaluate_at_points(cs.em.disc, ex, np.atleast_2d(self.points)))
+                interpolate(em_state[cs.em.idx["ex"]], *self.interp))
         self.carriers.append(cs.dd.total_carriers(dd_state))
         self.em_energy.append(cs.em.energy(em_state))
 
@@ -229,14 +240,14 @@ class CoupledSystem:
                       + dd.mu_h * n_h_t * dd.e_s[nu] - dd.d_h * gh[nu])
               for nu in range(dim)]
 
+        # carrier current on the EM mesh; rows outside the DD subdomain stay 0
+        j_full = np.zeros((dim, self.em.disc.K, self.em.disc.Np))
+
         def rhs(em_state, t):
             e_t = self.e_t_on_dd(em_state)
-            j_full = []
             for nu in range(dim):
-                full = np.zeros((self.em.disc.K, self.em.disc.Np))
-                full[self.dd_in_em] = j0[nu] + sigma * e_t[nu]
-                j_full.append(full)
-            return self.em.rhs(em_state, t, j_carrier=tuple(j_full))
+                j_full[nu][self.dd_in_em] = j0[nu] + sigma * e_t[nu]
+            return self.em.rhs(em_state, t, j_carrier=j_full)
         return rhs
 
 

@@ -216,13 +216,14 @@ def locate_points(disc, points):
     return out
 
 
-def evaluate_at_points(disc, u, points):
-    """Polynomial evaluation of a nodal field at arbitrary physical points."""
+def interpolation_rows(disc, points):
+    """Element index and interpolation row basis(r) @ inv(V) of each point:
+    a nodal field u takes the value rows[i] @ u[elems[i]] at point i."""
     from .refelem import jacobi_p, _rstoab, _simplex2dp
     locs = locate_points(disc, points)
-    vals = np.zeros(len(locs))
     Vinv = np.linalg.inv(disc.ref.vandermonde)
     p = disc.ref.p
+    rows = np.zeros((len(locs), disc.Np))
     for i, (k, rc) in enumerate(locs):
         if disc.ref.dim == 1:
             basis = np.array([jacobi_p(rc[:1], 0, 0, j)[0] for j in range(p + 1)])
@@ -233,5 +234,18 @@ def evaluate_at_points(disc, u, points):
                 for jj in range(p + 1 - ii):
                     basis.append(_simplex2dp(a, b, ii, jj)[0])
             basis = np.array(basis)
-        vals[i] = (basis @ Vinv) @ u[k]
+        rows[i] = basis @ Vinv
+    return np.array([k for k, _ in locs], dtype=int), rows
+
+
+def interpolate(u, elems, rows):
+    """Values of the nodal field u at the points of interpolation_rows."""
+    vals = np.zeros(len(elems))
+    for i, (k, row) in enumerate(zip(elems, rows)):
+        vals[i] = row @ u[k]
     return vals
+
+
+def evaluate_at_points(disc, u, points):
+    """Polynomial evaluation of a nodal field at arbitrary physical points."""
+    return interpolate(u, *interpolation_rows(disc, points))

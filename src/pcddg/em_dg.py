@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import physics as ph
+from .mesh import BOUNDARY_TAGS, INTERIOR
 from .physics import EPS0, MU0, PhysicsError
 
 # state component layout
@@ -16,47 +17,6 @@ COMP_2D = ("ex", "ey", "hz", "dx", "dy", "bz", "jpx", "jpy")
 
 _PEC_LIKE = {"PEC", "ELECTRODE_D", "SOURCE_APERTURE"}
 _ABC_LIKE = {"ABC", "PML_interface"}
-
-
-def upwind_flux(minus, plus, z_minus, z_plus, nhat):
-    """Upwind EM numerical fluxes from face traces.
-
-    minus/plus are dicts with keys 'ex', 'hz' and (2D) 'ey'; nhat carries the
-    outward normal components, shape (..., dim).  Returns {'ex','ey','hz'}
-    star values.
-    """
-    z_minus = np.asarray(z_minus, dtype=float)
-    z_plus = np.asarray(z_plus, dtype=float)
-    if np.any(z_minus <= 0) or np.any(z_plus <= 0):
-        raise PhysicsError("wave impedance must be positive")
-    ym, yp = 1.0 / z_minus, 1.0 / z_plus
-    nhat = np.asarray(nhat, dtype=float)
-    two_d = "ey" in minus
-    ny = nhat[..., 1] if two_d else nhat[..., 0]
-    nx = nhat[..., 0] if two_d else 0.0
-    dhz = minus["hz"] - plus["hz"]
-    dex = minus["ex"] - plus["ex"]
-    out = {"ex": (ym * minus["ex"] + yp * plus["ex"] - ny * dhz) / (ym + yp)}
-    if two_d:
-        dey = minus["ey"] - plus["ey"]
-        out["ey"] = (ym * minus["ey"] + yp * plus["ey"] + nx * dhz) / (ym + yp)
-        out["hz"] = (z_minus * minus["hz"] + z_plus * plus["hz"]
-                     + nx * dey - ny * dex) / (z_minus + z_plus)
-    else:
-        out["hz"] = (z_minus * minus["hz"] + z_plus * plus["hz"]
-                     - ny * dex) / (z_minus + z_plus)
-    return out
-
-
-def boundary_flux_em(tag, minus):
-    """Ghost ('plus') trace realizing the boundary condition for a face tag."""
-    if tag in _PEC_LIKE:
-        ghost = {k: -v for k, v in minus.items() if k.startswith("e")}
-        ghost["hz"] = minus["hz"]
-        return ghost
-    if tag in _ABC_LIKE:
-        return {k: np.zeros_like(v) for k, v in minus.items()}
-    raise PhysicsError(f"no EM boundary rule for tag {tag!r}")
 
 
 def drude_ade_rhs(e, j_p, mat):
@@ -114,9 +74,32 @@ def _pml_sigma_profiles(disc, pml):
 class MaxwellSolver:
     """Maxwell rhs evaluation on a Discretization with per-region materials.
 
-    State is a (ncomp, K, Np) array; rhs(state, t, j_carrier) returns the same
-    shape.  The sigma=0 PML path is the plain Maxwell path, so runs without
-    PML and with zero-conductivity PML are bitwise identical.
+    State is a (ncomp, K, Np) array in the order of COMP_1D / COMP_2D: the
+    fields (E components, then Hz), their PML auxiliaries (D components,
+    then Bz) and the Drude currents (one per E component).
+    rhs(state, t, j_carrier) returns the same shape.
+
+    Everything the rhs needs besides the state is built here as a
+    contiguous array, so that each elementwise op runs one flat loop:
+
+    - face coefficients, (K, Nfaces*Nfp), in jump form with fscale and the
+      impedances folded in.  With [[u]] = u^- - g u^+ and w = n x [[E]]
+      (its z component), fscale (H* - H^-) = cb (w - Z^+ [[H]]) and
+      fscale n x (E^- - E*) = ca (Y^+ w - [[H]]), where
+      cb = fscale / (Z^- + Z^+) and ca = fscale / (Y^- + Y^+).  The lifted
+      flux of every D/B row is _lift_w * w - _lift_h * [[H]];
+    - ghost multipliers g, (nfield, K, Nfaces*Nfp): 1 on interior faces,
+      -1 for E and +1 for H on PEC-like faces, 0 on ABC-like faces;
+    - the curl terms (metric factor per reference direction), 1/eps, 1/mu,
+      the PML rates and the Drude coefficients, each (K, Np) or stacked
+      per component.
+
+    Workspace ownership: the trace, jump, flux, derivative and current
+    buffers belong to the solver and are overwritten by every rhs call, so
+    one solver evaluates one rhs at a time.  The array rhs returns is
+    allocated fresh on each call and aliases no workspace; callers may keep
+    or modify it.  The sigma=0 PML path is the plain Maxwell path, so runs
+    without PML and with zero-conductivity PML are bitwise identical.
     """
 
     def __init__(self, disc, materials, source=None, pml=None):
@@ -124,48 +107,99 @@ class MaxwellSolver:
         self.materials = materials
         self.source = source
         dim = disc.ref.dim
+        K, Np, nfp = disc.K, disc.Np, disc.nfp_tot
         self.comp = COMP_1D if dim == 1 else COMP_2D
         self.idx = {c: i for i, c in enumerate(self.comp)}
+        nf = dim + 1                    # field components: E..., Hz
 
         mesh = disc.mesh
         mats = [materials.region(mesh.region_names[mesh.region_id[k]])
                 for k in disc.elems]
         eps_r = np.array([m.drude.eps_inf if m.drude else m.eps_r for m in mats])
         mu_r = np.array([m.mu_r for m in mats])
+        if not (np.all(eps_r > 0) and np.all(mu_r > 0)):
+            raise PhysicsError("wave impedance must be positive")
         self.eps = (eps_r * EPS0)[:, None]
         self.mu = (mu_r * MU0)[:, None]
+
+        def nodal(per_elem):
+            return np.repeat(np.asarray(per_elem, dtype=float)[:, None], Np, axis=1)
+
+        # face coefficients in jump form
         z_elem = np.sqrt(self.mu[:, 0] / self.eps[:, 0])
-        znod = np.repeat(z_elem[:, None], disc.Np, axis=1).reshape(-1)
-        self.zm = znod[disc.vmapM]
-        self.zp = znod[disc.vmapP]
+        zm = z_elem[:, None]
+        zp = z_elem[disc.vmapP // Np]
+        ca = disc.fscale / (1.0 / zm + 1.0 / zp)
+        cb = disc.fscale / (zm + zp)
+        # D rows take t_e * fscale (H* - H^-), with w = -sum_e t_e [[E_e]]
+        tang = [disc.nhat[:, :, dim - 1]]
+        if dim == 2:
+            tang.append(-disc.nhat[:, :, 0])
+        self._w_coef = -np.array(tang)
+        self._lift_w = np.array([t * cb for t in tang] + [ca / zp])
+        self._lift_h = np.array([t * cb * zp for t in tang] + [ca])
 
-        self.drude_a = np.array([EPS0 * m.drude.omega_p ** 2 if m.drude else 0.0
-                                 for m in mats])[:, None]
-        self.drude_g = np.array([m.drude.gamma if m.drude else 0.0
-                                 for m in mats])[:, None]
-
-        self.sx, self.sy = _pml_sigma_profiles(disc, pml)
-
-        tags = np.array([["" for _ in range(disc.ref.Nfaces)]
-                         for _ in range(disc.K)], dtype=object)
-        from .mesh import BOUNDARY_TAGS
-        for k in range(disc.K):
-            for f in range(disc.ref.Nfaces):
-                t = disc.face_tag[k, f]
-                tags[k, f] = BOUNDARY_TAGS[t] if t >= 0 else ""
-        pec = np.isin(tags, list(_PEC_LIKE))
-        abc = np.isin(tags, list(_ABC_LIKE))
-        other = (tags != "") & ~pec & ~abc
+        pec = np.isin(disc.face_tag, [BOUNDARY_TAGS.index(t) for t in _PEC_LIKE])
+        abc = np.isin(disc.face_tag, [BOUNDARY_TAGS.index(t) for t in _ABC_LIKE])
+        other = (disc.face_tag != INTERIOR) & ~pec & ~abc
         if np.any(other):
             k, f = np.argwhere(other)[0]
-            raise PhysicsError(f"no EM boundary rule for tag {tags[k, f]!r}")
-        self.pec_mask = disc.face_expand(pec)
-        self.abc_mask = disc.face_expand(abc)
+            raise PhysicsError("no EM boundary rule for tag "
+                               f"{BOUNDARY_TAGS[disc.face_tag[k, f]]!r}")
+        ghost_e = disc.face_expand(np.where(pec, -1.0, np.where(abc, 0.0, 1.0)))
+        ghost_h = disc.face_expand(np.where(abc, 0.0, 1.0))
+        self._ghost = np.array([ghost_e] * dim + [ghost_h])
+
+        # curl terms (row of dD/dt, dB/dt; field; reference direction;
+        # metric factor): the 1D mesh coordinate is y
+        metric = disc.metric
+        terms = []
+        for d in range(dim):
+            dy = nodal(metric[:, dim - 1, d])
+            terms += [(0, nf - 1, d, dy), (nf - 1, 0, d, dy)]
+            if dim == 2:
+                minus_dx = nodal(-metric[:, 0, d])
+                terms += [(1, nf - 1, d, minus_dx), (nf - 1, 1, d, minus_dx)]
+        self._curl_terms = terms
+        self._diff_t = [np.ascontiguousarray(dr.T) for dr in disc.ref.diff]
+        self._lift_t = np.ascontiguousarray(disc.ref.lift_ref.T)
+
+        # PML: D_x, B_z decay with sigma_y and D_y with sigma_x; E_e is
+        # restored with its own sigma; Hz decays with sigma_x
+        sx, sy = _pml_sigma_profiles(disc, pml)
+        zero = np.zeros((K, Np))
+        if dim == 1:
+            self._sig_aux = np.array([sy, sy])
+            self._sig_field = np.array([sx, zero])
+            self._sig_h = np.array([zero, sx])
+        else:
+            self._sig_aux = np.array([sy, sx, sy])
+            self._sig_field = np.array([sx, sy, zero])
+            self._sig_h = np.array([zero, zero, sx])
+        self._inv_em = np.array([nodal(1.0 / self.eps[:, 0])] * dim
+                                + [nodal(1.0 / self.mu[:, 0])])
+        self._drude_a = nodal([EPS0 * m.drude.omega_p ** 2 if m.drude else 0.0
+                               for m in mats])
+        self._drude_g = nodal([m.drude.gamma if m.drude else 0.0 for m in mats])
 
         self._src_profile = None
         self._src_amp = 0.0
         if source is not None:
             self._build_source(source)
+
+        # gather indices of both traces of every field into the flat state,
+        # and the workspaces every rhs call overwrites
+        n = K * Np
+        self._gather = np.array([[c * n + vmap for c in range(nf)]
+                                 for vmap in (disc.vmapM, disc.vmapP)])
+        self._trace_buf = np.empty((2, nf, K, nfp))
+        self._jump = np.empty((nf, K, nfp))
+        self._w = np.empty((K, nfp))
+        self._flux = np.empty((nf, K, nfp))
+        self._ref_grad = np.empty((dim, nf, K, Np))
+        self._vol = np.empty((K, Np))
+        self._cur = np.empty((dim, K, Np))
+        self._tmp = np.empty((nf, K, Np))
 
     # -- source ----------------------------------------------------------
     def _build_source(self, spec):
@@ -205,12 +239,17 @@ class MaxwellSolver:
             sheet = np.sqrt(4.0 * p_lin / (z_ap * spec.beam_width * np.sqrt(np.pi / 2.0)))
         self._src_amp = sheet
         self._src_spec = spec
+        pol = getattr(spec, "polarization", "x")
+        self._src_row = 1 if pol == "y" and disc.ref.dim == 2 else 0
+
+    def _src_scale(self, t):
+        return self._src_amp * self._src_spec.envelope(t)
 
     def optical_source(self, t):
         """Nodal source current density at time t (component along polarization)."""
         if self._src_profile is None:
             return None
-        return self._src_amp * self._src_spec.envelope(t) * self._src_profile
+        return self._src_scale(t) * self._src_profile
 
     # -- state helpers ---------------------------------------------------
     def zero_state(self):
@@ -226,73 +265,66 @@ class MaxwellSolver:
         return 0.5 * d.integrate(u)
 
     # -- rhs -------------------------------------------------------------
-    def _traces(self, u, pec_sign):
-        d = self.disc
-        um = d.face_minus(u)
-        up = d.face_plus(u)
-        up = np.where(self.pec_mask, pec_sign * um, up)
-        up = np.where(self.abc_mask, 0.0, up)
-        return um, up
-
     def rhs(self, state, t=0.0, j_carrier=None):
+        """d(state)/dt at time t; j_carrier holds the carrier current
+        density per E component ((K, Np) arrays, None to skip one).
+        Returns a fresh array; see the class docstring for workspaces."""
         d = self.disc
-        i = self.idx
-        out = np.zeros_like(state)
-        ex, hz = state[i["ex"]], state[i["hz"]]
-        exm, exp_ = self._traces(ex, -1.0)
-        hzm, hzp = self._traces(hz, +1.0)
-        minus = {"ex": exm, "hz": hzm}
-        plus = {"ex": exp_, "hz": hzp}
-        if d.ref.dim == 2:
-            ey = state[i["ey"]]
-            eym, eyp = self._traces(ey, -1.0)
-            minus["ey"] = eym
-            plus["ey"] = eyp
-        star = upwind_flux(minus, plus, self.zm, self.zp, d.nhat)
+        dim = d.ref.dim
+        nf = dim + 1
+        K, Np, nfp = d.K, d.Np, d.nfp_tot
+        state = np.ascontiguousarray(state, dtype=float)
+        out = np.empty_like(state)
+        fields, aux, drude = state[:nf], state[nf:2 * nf], state[2 * nf:]
+        r_field, r_aux, r_drude = out[:nf], out[nf:2 * nf], out[2 * nf:]
 
-        jx = state[i["jpx"]].copy()
-        jy = state[i["jpy"]].copy() if d.ref.dim == 2 else None
-        src = self.optical_source(t)
-        if src is not None:
-            pol = getattr(self._src_spec, "polarization", "x")
-            if pol == "y" and jy is not None:
-                jy += src
-            else:
-                jx += src
+        # upwind fluxes from one gather of both traces of every field
+        tr, jump, w = self._trace_buf, self._jump, self._w
+        np.take(state.reshape(-1), self._gather, out=tr, mode="clip")
+        np.multiply(tr[1], self._ghost, out=tr[1])
+        np.subtract(tr[0], tr[1], out=jump)
+        # the traces are spent: tr[0] and tr[1] serve as scratch below
+        np.multiply(self._w_coef, jump[:dim], out=tr[0, :dim])
+        np.add.reduce(tr[0, :dim], axis=0, out=w)
+        flux = self._flux
+        np.multiply(self._lift_w, w, out=flux)
+        np.multiply(self._lift_h, jump[dim], out=tr[1])
+        flux -= tr[1]
+        np.matmul(flux.reshape(nf * K, nfp), self._lift_t,
+                  out=r_aux.reshape(nf * K, Np))
+
+        # curl from one matmul per reference direction
+        grad, vol = self._ref_grad, self._vol
+        for r, diff_t in enumerate(self._diff_t):
+            np.matmul(fields.reshape(nf * K, Np), diff_t,
+                      out=grad[r].reshape(nf * K, Np))
+        for row, comp, r, coef in self._curl_terms:
+            np.multiply(coef, grad[r, comp], out=vol)
+            r_aux[row] += vol
+
+        # Drude, optical source and carrier currents
+        cur = self._cur
+        np.copyto(cur, drude)
+        if self._src_profile is not None:
+            np.multiply(self._src_profile, self._src_scale(t), out=vol)
+            cur[self._src_row] += vol
         if j_carrier is not None:
-            jx = jx + j_carrier[0]
-            if jy is not None and len(j_carrier) > 1 and j_carrier[1] is not None:
-                jy = jy + j_carrier[1]
+            for e, jc in enumerate(j_carrier[:dim]):
+                if jc is not None:
+                    cur[e] += jc
+        r_aux[:dim] -= cur
 
-        if d.ref.dim == 1:
-            ny = d.nhat[:, :, 0]
-            r_dx = d.ddx(hz, 0) + d.lift(ny * (star["hz"] - hzm)) - jx
-            r_bz = d.ddx(ex, 0) + d.lift(ny * (star["ex"] - exm))
-            r_dx = r_dx - self.sy * state[i["dx"]]
-            r_bz = r_bz - self.sy * state[i["bz"]]
-            out[i["dx"]] = r_dx
-            out[i["bz"]] = r_bz
-            out[i["ex"]] = (r_dx + self.sx * state[i["dx"]]) / self.eps
-            out[i["hz"]] = r_bz / self.mu - self.sx * state[i["hz"]]
-        else:
-            nx = d.nhat[:, :, 0]
-            ny = d.nhat[:, :, 1]
-            dhz = star["hz"] - hzm
-            r_dx = d.ddx(hz, 1) + d.lift(ny * dhz) - jx
-            r_dy = -d.ddx(hz, 0) - d.lift(nx * dhz) - jy
-            r_bz = (d.ddx(ex, 1) - d.ddx(ey, 0)
-                    + d.lift(nx * (eym - star["ey"]) - ny * (exm - star["ex"])))
-            r_dx = r_dx - self.sy * state[i["dx"]]
-            r_dy = r_dy - self.sx * state[i["dy"]]
-            r_bz = r_bz - self.sy * state[i["bz"]]
-            out[i["dx"]] = r_dx
-            out[i["dy"]] = r_dy
-            out[i["bz"]] = r_bz
-            out[i["ex"]] = (r_dx + self.sx * state[i["dx"]]) / self.eps
-            out[i["ey"]] = (r_dy + self.sy * state[i["dy"]]) / self.eps
-            out[i["hz"]] = r_bz / self.mu - self.sx * state[i["hz"]]
+        # PML damping, then E = D / eps and H = B / mu
+        tmp = self._tmp
+        np.multiply(self._sig_aux, aux, out=tmp)
+        r_aux -= tmp
+        np.multiply(self._sig_field, aux, out=tmp)
+        tmp += r_aux
+        np.multiply(tmp, self._inv_em, out=r_field)
+        np.multiply(self._sig_h, fields, out=tmp)
+        r_field -= tmp
 
-        out[i["jpx"]] = self.drude_a * state[i["ex"]] - self.drude_g * state[i["jpx"]]
-        if d.ref.dim == 2:
-            out[i["jpy"]] = self.drude_a * state[i["ey"]] - self.drude_g * state[i["jpy"]]
+        np.multiply(self._drude_a, fields[:dim], out=r_drude)
+        np.multiply(self._drude_g, drude, out=cur)
+        r_drude -= cur
         return out

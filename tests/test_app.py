@@ -1,11 +1,15 @@
+import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import pcddg
+from pcddg import cli
 from pcddg import output as out_mod
 from pcddg.cli import main
 from pcddg.config import parse_box, parse_config, parse_quantity
@@ -103,6 +107,31 @@ class TestShippedConfig:
         assert mesh.K > 0
 
 
+def _readme_decks():
+    with open(os.path.join(REPO, "README.md")) as fh:
+        return re.findall(r"```ini\n(.*?)```", fh.read(), flags=re.S)
+
+
+DOCUMENTED_DECKS = ([f"README.md#{i}" for i in range(len(_readme_decks()))]
+                    + sorted(os.path.relpath(p, REPO) for p in
+                             glob.glob(os.path.join(REPO, "configs", "*.cfg"))))
+
+
+@pytest.mark.parametrize("deck", DOCUMENTED_DECKS)
+def test_documented_decks_parse_strict(deck, tmp_path):
+    if deck.startswith("README.md#"):
+        path = tmp_path / "readme.cfg"
+        path.write_text(_readme_decks()[int(deck.split("#")[1])])
+    else:
+        path = os.path.join(REPO, deck)
+    cfg = parse_config(str(path), strict=True)
+    assert cfg.build_mesh().K > 0
+
+
+def test_readme_has_a_deck():
+    assert _readme_decks()
+
+
 class TestConfigValidation:
     def test_unknown_key_strict(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -177,6 +206,14 @@ class TestOutputs:
             out_mod.write_spectrum_csv(str(tmp_path / "s.csv"),
                                        [0.0, 1.0, 2.5], [0, 1, 0])
 
+    def test_code_version_from_source_checkout(self, monkeypatch):
+        assert cli.CODE_VERSION == pcddg.__version__
+
+        def not_installed(name):
+            raise cli.PackageNotFoundError(name)
+        monkeypatch.setattr(cli, "_pkg_version", not_installed)
+        assert cli.code_version() == pcddg.__version__
+
     def test_manifest_is_valid_json(self, tmp_path):
         path = tmp_path / "m.json"
         out_mod.write_manifest(str(path), out_mod.RunManifest(
@@ -197,8 +234,12 @@ class TestOutputs:
 
 class TestCli:
     def test_console_script_registered(self):
+        # the child imports pcddg from where this process found it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pcddg.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "pcddg.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "stationary" in proc.stdout and "transient" in proc.stdout
 

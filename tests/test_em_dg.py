@@ -4,13 +4,7 @@ import pytest
 from pcddg import physics as ph
 from pcddg.coupler import lsrk45_step, stable_timestep
 from pcddg.dgops import build_discretization, nodal_field
-from pcddg.em_dg import (
-    MaxwellSolver,
-    PmlSpec,
-    boundary_flux_em,
-    drude_ade_rhs,
-    upwind_flux,
-)
+from pcddg.em_dg import MaxwellSolver, PmlSpec, drude_ade_rhs
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import build_reference_element
 
@@ -37,78 +31,391 @@ def square_solver(n, p):
     return MaxwellSolver(disc, vac_table()), disc
 
 
+def face_stars_1d(solver, u):
+    """Numerical fluxes (E*, H*) at every face node of a 1D solver, recovered
+    from its rhs: the D/B rows minus the volume derivatives are the lifted
+    face terms, which the two-column 1D lift determines exactly.  u must
+    carry no current and the solver no PML or source."""
+    d = solver.disc
+    i = solver.idx
+    r = solver.rhs(u, 0.0)
+    ex, hz = u[i["ex"]], u[i["hz"]]
+    lifted = {"hz": r[i["dx"]] - d.ddx(hz, 0), "ex": r[i["bz"]] - d.ddx(ex, 0)}
+    ny = d.nhat[:, :, 0]
+    star = {}
+    for c, trace in (("ex", ex), ("hz", hz)):
+        flux = np.linalg.lstsq(d.ref.lift_ref, lifted[c].T, rcond=None)[0].T
+        star[c] = flux / (d.fscale * ny) + d.face_minus(trace)
+    return star
+
+
+def layered_interval_solver(eps_left, eps_right, left="PEC", right="PEC"):
+    """Two unit elements of different permittivity."""
+    spec = make_spec(1, [0.0], [2.0],
+                     [("a", [0.0], [1.0], 1.0), ("b", [1.0], [2.0], 1.0)],
+                     tag_boxes=[(left, [0.0], [0.0]), (right, [2.0], [2.0])],
+                     default_tag=left)
+    mesh = generate_structured_mesh(spec)
+    disc = build_discretization(mesh, build_reference_element(1, 2))
+    table = ph.MaterialTable({"a": ph.Material(name="a", eps_r=eps_left),
+                              "b": ph.Material(name="b", eps_r=eps_right)})
+    return MaxwellSolver(disc, table), disc
+
+
 class TestUpwindFlux:
     def test_continuous_identity(self):
-        tr = {"ex": np.array([1.2]), "ey": np.array([-0.4]), "hz": np.array([0.7])}
-        star = upwind_flux(tr, dict(tr), np.array([Z0]), np.array([Z0]),
-                           np.array([[0.6, 0.8]]))
-        for k in tr:
-            assert np.allclose(star[k], tr[k])
+        # continuous fields give zero jumps (PEC keeps H, E = 0), so the
+        # rhs is the exact curl of a linear Hz across a material interface
+        spec = make_spec(2, [0, 0], [1.0, 1.0],
+                         regions=[("vac", [0, 0], [1, 0.5], 0.25),
+                                  ("die", [0, 0.5], [1, 1], 0.25)],
+                         default_tag="PEC")
+        disc = build_discretization(generate_structured_mesh(spec),
+                                    build_reference_element(2, 2))
+        table = ph.MaterialTable({"vac": ph.vacuum(),
+                                  "die": ph.Material(name="die", eps_r=4.0)})
+        solver = MaxwellSolver(disc, table)
+        i = solver.idx
+        u = solver.zero_state()
+        u[i["hz"]] = nodal_field(disc, lambda x, y: 0.3 + 1.7 * x - 2.9 * y)
+        r = solver.rhs(u, 0.0)
+        scale = 3.0 / EPS0
+        assert np.allclose(r[i["ex"]], -2.9 / solver.eps, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(r[i["ey"]], -1.7 / solver.eps, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(r[i["dx"]], -2.9, rtol=0, atol=1e-11)
+        assert np.allclose(r[i["dy"]], -1.7, rtol=0, atol=1e-11)
+        for c in ("hz", "bz"):
+            assert np.max(np.abs(r[i[c]])) < 1e-11 * scale
 
     def test_equal_impedance_formula(self):
-        # E* = {E} - (1/(2Y)) n x [[H]] with n x (Hz zhat) = Hz (ny, -nx)
+        # E* = {E} - (Z/2) n x [[H]], H* = {H} + (1/(2Z)) (n x [[E]])_z,
+        # assembled from the discretization's own trace and lift helpers
+        solver, disc = square_solver(3, 2)
+        i = solver.idx
         rng = np.random.default_rng(3)
-        minus = {k: rng.normal(size=5) for k in ("ex", "ey", "hz")}
-        plus = {k: rng.normal(size=5) for k in ("ex", "ey", "hz")}
-        z = np.full(5, 2.5)
-        th = rng.uniform(0, 2 * np.pi, 5)
-        nhat = np.stack([np.cos(th), np.sin(th)], axis=1)
-        star = upwind_flux(minus, plus, z, z, nhat)
-        dhz = minus["hz"] - plus["hz"]
-        assert np.allclose(star["ex"],
-                           0.5 * (minus["ex"] + plus["ex"]) - 0.5 * z * nhat[:, 1] * dhz)
-        assert np.allclose(star["ey"],
-                           0.5 * (minus["ey"] + plus["ey"]) + 0.5 * z * nhat[:, 0] * dhz)
+        u = rng.normal(size=solver.zero_state().shape)
+        u[i["jpx"]] = u[i["jpy"]] = 0.0
+        ex, ey, hz = u[i["ex"]], u[i["ey"]], u[i["hz"]]
+        nx, ny = disc.nhat[:, :, 0], disc.nhat[:, :, 1]
+        exm, eym, hzm = (disc.face_minus(f) for f in (ex, ey, hz))
+        exp_, eyp, hzp = -exm, -eym, hzm.copy()       # all faces are PEC
+        interior = disc.vmapP != disc.vmapM
+        for plus, f in ((exp_, ex), (eyp, ey), (hzp, hz)):
+            plus[interior] = disc.face_plus(f)[interior]
+        dhz = hzm - hzp
+        ex_s = 0.5 * (exm + exp_) - 0.5 * Z0 * ny * dhz
+        ey_s = 0.5 * (eym + eyp) + 0.5 * Z0 * nx * dhz
+        hz_s = 0.5 * (hzm + hzp) + (nx * (eym - eyp) - ny * (exm - exp_)) / (2 * Z0)
+        r_dx = disc.ddx(hz, 1) + disc.lift(ny * (hz_s - hzm))
+        r_dy = -disc.ddx(hz, 0) - disc.lift(nx * (hz_s - hzm))
+        r_bz = (disc.ddx(ex, 1) - disc.ddx(ey, 0)
+                + disc.lift(nx * (eym - ey_s) - ny * (exm - ex_s)))
+        r = solver.rhs(u, 0.0)
+        for c, ref in (("dx", r_dx), ("dy", r_dy), ("bz", r_bz),
+                       ("ex", r_dx / EPS0), ("ey", r_dy / EPS0), ("hz", r_bz / MU0)):
+            assert np.allclose(r[i[c]], ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
     def test_1d_example(self):
-        minus = {"ex": np.array([1.0]), "hz": np.array([0.0])}
-        plus = {"ex": np.array([0.0]), "hz": np.array([0.0])}
-        ones = np.array([1.0])
-        for ny in (1.0, -1.0):
-            star = upwind_flux(minus, plus, ones, ones, np.array([[ny]]))
-            assert star["ex"][0] == pytest.approx(0.5)
-            assert star["hz"][0] == pytest.approx(-0.5 * ny)
+        # Ex = 1 on the side whose outward normal is ny, zero elsewhere:
+        # E* = 1/2 and H* = -ny / (2 Z0) on the shared face
+        for ny, k, f in ((1.0, 0, 1), (-1.0, 1, 0)):
+            solver, disc = layered_interval_solver(1.0, 1.0)
+            u = solver.zero_state()
+            u[solver.idx["ex"], k] = 1.0
+            star = face_stars_1d(solver, u)
+            other = 1 - k
+            for kk, ff in ((k, f), (other, 1 - f)):
+                assert star["ex"][kk, ff] == pytest.approx(0.5)
+                assert star["hz"][kk, ff] == pytest.approx(-0.5 * ny / Z0)
 
     def test_reciprocity(self):
+        # the flux seen from either side of an impedance jump is one value
+        solver, disc = layered_interval_solver(1.0, 6.5)
         rng = np.random.default_rng(7)
-        minus = {k: rng.normal(size=4) for k in ("ex", "ey", "hz")}
-        plus = {k: rng.normal(size=4) for k in ("ex", "ey", "hz")}
-        zm, zp = rng.uniform(1, 3, 4), rng.uniform(1, 3, 4)
-        th = rng.uniform(0, 2 * np.pi, 4)
-        nhat = np.stack([np.cos(th), np.sin(th)], axis=1)
-        a = upwind_flux(minus, plus, zm, zp, nhat)
-        b = upwind_flux(plus, minus, zp, zm, -nhat)
-        for k in a:
-            assert np.allclose(a[k], b[k], atol=1e-13)
+        for _ in range(4):
+            u = rng.normal(size=solver.zero_state().shape)
+            u[solver.idx["jpx"]] = 0.0
+            star = face_stars_1d(solver, u)
+            for c in ("ex", "hz"):
+                a, b = star[c][0, 1], star[c][1, 0]
+                scale = np.abs(star[c]).max()
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12 * scale)
 
     def test_bad_impedance(self):
-        tr = {"ex": np.array([0.0]), "hz": np.array([0.0])}
-        with pytest.raises(ph.PhysicsError):
-            upwind_flux(tr, tr, np.array([-1.0]), np.array([1.0]), np.array([[1.0]]))
+        bad = ph.Material(name="bad", drude=ph.DrudeParams(
+            eps_inf=-1.0, omega_p=1e15, gamma=1e13))
+        mesh = unit_interval_mesh(2, left="PEC", right="PEC", region="m")
+        disc = build_discretization(mesh, build_reference_element(1, 1))
+        with pytest.raises(ph.PhysicsError, match="impedance"):
+            MaxwellSolver(disc, ph.MaterialTable({"m": bad}))
 
 
 class TestBoundaryFlux:
+    def random_state(self, solver, seed):
+        u = np.random.default_rng(seed).normal(size=solver.zero_state().shape)
+        u[solver.idx["jpx"]] = 0.0
+        return u
+
     def test_pec_doubles_tangential_jump(self):
-        minus = {"ex": np.array([1.0]), "ey": np.array([0.3]), "hz": np.array([2.0])}
-        ghost = boundary_flux_em("PEC", minus)
-        assert np.allclose(minus["ex"] - ghost["ex"], 2.0)  # [[E]] = 2 E^-
-        assert np.allclose(minus["hz"] - ghost["hz"], 0.0)  # [[H]] = 0
+        # [[E]] = 2 E^-, [[H]] = 0: E* = 0 and H* = H^- - ny E^- / Z
+        solver, disc = interval_solver(3, 2, left="PEC", right="PEC")
+        u = self.random_state(solver, 1)
+        i = solver.idx
+        star = face_stars_1d(solver, u)
+        exm, hzm = disc.face_minus(u[i["ex"]]), disc.face_minus(u[i["hz"]])
+        ny = disc.nhat[:, :, 0]
+        for k, f in ((0, 0), (2, 1)):
+            assert abs(star["ex"][k, f]) < 1e-12 * np.abs(exm).max()
+            assert star["hz"][k, f] == pytest.approx(
+                hzm[k, f] - ny[k, f] * exm[k, f] / Z0, rel=1e-12)
 
     def test_abc_jumps_equal_minus(self):
-        minus = {"ex": np.array([1.0]), "hz": np.array([-2.0])}
-        ghost = boundary_flux_em("ABC", minus)
-        assert np.allclose(minus["ex"] - ghost["ex"], minus["ex"])
-        assert np.allclose(minus["hz"] - ghost["hz"], minus["hz"])
+        # ghost traces are zero: E* = (E^- - ny Z H^-)/2, H* = (H^- - ny E^-/Z)/2
+        solver, disc = interval_solver(3, 2, left="ABC", right="ABC")
+        u = self.random_state(solver, 2)
+        i = solver.idx
+        star = face_stars_1d(solver, u)
+        exm, hzm = disc.face_minus(u[i["ex"]]), disc.face_minus(u[i["hz"]])
+        ny = disc.nhat[:, :, 0]
+        for k, f in ((0, 0), (2, 1)):
+            assert star["ex"][k, f] == pytest.approx(
+                0.5 * (exm[k, f] - ny[k, f] * Z0 * hzm[k, f]), rel=1e-12)
+            assert star["hz"][k, f] == pytest.approx(
+                0.5 * (hzm[k, f] - ny[k, f] * exm[k, f] / Z0), rel=1e-12)
 
     def test_zero_fields(self):
-        minus = {"ex": np.zeros(2), "hz": np.zeros(2)}
         for tag in ("PEC", "ABC"):
-            ghost = boundary_flux_em(tag, minus)
-            assert np.allclose(ghost["ex"], 0) and np.allclose(ghost["hz"], 0)
+            solver, _ = interval_solver(3, 2, left=tag, right=tag)
+            assert not np.any(solver.rhs(solver.zero_state(), 0.0))
+        solver, _ = square_solver(2, 2)
+        assert not np.any(solver.rhs(solver.zero_state(), 0.0))
 
     def test_unknown_tag(self):
-        with pytest.raises(ph.PhysicsError):
-            boundary_flux_em("INSULATOR_R", {"ex": np.zeros(1), "hz": np.zeros(1)})
+        mesh = unit_interval_mesh(2, left="INSULATOR_R", right="PEC", region="vac")
+        disc = build_discretization(mesh, build_reference_element(1, 1))
+        with pytest.raises(ph.PhysicsError, match="INSULATOR_R"):
+            MaxwellSolver(disc, vac_table())
+
+
+# ---------------------------------------------------------------------------
+# The unfused Maxwell rhs this package shipped before the fused kernel,
+# kept verbatim as the reference the fused rhs must reproduce.
+
+def _ref_upwind_flux(minus, plus, z_minus, z_plus, nhat):
+    z_minus = np.asarray(z_minus, dtype=float)
+    z_plus = np.asarray(z_plus, dtype=float)
+    if np.any(z_minus <= 0) or np.any(z_plus <= 0):
+        raise ph.PhysicsError("wave impedance must be positive")
+    ym, yp = 1.0 / z_minus, 1.0 / z_plus
+    nhat = np.asarray(nhat, dtype=float)
+    two_d = "ey" in minus
+    ny = nhat[..., 1] if two_d else nhat[..., 0]
+    nx = nhat[..., 0] if two_d else 0.0
+    dhz = minus["hz"] - plus["hz"]
+    dex = minus["ex"] - plus["ex"]
+    out = {"ex": (ym * minus["ex"] + yp * plus["ex"] - ny * dhz) / (ym + yp)}
+    if two_d:
+        dey = minus["ey"] - plus["ey"]
+        out["ey"] = (ym * minus["ey"] + yp * plus["ey"] + nx * dhz) / (ym + yp)
+        out["hz"] = (z_minus * minus["hz"] + z_plus * plus["hz"]
+                     + nx * dey - ny * dex) / (z_minus + z_plus)
+    else:
+        out["hz"] = (z_minus * minus["hz"] + z_plus * plus["hz"]
+                     - ny * dex) / (z_minus + z_plus)
+    return out
+
+
+class ReferenceMaxwell:
+    """Per-call traces, dict fluxes and (K, 1) coefficient columns."""
+
+    def __init__(self, solver, pml=None):
+        from pcddg.em_dg import _ABC_LIKE, _PEC_LIKE, _pml_sigma_profiles
+        from pcddg.mesh import BOUNDARY_TAGS
+        disc = self.disc = solver.disc
+        self.idx = solver.idx
+        self.optical_source = solver.optical_source
+        self._src_spec = getattr(solver, "_src_spec", None)
+        mesh = disc.mesh
+        mats = [solver.materials.region(mesh.region_names[mesh.region_id[k]])
+                for k in disc.elems]
+        eps_r = np.array([m.drude.eps_inf if m.drude else m.eps_r for m in mats])
+        mu_r = np.array([m.mu_r for m in mats])
+        self.eps = (eps_r * EPS0)[:, None]
+        self.mu = (mu_r * MU0)[:, None]
+        z_elem = np.sqrt(self.mu[:, 0] / self.eps[:, 0])
+        znod = np.repeat(z_elem[:, None], disc.Np, axis=1).reshape(-1)
+        self.zm = znod[disc.vmapM]
+        self.zp = znod[disc.vmapP]
+        self.drude_a = np.array([EPS0 * m.drude.omega_p ** 2 if m.drude else 0.0
+                                 for m in mats])[:, None]
+        self.drude_g = np.array([m.drude.gamma if m.drude else 0.0
+                                 for m in mats])[:, None]
+        self.sx, self.sy = _pml_sigma_profiles(disc, pml)
+        tags = np.array([[BOUNDARY_TAGS[t] if t >= 0 else "" for t in row]
+                         for row in disc.face_tag], dtype=object)
+        self.pec_mask = disc.face_expand(np.isin(tags, list(_PEC_LIKE)))
+        self.abc_mask = disc.face_expand(np.isin(tags, list(_ABC_LIKE)))
+
+    def _traces(self, u, pec_sign):
+        d = self.disc
+        um = d.face_minus(u)
+        up = d.face_plus(u)
+        up = np.where(self.pec_mask, pec_sign * um, up)
+        up = np.where(self.abc_mask, 0.0, up)
+        return um, up
+
+    def rhs(self, state, t=0.0, j_carrier=None):
+        d = self.disc
+        i = self.idx
+        out = np.zeros_like(state)
+        ex, hz = state[i["ex"]], state[i["hz"]]
+        exm, exp_ = self._traces(ex, -1.0)
+        hzm, hzp = self._traces(hz, +1.0)
+        minus = {"ex": exm, "hz": hzm}
+        plus = {"ex": exp_, "hz": hzp}
+        if d.ref.dim == 2:
+            ey = state[i["ey"]]
+            eym, eyp = self._traces(ey, -1.0)
+            minus["ey"] = eym
+            plus["ey"] = eyp
+        star = _ref_upwind_flux(minus, plus, self.zm, self.zp, d.nhat)
+
+        jx = state[i["jpx"]].copy()
+        jy = state[i["jpy"]].copy() if d.ref.dim == 2 else None
+        src = self.optical_source(t)
+        if src is not None:
+            pol = getattr(self._src_spec, "polarization", "x")
+            if pol == "y" and jy is not None:
+                jy += src
+            else:
+                jx += src
+        if j_carrier is not None:
+            jx = jx + j_carrier[0]
+            if jy is not None and len(j_carrier) > 1 and j_carrier[1] is not None:
+                jy = jy + j_carrier[1]
+
+        if d.ref.dim == 1:
+            ny = d.nhat[:, :, 0]
+            r_dx = d.ddx(hz, 0) + d.lift(ny * (star["hz"] - hzm)) - jx
+            r_bz = d.ddx(ex, 0) + d.lift(ny * (star["ex"] - exm))
+            r_dx = r_dx - self.sy * state[i["dx"]]
+            r_bz = r_bz - self.sy * state[i["bz"]]
+            out[i["dx"]] = r_dx
+            out[i["bz"]] = r_bz
+            out[i["ex"]] = (r_dx + self.sx * state[i["dx"]]) / self.eps
+            out[i["hz"]] = r_bz / self.mu - self.sx * state[i["hz"]]
+        else:
+            nx = d.nhat[:, :, 0]
+            ny = d.nhat[:, :, 1]
+            dhz = star["hz"] - hzm
+            r_dx = d.ddx(hz, 1) + d.lift(ny * dhz) - jx
+            r_dy = -d.ddx(hz, 0) - d.lift(nx * dhz) - jy
+            r_bz = (d.ddx(ex, 1) - d.ddx(ey, 0)
+                    + d.lift(nx * (eym - star["ey"]) - ny * (exm - star["ex"])))
+            r_dx = r_dx - self.sy * state[i["dx"]]
+            r_dy = r_dy - self.sx * state[i["dy"]]
+            r_bz = r_bz - self.sy * state[i["bz"]]
+            out[i["dx"]] = r_dx
+            out[i["dy"]] = r_dy
+            out[i["bz"]] = r_bz
+            out[i["ex"]] = (r_dx + self.sx * state[i["dx"]]) / self.eps
+            out[i["ey"]] = (r_dy + self.sy * state[i["dy"]]) / self.eps
+            out[i["hz"]] = r_bz / self.mu - self.sx * state[i["hz"]]
+
+        out[i["jpx"]] = self.drude_a * state[i["ex"]] - self.drude_g * state[i["jpx"]]
+        if d.ref.dim == 2:
+            out[i["jpy"]] = self.drude_a * state[i["ey"]] - self.drude_g * state[i["jpy"]]
+        return out
+
+
+def layered_case(dim, p, boundary, polarization="x"):
+    """Vacuum / dielectric / Drude-gold layers along y with an aperture at
+    y = 0; 'ABC' cases also carry a graded PML."""
+    um = 1e-6
+    width, height = 2 * um, 3 * um
+    h = 0.5 * um
+    layers = [("vac", 0.0, 1 * um), ("die", 1 * um, 2 * um), ("au", 2 * um, 3 * um)]
+    if dim == 1:
+        regions = [(n, [a], [b], h) for n, a, b in layers]
+        spec = make_spec(1, [0.0], [height], regions,
+                         tag_boxes=[("SOURCE_APERTURE", [0.0], [0.0])],
+                         default_tag=boundary)
+    else:
+        regions = [(n, [0.0, a], [width, b], h) for n, a, b in layers]
+        spec = make_spec(2, [0.0, 0.0], [width, height], regions,
+                         tag_boxes=[("SOURCE_APERTURE", [0.0, 0.0], [width, 0.0])],
+                         default_tag=boundary)
+    disc = build_discretization(generate_structured_mesh(spec),
+                                build_reference_element(dim, p))
+    table = ph.MaterialTable({"vac": ph.vacuum(), "au": ph.gold(),
+                              "die": ph.Material(name="die", eps_r=13.26)})
+    source = ph.OpticalSourceSpec(f_c=375e12, f_w=25e12, beam_width=1 * um,
+                                  power=0.63e-3, polarization=polarization)
+    pml = None
+    if boundary == "ABC":
+        pml = PmlSpec(thickness={"yhi": 1 * um} if dim == 1
+                      else {"xlo": 0.5 * um, "yhi": 1 * um})
+    solver = MaxwellSolver(disc, table, source=source, pml=pml)
+    return solver, ReferenceMaxwell(solver, pml), disc
+
+
+class TestFusedRhs:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("boundary", ["PEC", "ABC"])
+    def test_matches_reference(self, dim, p, boundary):
+        rng = np.random.default_rng(100 * dim + 10 * p + len(boundary))
+        for pol in ("x", "y") if dim == 2 else ("x",):
+            solver, ref, disc = layered_case(dim, p, boundary, pol)
+            shape = solver.zero_state().shape
+            if boundary == "ABC":
+                assert np.any(solver._sig_aux > 0)
+            u = rng.normal(size=shape) * np.array(
+                [1.0] * dim + [1.0 / Z0] + [EPS0] * dim + [MU0 / Z0] + [1e-3] * dim
+            )[:, None, None]
+            j = tuple(rng.normal(size=(disc.K, disc.Np)) for _ in range(dim))
+            spec = solver._src_spec
+            t = spec.delay + 0.3 / spec.f_c
+            assert np.any(solver.optical_source(t))
+            for args in ((u, 0.0), (u, t), (u, t, j), (u, t, j[:1])):
+                got = solver.rhs(*args)
+                want = ref.rhs(*args)
+                for c, name in enumerate(solver.comp):
+                    tol = 1e-13 * np.max(np.abs(want[c]))
+                    assert np.max(np.abs(got[c] - want[c])) <= tol, (name, args[1:])
+
+    def test_results_are_fresh_arrays(self):
+        solver, _, _ = layered_case(2, 2, "ABC")
+        u = np.random.default_rng(5).normal(size=solver.zero_state().shape)
+        r1 = solver.rhs(u, 1e-14)
+        keep = r1.copy()
+        r2 = solver.rhs(2.0 * u, 2e-14)
+        assert r1 is not r2 and not np.shares_memory(r1, r2)
+        assert np.array_equal(r1, keep)
+        arrays = [v for v in vars(solver).values() if isinstance(v, np.ndarray)]
+        arrays += [term[-1] for term in solver._curl_terms] + solver._diff_t
+        for r in (r1, r2):
+            assert not any(np.shares_memory(r, a) for a in arrays)
+            assert not np.shares_memory(r, u)
+
+    def test_lsrk45_leaves_inputs_unmodified(self):
+        solver, _, _ = layered_case(2, 2, "PEC")
+        u = np.random.default_rng(6).normal(size=solver.zero_state().shape)
+        u0 = u.copy()
+        returned = []
+
+        def rhs(s, t):
+            r = solver.rhs(s, t)
+            returned.append((r, r.copy()))
+            return r
+
+        out = lsrk45_step(u, rhs, 1e-18, 0.0)
+        assert np.array_equal(u, u0)
+        assert len(returned) == 5
+        for r, copy in returned:
+            assert np.array_equal(r, copy)
+            assert not np.shares_memory(out, r)
+        assert not np.shares_memory(out, u)
 
 
 class TestDrudeADE:
