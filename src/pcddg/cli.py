@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__
 from . import convergence as cv
 from . import output as out_mod
-from . import physics as ph
 from .config import parse_config
 from .coupler import (CoupledSystem, MultirateSchedule, ProbeSet,
                       run_coupled, stable_timestep)

@@ -18,7 +18,7 @@ import numpy as np
 from . import physics as ph
 from .em_dg import PmlSpec
 from .mesh import BOUNDARY_TAGS, make_spec, generate_structured_mesh
-from .physics import Material, MaterialTable, OpticalSourceSpec
+from .physics import MaterialTable, OpticalSourceSpec
 from .refelem import ConfigurationError
 from .stationary import Contact
 
@@ -113,7 +113,6 @@ class DeviceConfig:
     wavelength: float = 800e-9
     probe_points: np.ndarray = None
     cadence: int = 1
-    threads: int = 1
     convergence: dict = field(default_factory=dict)
     config_hash: str = ""
 
@@ -156,7 +155,7 @@ def _resolve_material(name, parser, where):
 
 
 _KNOWN_RUN_KEYS = {"p_em", "p_dd", "t_end", "safety", "m", "temperature",
-                   "wavelength", "threads"}
+                   "wavelength"}
 _KNOWN_SOURCE_KEYS = {"f_c", "f_w", "beam_width", "power", "peak_field",
                       "polarization", "t0"}
 
@@ -320,7 +319,6 @@ def parse_config(path, strict=False):
         wavelength=parse_quantity(run.get("wavelength", "800 nm"),
                                   "run.wavelength"),
         probe_points=probe_points, cadence=cadence,
-        threads=int(run.get("threads", 1)),
         convergence=conv,
         config_hash=hashlib.sha256(text.encode()).hexdigest()[:16])
     _validate(cfg)

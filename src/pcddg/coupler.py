@@ -193,16 +193,23 @@ class CoupledSystem:
                                f"discretization: {exc}") from None
         self.gcoef = np.array(
             [ph.generation_coefficient(m, wavelength) for m in dd.mats])[:, None]
+        # flat indices of the E components on the DD rows of an EM state
+        K, Np = em.disc.K, em.disc.Np
+        rows = np.array([em.idx[c] for c in ("ex", "ey")[:em.disc.ref.dim]])
+        self._e_gather = (rows[:, None, None] * (K * Np)
+                          + self.dd_in_em[None, :, None] * Np + np.arange(Np))
         if self.contacts:
             from .stationary import contact_face_index
             self.contact_idx = contact_face_index(dd.disc, self.contacts)
+            for i, ct in enumerate(self.contacts):
+                if not np.any(self.contact_idx == i):
+                    raise PhysicsError(
+                        f"contact {ct.name!r} matches no electrode face")
         self._g_last = None
 
     # -- field plumbing --------------------------------------------------
     def e_t_on_dd(self, em_state):
-        i = self.em.idx
-        comps = ("ex",) if self.em.disc.ref.dim == 1 else ("ex", "ey")
-        return tuple(em_state[i[c]][self.dd_in_em] for c in comps)
+        return tuple(np.take(em_state, self._e_gather))
 
     def generation(self, em_state):
         """Nodal G on the DD subdomain from the optical (transient) fields."""
@@ -211,42 +218,38 @@ class CoupledSystem:
         e = self.e_t_on_dd(em_state)
         return self.gcoef * ph.poynting_magnitude(e, (hz,))
 
-    def transient_current(self, dd_state, e_t_dd):
-        """J_e^t + J_h^t on the DD subdomain for given transient field."""
+    def _carrier_current(self, dd_state):
+        """(sigma, j0) with J_e^t + J_h^t = j0 + sigma E^t on the DD subdomain:
+        j0, (dim, K, Np), is the drift of the transient densities in E^s plus
+        their diffusion; sigma is the conductivity of the total densities."""
         dd = self.dd
-        dim = dd.disc.ref.dim
         n_e_t, n_h_t = dd_state[0], dd_state[1]
         ge = dd.gradient(n_e_t)
         gh = dd.gradient(n_h_t)
         sigma = ph.Q * (dd.mu_e * (dd.n_e_s + n_e_t)
                         + dd.mu_h * (dd.n_h_s + n_h_t))
-        out = []
-        for nu in range(dim):
-            j0 = ph.Q * (dd.mu_e * n_e_t * dd.e_s[nu] + dd.d_e * ge[nu]
-                         + dd.mu_h * n_h_t * dd.e_s[nu] - dd.d_h * gh[nu])
-            out.append(j0 + sigma * e_t_dd[nu])
-        return tuple(out)
+        j0 = np.array([ph.Q * (dd.mu_e * n_e_t * dd.e_s[nu] + dd.d_e * ge[nu]
+                               + dd.mu_h * n_h_t * dd.e_s[nu] - dd.d_h * gh[nu])
+                       for nu in range(dd.disc.ref.dim)])
+        return sigma, j0
+
+    def transient_current(self, dd_state, e_t_dd):
+        """J_e^t + J_h^t on the DD subdomain for given transient field."""
+        sigma, j0 = self._carrier_current(dd_state)
+        return tuple(j0[nu] + sigma * e_t_dd[nu] for nu in range(len(j0)))
 
     def _em_rhs_with_carriers(self, dd_state):
         """EM rhs closure with stage-local transient carrier current."""
-        dd = self.dd
-        dim = dd.disc.ref.dim
-        n_e_t, n_h_t = dd_state[0], dd_state[1]
-        ge = dd.gradient(n_e_t)
-        gh = dd.gradient(n_h_t)
-        sigma = ph.Q * (dd.mu_e * (dd.n_e_s + n_e_t)
-                        + dd.mu_h * (dd.n_h_s + n_h_t))
-        j0 = [ph.Q * (dd.mu_e * n_e_t * dd.e_s[nu] + dd.d_e * ge[nu]
-                      + dd.mu_h * n_h_t * dd.e_s[nu] - dd.d_h * gh[nu])
-              for nu in range(dim)]
-
+        sigma, j0 = self._carrier_current(dd_state)
         # carrier current on the EM mesh; rows outside the DD subdomain stay 0
-        j_full = np.zeros((dim, self.em.disc.K, self.em.disc.Np))
+        j_full = np.zeros((len(j0), self.em.disc.K, self.em.disc.Np))
+        j_dd = np.empty_like(j0)
 
         def rhs(em_state, t):
-            e_t = self.e_t_on_dd(em_state)
-            for nu in range(dim):
-                j_full[nu][self.dd_in_em] = j0[nu] + sigma * e_t[nu]
+            np.take(em_state, self._e_gather, out=j_dd, mode="clip")
+            np.multiply(j_dd, sigma, out=j_dd)
+            np.add(j_dd, j0, out=j_dd)
+            j_full[:, self.dd_in_em] = j_dd
             return self.em.rhs(em_state, t, j_carrier=j_full)
         return rhs
 
@@ -292,26 +295,12 @@ def terminal_current_probe(cs, em_state, dd_state, t=0.0):
     current J_e^t + J_h^t + eps dE^t/dt through the contact faces."""
     if not cs.contacts:
         raise PhysicsError("no contacts configured for the current probe")
-    from .stationary import _face_integral
-    dd = cs.dd
-    d = dd.disc
-    dim = d.ref.dim
-    e_t = cs.e_t_on_dd(em_state)
-    j_c = cs.transient_current(dd_state, e_t)
-    em_rhs = cs._em_rhs_with_carriers(dd_state)(em_state, t)
-    i = cs.em.idx
-    comps = ("ex",) if dim == 1 else ("ex", "ey")
+    from .stationary import contact_currents
+    j_c = cs.transient_current(dd_state, cs.e_t_on_dd(em_state))
+    de_dt = cs.e_t_on_dd(cs._em_rhs_with_carriers(dd_state)(em_state, t))
     eps_dd = cs.em.eps[cs.dd_in_em]
-    j_tot = tuple(j_c[nu] + eps_dd * em_rhs[i[comps[nu]]][cs.dd_in_em]
-                  for nu in range(dim))
-    jn = sum(d.nhat[:, :, nu] * d.face_minus(j_tot[nu]) for nu in range(dim))
-    out = {}
-    for idx, ct in enumerate(cs.contacts):
-        mask = d.face_expand(cs.contact_idx == idx)
-        if not np.any(mask):
-            raise PhysicsError(f"contact {ct.name!r} matches no electrode face")
-        out[ct.name] = _face_integral(d, jn, mask)
-    return out
+    j_tot = tuple(j + eps_dd * d for j, d in zip(j_c, de_dt))
+    return contact_currents(cs.dd.disc, j_tot, cs.contact_idx, cs.contacts)
 
 
 def run_coupled(cs, schedule, probes=None, log=None):

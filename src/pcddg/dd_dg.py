@@ -10,8 +10,6 @@ drift velocity v_c (electrons v = -mu_e E, holes v = +mu_h E):
 with mobilities and diffusivities frozen at the stationary field E^s.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import physics as ph
@@ -19,6 +17,8 @@ from .physics import PhysicsError
 from .mesh import BOUNDARY_TAGS
 
 _DIRICHLET_TAGS = {"ELECTRODE_D"}
+_COLUMN_ATTRS = ("n_i", "tau_e", "tau_h", "n_e1", "n_h1",
+                 "mu_e0", "mu_h0", "v_sat_e", "v_sat_h", "beta_e", "beta_h")
 
 
 def ldg_diffusion_fluxes(n_minus, n_plus, dq_minus, dq_plus, nhat, beta_sign):
@@ -85,10 +85,11 @@ class DDSolver:
                 raise PhysicsError(
                     f"element {disc.elems[k]} ({m.name}) is not a semiconductor; "
                     "restrict the DD subdomain")
-        col = lambda attr: np.array([getattr(m, attr) for m in self.mats])[:, None]
-        self.tau_e, self.tau_h = col("tau_e"), col("tau_h")
-        self.n_e1, self.n_h1 = col("n_e1"), col("n_h1")
-        self.n_i = col("n_i")
+        # per-element (K, 1) columns of the SRH and mobility parameters,
+        # named as on Material so that the physics functions take self
+        for attr in _COLUMN_ATTRS:
+            setattr(self, attr,
+                    np.array([getattr(m, attr) for m in self.mats])[:, None])
 
         tagnames = np.where(disc.face_tag >= 0,
                             np.array(BOUNDARY_TAGS, dtype=object)[disc.face_tag], "")
@@ -113,14 +114,8 @@ class DDSolver:
     def _freeze_mobility(self):
         e_mag = np.sqrt(sum(c * c for c in self.e_s))
         v_t = self.materials.v_t
-        mu_e0 = np.array([m.mu_e0 for m in self.mats])[:, None]
-        mu_h0 = np.array([m.mu_h0 for m in self.mats])[:, None]
-        vse = np.array([m.v_sat_e for m in self.mats])[:, None]
-        vsh = np.array([m.v_sat_h for m in self.mats])[:, None]
-        be = np.array([m.beta_e for m in self.mats])[:, None]
-        bh = np.array([m.beta_h for m in self.mats])[:, None]
-        self.mu_e = mu_e0 / (1.0 + (mu_e0 * e_mag / vse) ** be) ** (1.0 / be)
-        self.mu_h = mu_h0 / (1.0 + (mu_h0 * e_mag / vsh) ** bh) ** (1.0 / bh)
+        self.mu_e = ph.parallel_field_mobility(e_mag, "e", self)
+        self.mu_h = ph.parallel_field_mobility(e_mag, "h", self)
         self.d_e = ph.einstein_diffusivity(self.mu_e, v_t)
         self.d_h = ph.einstein_diffusivity(self.mu_h, v_t)
 
@@ -218,14 +213,10 @@ class DDSolver:
             rhs = rhs + source
         return rhs
 
-    def transient_recombination(self, n_e_t, n_h_t, include_auger=False):
+    def transient_recombination(self, n_e_t, n_h_t):
         """R^t = R(n^s + n^t) - R(n^s) with the SRH form."""
-        def srh(ne, nh):
-            excess = ne * nh - self.n_i ** 2
-            den = self.tau_e * (self.n_h1 + nh) + self.tau_h * (self.n_e1 + ne)
-            return excess / den
-        return srh(self.n_e_s + n_e_t, self.n_h_s + n_h_t) \
-            - srh(self.n_e_s, self.n_h_s)
+        return ph.srh_recombination(self.n_e_s + n_e_t, self.n_h_s + n_h_t, self) \
+            - ph.srh_recombination(self.n_e_s, self.n_h_s, self)
 
     def carrier_rhs(self, state, g=None, t=0.0, e_t=None):
         """Full rhs for state = (n_e^t, n_h^t), shape (2, K, Np)."""
@@ -248,19 +239,3 @@ class DDSolver:
     def total_carriers(self, state):
         return (self.disc.integrate(state[0]), self.disc.integrate(state[1]))
 
-
-def dd_boundary_flux(tag, traces):
-    """Boundary numerical fluxes for a tagged DD face.
-
-    traces: dict with minus-side 'n', 'v_n' (normal velocity), 'dq' (normal
-    diffusive flux) and 'f_d' when Dirichlet.  Robin faces return the single
-    total-flux assignment.
-    """
-    if tag in _DIRICHLET_TAGS:
-        f_d = traces.get("f_d", 0.0)
-        return {"n_star": f_d + 0.0 * traces["n"],
-                "vn_star": traces["v_n"] * f_d,
-                "dq_star": traces["dq"]}
-    if tag in set(BOUNDARY_TAGS) - _DIRICHLET_TAGS:
-        return {"n_star": traces["n"], "total_flux": 0.0 * traces["n"]}
-    raise PhysicsError(f"no DD boundary rule for tag {tag!r}")

@@ -3,7 +3,7 @@
 D/B fields, Drude metals via an auxiliary current ODE, and the optical
 aperture source."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +17,6 @@ COMP_2D = ("ex", "ey", "hz", "dx", "dy", "bz", "jpx", "jpy")
 
 _PEC_LIKE = {"PEC", "ELECTRODE_D", "SOURCE_APERTURE"}
 _ABC_LIKE = {"ABC", "PML_interface"}
-
-
-def drude_ade_rhs(e, j_p, mat):
-    """dJ_p/dt = eps0 wp^2 E - gamma J_p."""
-    co = ph.drude_coefficients(mat)
-    return EPS0 * mat.drude.omega_p ** 2 * np.asarray(e) - co["gamma"] * np.asarray(j_p)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .refelem import MeshError, element_geometry, build_reference_element
+from .refelem import MeshError
 
 BOUNDARY_TAGS = ("PEC", "ABC", "PML_interface", "ELECTRODE_D",
                  "INSULATOR_R", "SOURCE_APERTURE")
@@ -37,9 +37,6 @@ class Mesh:
     @property
     def Nfaces(self):
         return self.dim + 1
-
-    def element_vertices(self, k):
-        return self.vertices[self.elements[k]]
 
     def volumes(self):
         if self.dim == 1:

@@ -1,8 +1,8 @@
-"""Constitutive models and parameter handling: SRH recombination, optical
-generation, field-dependent mobility, Ohmic contact densities, Drude metals,
-and De Mari-style scaling."""
+"""Constitutive models and parameter handling: SRH recombination, the
+optical generation coefficient, Caughey-Thomas field-dependent mobility,
+Ohmic contact densities, Drude metal parameters and the optical source."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,6 @@ class Material:
     beta_h: float = 2.0
     alpha_abs: float = 0.0       # m^-1
     eta: float = 1.0
-    auger_ce: float = 0.0        # m^6/s, stored; excluded from R by default
-    auger_ch: float = 0.0
     drude: DrudeParams = None
     pml: bool = False
 
@@ -88,18 +86,21 @@ def thermal_voltage(temperature):
     return KB * temperature / Q
 
 
-def srh_recombination(n_e, n_h, mat, include_auger=False):
-    """Trap-assisted recombination rate; sign follows n_e*n_h - n_i^2."""
+def srh_recombination(n_e, n_h, mat, lagged=None):
+    """Trap-assisted recombination rate; sign follows n_e*n_h - n_i^2.
+
+    mat supplies n_i, tau_e, tau_h, n_e1 and n_h1: a Material, or an object
+    holding them as per-element (K, 1) columns (DDSolver).  lagged=(n_e0,
+    n_h0) takes the denominator there instead, which makes the rate affine
+    in each density (the stationary continuity solves)."""
     n_e = np.asarray(n_e, dtype=float)
     n_h = np.asarray(n_h, dtype=float)
     if not (np.all(np.isfinite(n_e)) and np.all(np.isfinite(n_h))):
         raise PhysicsError("non-finite carrier density passed to SRH")
+    d_e, d_h = (n_e, n_h) if lagged is None else lagged
     excess = n_e * n_h - mat.n_i ** 2
-    denom = mat.tau_e * (mat.n_h1 + n_h) + mat.tau_h * (mat.n_e1 + n_e)
-    r = excess / denom
-    if include_auger:
-        r = r + (mat.auger_ce * n_e + mat.auger_ch * n_h) * excess
-    return r
+    denom = mat.tau_e * (mat.n_h1 + d_h) + mat.tau_h * (mat.n_e1 + d_e)
+    return excess / denom
 
 
 def generation_coefficient(mat, wavelength):
@@ -116,16 +117,11 @@ def poynting_magnitude(e_fields, h_fields):
     return np.abs(hz) * np.hypot(ex, ey)
 
 
-def optical_generation(e_fields, h_fields, mat, wavelength):
-    """Generation rate G = eta*alpha*lambda/(hc) |E x H|; zero for non-semiconductors."""
-    if not mat.semiconductor:
-        s = poynting_magnitude(e_fields, h_fields)
-        return np.zeros_like(s)
-    return generation_coefficient(mat, wavelength) * poynting_magnitude(e_fields, h_fields)
-
-
 def parallel_field_mobility(e_mag, carrier, mat):
-    """Caughey-Thomas parallel-field mobility; velocity saturates at V^sat."""
+    """Caughey-Thomas parallel-field mobility; velocity saturates at V^sat.
+
+    mat supplies mu_c0, v_sat_c and beta_c of the carrier: a Material, or an
+    object holding them as per-element (K, 1) columns (DDSolver)."""
     e_mag = np.asarray(e_mag, dtype=float)
     if carrier == "e":
         mu0, vsat, beta = mat.mu_e0, mat.v_sat_e, mat.beta_e
@@ -153,23 +149,9 @@ def ohmic_contact_densities(doping, n_i):
     return n_e, n_h
 
 
-def drude_coefficients(mat):
-    """Drude parameters in solver units (rad/s); errors on non-metal regions."""
-    if mat.drude is None:
-        raise PhysicsError(f"region {mat.name!r} has no Drude model")
-    return {"eps_inf": mat.drude.eps_inf * EPS0,
-            "omega_p": mat.drude.omega_p,
-            "gamma": mat.drude.gamma}
-
-
 def ev_to_angular_frequency(e_ev):
     """Energy in eV (the Table-style omega_p entries) to rad/s."""
     return e_ev * Q / HBAR
-
-
-def drude_permittivity(drude, omega):
-    """Relative complex permittivity eps_inf - wp^2/(w^2 + i gamma w)."""
-    return drude.eps_inf - drude.omega_p ** 2 / (omega ** 2 + 1j * drude.gamma * omega)
 
 
 @dataclass
@@ -205,48 +187,10 @@ class OpticalSourceSpec:
         return 4.0 * self.sigma_t if self.t0 is None else self.t0
 
     def envelope(self, t):
-        t = np.asarray(t, dtype=float)
-        u = t - self.delay
-        return np.exp(-u * u / (2.0 * self.sigma_t ** 2)) * np.sin(2 * np.pi * self.f_c * u)
-
-
-@dataclass
-class ScalingRecord:
-    """De Mari-style scale factors for the stationary solve."""
-    x: float          # length (m)
-    phi: float        # potential (V) = V_T
-    n: float          # density (m^-3)
-    d: float          # diffusivity (m^2/s)
-
-    @property
-    def mu(self):
-        return self.d / self.phi
-
-    @property
-    def e_field(self):
-        return self.phi / self.x
-
-    @property
-    def r(self):
-        return self.d * self.n / self.x ** 2
-
-    @property
-    def time(self):
-        return self.x ** 2 / self.d
-
-    def scale(self, value, kind):
-        return np.asarray(value, dtype=float) / getattr(self, kind)
-
-    def unscale(self, value, kind):
-        return np.asarray(value, dtype=float) * getattr(self, kind)
-
-
-def scale_system(char_length, v_t, n_max, d_max):
-    """Scale factors from characteristic length, thermal voltage, peak density
-    (max of |C| and n_i) and peak diffusivity."""
-    if min(char_length, v_t, n_max, d_max) <= 0:
-        raise PhysicsError("scale inputs must be positive")
-    return ScalingRecord(x=char_length, phi=v_t, n=n_max, d=d_max)
+        """Gaussian-modulated carrier at time t (a float or an array)."""
+        sigma_t = self.sigma_t
+        u = t - (4.0 * sigma_t if self.t0 is None else self.t0)
+        return np.exp(-u * u / (2.0 * sigma_t ** 2)) * np.sin(2 * np.pi * self.f_c * u)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +206,7 @@ def lt_gaas(doping=1.3e22):
         doping=doping, n_i=9e12, tau_e=0.3e-12, tau_h=0.4e-12,
         n_e1=4.5e12, n_h1=4.5e12, mu_e0=0.8, mu_h0=0.04,
         v_sat_e=1.725e5, v_sat_h=0.9e5, beta_e=1.82, beta_h=1.75,
-        alpha_abs=1e6, eta=1.0, auger_ce=7e-42, auger_ch=7e-42)
+        alpha_abs=1e6, eta=1.0)
 
 
 def si_gaas():

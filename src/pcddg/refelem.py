@@ -1,8 +1,9 @@
-"""Reference elements (interval / triangle) and element-local matrices.
+"""Reference elements on the interval and the triangle.
 
-Nodal Lagrange bases built on orthonormal Jacobi/Dubiner modal bases; all
-local matrices (mass, stiffness, face mass, LDG gradient/divergence blocks)
-are exact for affine elements.
+Nodal Lagrange bases built on orthonormal Jacobi/Dubiner modal bases: the
+nodes, the Vandermonde matrix, the differentiation, mass and face mass
+matrices and the lift, all on the reference element.  Physical elements
+(metric, Jacobians, normals, face maps) live in dgops.Discretization.
 """
 
 from dataclasses import dataclass, field
@@ -166,13 +167,6 @@ class ReferenceElement:
     face_nodes: list             # per face, index arrays of length Nfp
     mass_ref: np.ndarray = field(default=None)      # reference mass inv(V V^T)
     lift_ref: np.ndarray = field(default=None)      # Np x (Nfaces*Nfp), unit face Jacobian
-    face_mass_ref: np.ndarray = field(default=None)  # Nfp x Nfp reference face mass
-
-    @property
-    def face_vertices(self):
-        if self.dim == 1:
-            return [(0,), (1,)]
-        return [(0, 1), (1, 2), (2, 0)]
 
 
 def build_reference_element(dim, p):
@@ -191,7 +185,6 @@ def build_reference_element(dim, p):
             dim=1, p=p, Np=Np, Nfp=1, Nfaces=2,
             nodes=r.reshape(-1, 1), vandermonde=V, diff=[Dr],
             face_nodes=[np.array([0]), np.array([Np - 1])])
-        ref.face_mass_ref = np.array([[1.0]])
     else:
         r, s = triangle_nodes(p)
         Np = (p + 1) * (p + 2) // 2
@@ -219,14 +212,12 @@ def build_reference_element(dim, p):
             dim=2, p=p, Np=Np, Nfp=p + 1, Nfaces=3,
             nodes=np.column_stack([r, s]), vandermonde=V, diff=[Dr, Ds],
             face_nodes=[fn1, fn2, fn3])
-        r1 = gauss_lobatto_nodes(p) if p > 1 else np.array([-1.0, 1.0])
         # reference face mass from the trace basis on each face
         fm = []
         for fn in ref.face_nodes:
             t = _face_parameter(ref, fn)
             V1 = np.array([jacobi_p(t, 0, 0, j) for j in range(p + 1)]).T
             fm.append(np.linalg.inv(V1 @ V1.T))
-        ref.face_mass_ref = fm[0]
         ref._face_mass_all = fm
     ref.mass_ref = np.linalg.inv(ref.vandermonde @ ref.vandermonde.T)
     ref.lift_ref = _build_lift(ref)
@@ -260,110 +251,3 @@ def _check_reference(ref):
     ident = ref.vandermonde @ np.linalg.inv(ref.vandermonde)
     if np.max(np.abs(ident - np.eye(ref.Np))) > 1e-9:
         raise ConfigurationError(f"ill-conditioned basis at p={ref.p}")
-
-
-@dataclass
-class ElementGeometry:
-    """Affine map metric data for one physical element."""
-    dim: int
-    verts: np.ndarray
-    jac: float                 # volume Jacobian
-    metric: np.ndarray         # metric[phys, ref] = d(ref)/d(phys), (dim, dim)
-    normals: np.ndarray        # (Nfaces, dim) outward unit normals
-    sjac: np.ndarray           # (Nfaces,) surface Jacobians
-    volume: float
-
-
-def element_geometry(ref, verts):
-    verts = np.asarray(verts, dtype=float)
-    if ref.dim == 1:
-        h = verts[1, 0] - verts[0, 0]
-        if h <= 0:
-            raise MeshError(f"degenerate 1D element, length {h}")
-        return ElementGeometry(
-            dim=1, verts=verts, jac=h / 2.0,
-            metric=np.array([[2.0 / h]]),
-            normals=np.array([[-1.0], [1.0]]),
-            sjac=np.array([1.0, 1.0]), volume=h)
-    xr = (verts[1] - verts[0]) / 2.0
-    xs = (verts[2] - verts[0]) / 2.0
-    jac = xr[0] * xs[1] - xs[0] * xr[1]
-    if jac <= 0:
-        raise MeshError("inverted or degenerate triangle")
-    rx = xs[1] / jac
-    ry = -xs[0] / jac
-    sx = -xr[1] / jac
-    sy = xr[0] / jac
-    metric = np.array([[rx, sx], [ry, sy]])
-    normals = []
-    sjac = []
-    for (a, b) in [(0, 1), (1, 2), (2, 0)]:
-        e = verts[b] - verts[a]
-        ln = np.hypot(e[0], e[1])
-        normals.append(np.array([e[1], -e[0]]) / ln)
-        sjac.append(ln / 2.0)
-    return ElementGeometry(
-        dim=2, verts=verts, jac=jac, metric=metric,
-        normals=np.array(normals), sjac=np.array(sjac), volume=2.0 * jac)
-
-
-def elemental_mass_matrix(ref, geom):
-    """Physical-element mass matrix M(i,j) = int l_i l_j dV."""
-    if geom.jac <= 0:
-        raise MeshError("nonpositive element Jacobian")
-    return geom.jac * ref.mass_ref
-
-
-def phys_diff_matrices(ref, geom):
-    """Collocation differentiation matrices d/dx_nu on the physical element."""
-    return [sum(geom.metric[nu, d] * ref.diff[d] for d in range(ref.dim))
-            for nu in range(ref.dim)]
-
-
-def elemental_stiffness_and_face(ref, geom):
-    """Stiffness S~^nu(i,j) = int l_i d_nu l_j dV and per-face face-mass matrices."""
-    mass = elemental_mass_matrix(ref, geom)
-    dmats = phys_diff_matrices(ref, geom)
-    stiffness = [mass @ d for d in dmats]
-    face_mass = []
-    for f in range(ref.Nfaces):
-        if ref.dim == 1:
-            fm = np.array([[1.0]])
-        else:
-            fm = ref._face_mass_all[f] * geom.sjac[f]
-        face_mass.append(fm)
-    return {"stiffness": stiffness, "face_mass": face_mass}
-
-
-def ldg_gradient_divergence(ref, geom, beta_signs, boundary_faces=()):
-    """Element-local LDG gradient/divergence blocks.
-
-    beta_signs[f] = sign(beta_hat . n_hat) on face f with n_hat outward;
-    returns local blocks (dim*Np x Np) and per-face neighbor blocks
-    (dim*Np x Nfp) satisfying div = -grad^T blockwise.  Neighbor blocks on
-    boundary faces are zero.
-    """
-    beta_signs = np.asarray(beta_signs, dtype=float)
-    if beta_signs.shape != (ref.Nfaces,) or not np.all(np.abs(beta_signs) == 1.0):
-        raise MeshError("beta_signs must give +-1 per face")
-    ops = elemental_stiffness_and_face(ref, geom)
-    dim, Np, Nfp = ref.dim, ref.Np, ref.Nfp
-    grad = np.zeros((dim * Np, Np))
-    grad_nb = [np.zeros((dim * Np, Nfp)) for _ in range(ref.Nfaces)]
-    for nu in range(dim):
-        blk = slice(nu * Np, (nu + 1) * Np)
-        grad[blk, :] = -ops["stiffness"][nu].T
-    for f in range(ref.Nfaces):
-        fn = ref.face_nodes[f]
-        fm = ops["face_mass"][f]
-        for nu in range(dim):
-            blk = slice(nu * Np, (nu + 1) * Np)
-            w = geom.normals[f, nu] * fm
-            grad[blk, :][np.ix_(np.arange(Np)[fn], fn)] += \
-                0.5 * (1 + beta_signs[f]) * w
-            if f not in boundary_faces:
-                grad_nb[f][blk, :][fn, :] += 0.5 * (1 - beta_signs[f]) * w
-    div = -grad.T
-    div_nb = [-g.T for g in grad_nb]
-    return {"grad_ldg": grad, "grad_neighbor": grad_nb,
-            "div_ldg": div, "div_neighbor": div_nb}

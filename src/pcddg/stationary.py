@@ -8,6 +8,8 @@ with distance-2-colored unit vectors, so the assembled systems are exactly
 the kernels the transient solver runs.
 """
 
+import dataclasses
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,8 +76,8 @@ class StationarySolution:
     e_s: tuple                       # field components, same layout
     n_e: np.ndarray                  # (Kd, Np) on the semiconductor subdomain
     n_h: np.ndarray
-    j_e: tuple                       # charge-current components (Kd, Np)
-    j_h: tuple
+    j_e: tuple                       # charge-current components (Kd, Np);
+    j_h: tuple                       # None when loaded from a checkpoint
     gummel_history: list = field(default_factory=list)
     converged: bool = False
     mesh_hash: str = ""
@@ -291,9 +293,10 @@ class StationaryProblem:
         return phi, e_s
 
     # -- continuity ------------------------------------------------------
-    def _carrier_system(self, carrier, e_s_dd, n_other, den):
+    def _carrier_system(self, carrier, e_s_dd, n_other, lagged):
         """Affine kernel for the steady continuity equation of one carrier,
-        plus its homogeneous-boundary-data twin for matrix probing."""
+        plus its homogeneous-boundary-data twin for matrix probing; SRH is
+        linearized with its denominator at the lagged (n_e, n_h)."""
         dd = self.dd
         d = self.ddisc
         mu = dd.mu_e if carrier == "e" else dd.mu_h
@@ -309,17 +312,16 @@ class StationaryProblem:
             def apply_fn(n):
                 rhs = dd.scalar_rhs(n, v, dc, t=0.0,
                                     f_d=lambda pts, t: fd_arr[dd.dir_mask])
-                r_lin = (n * n_other - self.n_i ** 2) / den
-                return rhs - r_lin
+                n_e, n_h = (n, n_other) if carrier == "e" else (n_other, n)
+                return rhs - ph.srh_recombination(n_e, n_h, dd, lagged=lagged)
             return apply_fn
         return make(fd), make(np.zeros_like(fd))
 
     def continuity_solve(self, carrier, e_s_dd, n_self, n_other):
         """One lagged-R linear solve for n_c^s."""
-        dd = self.dd
-        den = dd.tau_e * (dd.n_h1 + (n_other if carrier == "e" else n_self)) \
-            + dd.tau_h * (dd.n_e1 + (n_self if carrier == "e" else n_other))
-        apply_fn, homo_fn = self._carrier_system(carrier, e_s_dd, n_other, den)
+        lagged = (n_self, n_other) if carrier == "e" else (n_other, n_self)
+        apply_fn, homo_fn = self._carrier_system(carrier, e_s_dd, n_other,
+                                                 lagged)
         a, c = assemble_affine_operator(apply_fn, self.ddisc,
                                         homogeneous_fn=homo_fn)
         n = solve_sparse(a, -c).reshape(self.ddisc.K, self.ddisc.Np)
@@ -490,20 +492,39 @@ class StationaryProblem:
             gummel_history=history, converged=True,
             mesh_hash=self.mesh.content_hash())
 
+    def state_key(self):
+        """Hash of every input the stationary state depends on: the mesh,
+        the order, the Dirichlet penalty, the temperature, the contacts and
+        every material parameter."""
+        inputs = (
+            self.mesh.content_hash(), self.pdisc.ref.p, self.penalty,
+            self.materials.temperature,
+            [(c.name, c.lo.tolist(), c.hi.tolist(), c.voltage)
+             for c in self.contacts],
+            sorted((name, dataclasses.asdict(m))
+                   for name, m in self.materials.materials.items()))
+        return hashlib.sha256(repr(inputs).encode()).hexdigest()[:16]
+
     # -- observables -----------------------------------------------------
     def stationary_current(self, sol):
         """Terminal current per contact, I = contour integral of (J_e+J_h).n."""
         if not sol.converged:
             raise ConvergenceError("stationary_current needs a converged solution")
-        d = self.ddisc
-        dim = d.ref.dim
-        jtot = tuple(sol.j_e[nu] + sol.j_h[nu] for nu in range(dim))
-        jn = sum(d.nhat[:, :, nu] * d.face_minus(jtot[nu]) for nu in range(dim))
-        out = {}
-        for i, ct in enumerate(self.contacts):
-            mask = d.face_expand(self.d_contact == i)
-            out[ct.name] = _face_integral(d, jn, mask)
-        return out
+        if sol.j_e is None:
+            raise PhysicsError("the solution carries no currents (a checkpoint "
+                               "stores none); solve the problem to get them")
+        jtot = tuple(je + jh for je, jh in zip(sol.j_e, sol.j_h))
+        return contact_currents(self.ddisc, jtot, self.d_contact, self.contacts)
+
+
+def contact_currents(disc, j, contact_idx, contacts):
+    """Terminal current per contact: the integral of n . j^- over the faces
+    whose contact_idx (K, Nfaces) is the contact's index; j holds the current
+    density components on disc."""
+    jn = sum(disc.nhat[:, :, nu] * disc.face_minus(j[nu])
+             for nu in range(disc.ref.dim))
+    return {ct.name: _face_integral(disc, jn, disc.face_expand(contact_idx == i))
+            for i, ct in enumerate(contacts)}
 
 
 def _face_integral(disc, face_vals, mask):
@@ -522,6 +543,9 @@ def _face_integral(disc, face_vals, mask):
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 
+CHECKPOINT_FORMAT = "# pcddg stationary checkpoint v2"
+
+
 def save_checkpoint(path, problem, sol):
     d = problem.pdisc
     dim = d.ref.dim
@@ -532,8 +556,9 @@ def save_checkpoint(path, problem, sol):
     ex = sol.e_s[0]
     ey = sol.e_s[1] if dim == 2 else np.zeros_like(ex)
     with open(path, "w") as fh:
-        fh.write("# pcddg stationary checkpoint v1\n")
+        fh.write(f"{CHECKPOINT_FORMAT}\n")
         fh.write(f"# mesh_hash {sol.mesh_hash}\n")
+        fh.write(f"# state_key {problem.state_key()}\n")
         fh.write("# node_id x y phi n_e n_h Ex Ey\n")
         nid = 0
         for k in range(d.K):
@@ -547,17 +572,27 @@ def save_checkpoint(path, problem, sol):
 
 
 def load_checkpoint(path, problem):
-    """Read a checkpoint and validate it against the problem's mesh hash."""
+    """Read a checkpoint and validate it against the problem's mesh hash and
+    state key.  The solution carries no currents (j_e = j_h = None)."""
     d = problem.pdisc
     with open(path) as fh:
         lines = fh.readlines()
-    hash_line = [ln for ln in lines if ln.startswith("# mesh_hash")]
-    if not hash_line:
-        raise PhysicsError("checkpoint missing its mesh hash header")
-    mesh_hash = hash_line[0].split()[2]
+    if not lines or lines[0].rstrip("\n") != CHECKPOINT_FORMAT:
+        raise PhysicsError(f"not a {CHECKPOINT_FORMAT[2:]} file")
+
+    def header(name):
+        found = [ln.split()[2] for ln in lines if ln.startswith(f"# {name} ")]
+        if not found:
+            raise PhysicsError(f"checkpoint missing its {name} header")
+        return found[0]
+
+    mesh_hash = header("mesh_hash")
     if mesh_hash != problem.mesh.content_hash():
         raise PhysicsError("checkpoint mesh hash does not match the mesh "
                            f"({mesh_hash} != {problem.mesh.content_hash()})")
+    if header("state_key") != problem.state_key():
+        raise PhysicsError("checkpoint was written for other stationary inputs "
+                           "(contacts, materials, temperature, order or penalty)")
     data = np.array([[float(v) for v in ln.split()]
                      for ln in lines if not ln.startswith("#")])
     if data.shape[0] != d.K * d.Np:
@@ -571,7 +606,6 @@ def load_checkpoint(path, problem):
     e_s = (ex, ey) if dim == 2 else (ex,)
     n_e = n_e_full[problem.semi_in_p]
     n_h = n_h_full[problem.semi_in_p]
-    zd = tuple(np.zeros_like(n_e) for _ in range(dim))
     return StationarySolution(phi=phi, e_s=e_s, n_e=n_e, n_h=n_h,
-                              j_e=zd, j_h=zd, converged=True,
+                              j_e=None, j_h=None, converged=True,
                               mesh_hash=mesh_hash)

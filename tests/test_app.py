@@ -161,6 +161,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=r"p_em must be in \[1, 6\]"):
             parse_config(str(path))
 
+    def test_run_threads_is_unknown(self, tmp_path):
+        # the thread cap is the --threads flag; the deck has no such key
+        path = tmp_path / "bad.cfg"
+        path.write_text(DEVICE_CFG.replace("t_end = 0.5 fs\n",
+                                          "t_end = 0.5 fs\nthreads = 2\n"))
+        with pytest.raises(ConfigurationError, match="run.threads: unknown key"):
+            parse_config(str(path))
+
     def test_unknown_boundary_tag(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(DEVICE_CFG.replace("source_aperture =", "slippery ="))
@@ -296,6 +304,20 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert (out / "stationary.chk").stat().st_mtime_ns == mtime
 
+    def test_transient_recomputes_stale_checkpoint(self, device_cfg, tmp_path,
+                                                   capsys):
+        out = tmp_path / "out"
+        assert main(["stationary", "--config", device_cfg,
+                     "--out", str(out)]) == 0
+        old = (out / "stationary.chk").read_text()
+        cfg = tmp_path / "biased.cfg"
+        cfg.write_text(DEVICE_CFG.replace("voltage = 0.05 V", "voltage = 0.1 V"))
+        capsys.readouterr()
+        assert main(["transient", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert "incompatible; recomputing" in capsys.readouterr().out
+        assert (out / "stationary.chk").read_text() != old
+
     def test_end_to_end_determinism(self, device_cfg, tmp_path, capsys):
         blobs = []
         for run in ("a", "b"):
@@ -328,3 +350,15 @@ class TestCli:
         lines = (out / "convergence.csv").read_text().strip().splitlines()
         assert lines[0] == "p,n,h,error,order"
         assert len(lines) == 3
+
+
+def test_benchmark_patch_targets_resolve(monkeypatch):
+    # the traced benchmark wraps each target through vars(owner)[attr], so
+    # every patched name must be defined on its owner itself
+    monkeypatch.syspath_prepend(os.path.join(REPO, "perfbench"))
+    import layers
+    targets = layers.patch_targets()
+    assert targets
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _span in targets if attr not in vars(owner)]
+    assert missing == []

@@ -236,3 +236,27 @@ class TestMultirate:
         probes = ProbeSet(contacts=cs.contacts, points=np.array([[5e-6]]))
         with pytest.raises(Exception):
             run_coupled(cs, sched, probes=probes)
+
+
+class TestCoupledSystem:
+    def test_contact_without_electrode_face_rejected(self):
+        cs, _ = toy_pcd(source=False)
+        ghost = Contact("ghost", np.array([0.5e-6]), np.array([0.5e-6]), 0.0)
+        with pytest.raises(PhysicsError, match="'ghost' matches no electrode"):
+            CoupledSystem(cs.em, cs.dd, wavelength=800e-9,
+                          contacts=cs.contacts + (ghost,))
+
+    def test_em_rhs_carries_transient_current(self):
+        # the closure's in-place carrier current equals transient_current
+        # scattered onto the EM rows, bitwise
+        cs, _ = toy_pcd()
+        rng = np.random.default_rng(3)
+        em_state = rng.normal(size=cs.em.zero_state().shape) * 1e5
+        dd_state = rng.uniform(0.0, 1e20, size=(2, cs.dd.disc.K, cs.dd.disc.Np))
+        j_full = np.zeros((1, cs.em.disc.K, cs.em.disc.Np))
+        j_full[0][cs.dd_in_em] = cs.transient_current(
+            dd_state, cs.e_t_on_dd(em_state))[0]
+        rhs = cs._em_rhs_with_carriers(dd_state)
+        for t in (0.0, 3e-15):
+            assert np.array_equal(rhs(em_state, t),
+                                  cs.em.rhs(em_state, t, j_carrier=j_full))

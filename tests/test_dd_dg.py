@@ -6,13 +6,12 @@ from pcddg.coupler import tvd_rk3_step
 from pcddg.dd_dg import (
     DDSolver,
     build_drift_velocity,
-    dd_boundary_flux,
     lax_friedrichs_flux,
     ldg_diffusion_fluxes,
 )
 from pcddg.dgops import build_discretization, nodal_field
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
-from pcddg.refelem import build_reference_element
+from pcddg.refelem import MeshError, build_reference_element
 
 
 def semi_table(**over):
@@ -273,20 +272,43 @@ class TestCarrierRhs:
 
 
 class TestBoundaryFlux:
+    """The boundary rules of DDSolver, read off integrals of its kernels:
+    the gradient integrates to the jump of n* between the two ends, and the
+    rhs to the net boundary flux sum(f_diff - f_adv) over the end faces."""
+
+    def _case(self, left, right, f_d=None):
+        solver, disc = interval_dd(3, 2, left=left, right=right, dirichlet=f_d)
+        x = disc.x[:, :, 0]
+        n = 2.0 + np.sin(2.0 * x) + x ** 2
+        v = (np.full_like(x, 1.5),)
+        return solver, disc, n, v, 0.5
+
     def test_dirichlet_zero(self):
-        tr = {"n": np.array([2.0]), "v_n": np.array([3.0]),
-              "dq": np.array([1.5]), "f_d": 0.0}
-        out = dd_boundary_flux("ELECTRODE_D", tr)
-        assert np.allclose(out["n_star"], 0.0)
-        assert np.allclose(out["vn_star"], 0.0)
-        assert np.allclose(out["dq_star"], 1.5)
+        # n* = f_D in the gradient, (v n)* = (n.v) f_D and (n.d grad n)* is
+        # the inner trace; f_D defaults to 0
+        for f_d in (0.0, 3.0):
+            fn = None if f_d == 0.0 else (lambda pts, t: np.full(len(pts), 3.0))
+            solver, disc, n, v, d = self._case("ELECTRODE_D", "INSULATOR_R", fn)
+            q = solver.gradient(n)[0]
+            assert disc.integrate(q) == pytest.approx(n[-1, -1] - f_d,
+                                                      rel=1e-12)
+            rhs = solver.scalar_rhs(n, v, d)
+            # left face: n_hat = -1, so f_adv = -v f_D and f_diff = -d q^-
+            assert disc.integrate(rhs) == pytest.approx(
+                v[0][0, 0] * f_d - d * q[0, 0], rel=1e-12)
 
     def test_robin_total_flux_zero(self):
-        tr = {"n": np.array([4.0])}
-        out = dd_boundary_flux("INSULATOR_R", tr)
-        assert np.allclose(out["n_star"], 4.0)
-        assert np.allclose(out["total_flux"], 0.0)
+        # n* = n^- in the gradient, and the total flux (drift, diffusion and
+        # the advective source) through a Robin wall is zero
+        solver, disc, n, v, d = self._case("INSULATOR_R", "INSULATOR_R")
+        q = solver.gradient(n)[0]
+        assert disc.integrate(q) == pytest.approx(n[-1, -1] - n[0, 0],
+                                                  rel=1e-12)
+        rhs = solver.scalar_rhs(n, v, d, v_src=(-v[0],), n_src=2.0 * n)
+        assert abs(disc.integrate(rhs)) < 1e-12 * disc.integrate(np.abs(rhs))
 
     def test_unknown_tag(self):
-        with pytest.raises(ph.PhysicsError):
-            dd_boundary_flux("NOPE", {"n": np.zeros(1)})
+        # every tag a mesh can carry is a Dirichlet contact or a Robin wall
+        # for DD; any other tag is rejected when the mesh is built
+        with pytest.raises(MeshError, match="unknown boundary tag"):
+            unit_interval_mesh(3, left="NOPE", region="semi")

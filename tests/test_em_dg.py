@@ -4,7 +4,7 @@ import pytest
 from pcddg import physics as ph
 from pcddg.coupler import lsrk45_step, stable_timestep
 from pcddg.dgops import build_discretization, nodal_field
-from pcddg.em_dg import MaxwellSolver, PmlSpec, drude_ade_rhs
+from pcddg.em_dg import MaxwellSolver, PmlSpec
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import build_reference_element
 
@@ -419,15 +419,27 @@ class TestFusedRhs:
 
 
 class TestDrudeADE:
+    """dJ_p/dt = eps0 wp^2 E - gamma J_p, read off the rhs of a gold
+    interval."""
+
+    def _gold(self):
+        mesh = unit_interval_mesh(3, left="PEC", right="PEC", region="metal")
+        disc = build_discretization(mesh, build_reference_element(1, 2))
+        return MaxwellSolver(disc, vac_table())
+
     def test_homogeneous_decay(self):
-        m = ph.gold()
-        r = drude_ade_rhs(np.zeros(3), np.full(3, 2.0), m)
-        assert np.allclose(r, -m.drude.gamma * 2.0)
+        solver = self._gold()
+        u = solver.zero_state()
+        u[solver.idx["jpx"]] = 2.0
+        r = solver.rhs(u)[solver.idx["jpx"]]
+        assert np.allclose(r, -ph.gold().drude.gamma * 2.0, rtol=1e-14)
 
     def test_forcing_term(self):
-        m = ph.gold()
-        r = drude_ade_rhs(np.ones(2), np.zeros(2), m)
-        assert np.allclose(r, EPS0 * m.drude.omega_p ** 2)
+        solver = self._gold()
+        u = solver.zero_state()
+        u[solver.idx["ex"]] = 1.0
+        r = solver.rhs(u)[solver.idx["jpx"]]
+        assert np.allclose(r, EPS0 * ph.gold().drude.omega_p ** 2, rtol=1e-14)
 
 
 class TestMaxwellRhs:

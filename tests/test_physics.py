@@ -3,6 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcddg import physics as ph
+from pcddg.coupler import CoupledSystem
+from pcddg.dd_dg import DDSolver
+from pcddg.dgops import build_discretization
+from pcddg.em_dg import MaxwellSolver
+from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
+from pcddg.refelem import build_reference_element
 
 
 class TestMaterials:
@@ -49,13 +55,16 @@ class TestSRH:
         m = ph.lt_gaas()
         assert ph.srh_recombination(0.1 * m.n_i, 0.1 * m.n_i, m) < 0
 
-    def test_auger_addition(self):
+    def test_lagged_denominator(self):
+        # lagged at the densities themselves it is the rate; lagged
+        # elsewhere it is affine in either density
         m = ph.lt_gaas()
-        n = 1e24
-        base = ph.srh_recombination(n, n, m)
-        full = ph.srh_recombination(n, n, m, include_auger=True)
-        extra = (m.auger_ce + m.auger_ch) * n * (n * n - m.n_i ** 2)
-        assert full - base == pytest.approx(extra, rel=1e-6)
+        ne, nh = np.array([1e20, 3e21]), np.array([2e19, 5e18])
+        assert np.array_equal(ph.srh_recombination(ne, nh, m, lagged=(ne, nh)),
+                              ph.srh_recombination(ne, nh, m))
+        lag = (np.array([1e18, 1e22]), np.array([1e17, 1e19]))
+        r = [ph.srh_recombination(ne * s, nh, m, lagged=lag) for s in (0, 1, 2)]
+        assert r[2] - r[1] == pytest.approx(r[1] - r[0], rel=1e-12)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ph.PhysicsError):
@@ -111,13 +120,40 @@ class TestGeneration:
                                      [np.array(2.0)]) == pytest.approx(10.0)
 
     def test_zero_outside_semiconductor(self):
-        g = ph.optical_generation([np.ones(4)], [np.ones(4)], ph.vacuum(), 800e-9)
+        # G lives on the DD subdomain; fields in the vacuum do not enter it
+        cs = vacuum_semi_system()
+        state = cs.em.zero_state()
+        vac = np.setdiff1d(np.arange(cs.em.disc.K), cs.dd_in_em)
+        state[cs.em.idx["ex"], vac] = 1.0
+        state[cs.em.idx["hz"], vac] = 1.0
+        g = cs.generation(state)
+        assert g.shape == (cs.dd.disc.K, cs.dd.disc.Np)
         assert np.all(g == 0)
 
     def test_semiconductor_value(self):
-        m = ph.lt_gaas()
-        g = ph.optical_generation([np.array([2.0])], [np.array([5.0])], m, 800e-9)
-        assert g[0] == pytest.approx(10.0 * ph.generation_coefficient(m, 800e-9))
+        cs = vacuum_semi_system()
+        state = cs.em.zero_state()
+        state[cs.em.idx["ex"]] = 2.0
+        state[cs.em.idx["hz"]] = 5.0
+        g = cs.generation(state)
+        assert g == pytest.approx(10.0 * ph.generation_coefficient(
+            ph.lt_gaas(), 800e-9), rel=1e-15)
+
+
+def vacuum_semi_system():
+    """Coupled system on a 1D vacuum / LT-GaAs stack (DD on the GaAs)."""
+    spec = make_spec(1, [0.0], [2e-6], [("vac", [0.0], [1e-6], 2.5e-7),
+                                        ("semi", [1e-6], [2e-6], 2.5e-7)],
+                     default_tag="PEC")
+    mesh = generate_structured_mesh(spec)
+    mats = ph.MaterialTable({"vac": ph.vacuum(), "semi": ph.lt_gaas()})
+    ref = build_reference_element(1, 2)
+    em = MaxwellSolver(build_discretization(mesh, ref), mats)
+    is_semi = mesh.centroids()[:, 0] > 1e-6
+    dd = DDSolver(build_discretization(
+        mesh, ref, element_mask=is_semi,
+        cut_face_tag=lambda k, f, n: "INSULATOR_R"), mats)
+    return CoupledSystem(em, dd, wavelength=800e-9)
 
 
 class TestContacts:
@@ -154,31 +190,38 @@ class TestDrude:
         assert g.drude.gamma == pytest.approx(8.05e13, rel=1e-3)
 
     def test_permittivity_near_dc_is_metallic(self):
-        g = ph.gold().drude
-        eps = ph.drude_permittivity(g, 2 * np.pi * 1e12)
+        # eps_inf - wp^2/(w^2 + i gamma w) with the forcing eps0 wp^2 and the
+        # decay gamma that the Maxwell rhs applies to a gold element
+        mesh = unit_interval_mesh(1, 0.0, 1e-7, left="PEC", right="PEC",
+                                  region="metal")
+        em = MaxwellSolver(build_discretization(mesh, build_reference_element(1, 1)),
+                           ph.MaterialTable({"metal": ph.gold()}))
+        state = em.zero_state()
+        state[em.idx["ex"]] = 1.0
+        forcing = em.rhs(state)[em.idx["jpx"]][0, 0]
+        state = em.zero_state()
+        state[em.idx["jpx"]] = 1.0
+        gamma = -em.rhs(state)[em.idx["jpx"]][0, 0]
+        omega = 2 * np.pi * 1e12
+        eps = ph.gold().drude.eps_inf \
+            - forcing / ph.EPS0 / (omega ** 2 + 1j * gamma * omega)
         assert eps.real < -1e3
 
-    def test_no_drude_raises(self):
-        with pytest.raises(ph.PhysicsError):
-            ph.drude_coefficients(ph.vacuum())
 
-
-class TestScaling:
-    def test_round_trip(self):
-        s = ph.scale_system(1e-6, 0.02585, 1.3e22, 0.02068)
-        for kind, val in [("x", 3e-7), ("n", 5e21), ("phi", 1.0), ("d", 1e-3)]:
-            assert s.unscale(s.scale(val, kind), kind) == pytest.approx(val)
-
-    def test_derived_scales(self):
-        s = ph.scale_system(1e-6, 0.025, 1e22, 0.02)
-        assert s.mu == pytest.approx(0.02 / 0.025)
-        assert s.e_field == pytest.approx(0.025 / 1e-6)
-        assert s.r == pytest.approx(0.02 * 1e22 / 1e-12)
-        assert s.time == pytest.approx(1e-12 / 0.02)
-
-    def test_invalid(self):
-        with pytest.raises(ph.PhysicsError):
-            ph.scale_system(0.0, 0.025, 1e22, 0.02)
+class TestSource:
+    @pytest.mark.parametrize("t0", [None, 30e-15])
+    def test_envelope_closed_form(self, t0):
+        s = ph.OpticalSourceSpec(f_c=375e12, f_w=25e12, beam_width=1e-6,
+                                 peak_field=1e7, t0=t0)
+        sigma = np.sqrt(2 * np.log(2)) / (np.pi * 25e12)
+        delay = 4 * sigma if t0 is None else t0
+        t = np.linspace(0.0, 2 * delay, 7)
+        expect = np.exp(-(t - delay) ** 2 / (2 * sigma ** 2)) \
+            * np.sin(2 * np.pi * 375e12 * (t - delay))
+        assert s.envelope(t) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+        for ti, ei in zip(t, expect):
+            assert s.envelope(float(ti)) == pytest.approx(ei, rel=1e-12,
+                                                          abs=1e-15)
 
 
 def test_einstein_relation():

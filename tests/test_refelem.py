@@ -1,23 +1,47 @@
+"""Reference elements, and the element operators a Discretization builds
+from them."""
+
 import numpy as np
 import pytest
 
+from pcddg import physics as ph
+from pcddg.dd_dg import DDSolver
+from pcddg.dgops import build_discretization
+from pcddg.mesh import (Mesh, build_face_connectivity, generate_structured_mesh,
+                        make_spec, unit_interval_mesh)
 from pcddg.refelem import (
     ConfigurationError,
-    ReferenceElement,
     build_reference_element,
-    element_geometry,
-    elemental_mass_matrix,
-    elemental_stiffness_and_face,
     gauss_lobatto_nodes,
     grad_jacobi_p,
     jacobi_p,
-    ldg_gradient_divergence,
     triangle_nodes,
 )
 
 
 def gauss_nodes_weights(n):
     return np.polynomial.legendre.leggauss(n)
+
+
+def one_element_disc(verts, p):
+    """Discretization of a single interval or triangle with PEC faces."""
+    verts = np.asarray(verts, dtype=float)
+    dim = verts.shape[1]
+    mesh = Mesh(dim=dim, vertices=verts, elements=np.arange(dim + 1)[None, :],
+                region_id=np.zeros(1, dtype=int), region_names={0: "r"},
+                boundary_tag=np.zeros((1, dim + 1), dtype=int))
+    build_face_connectivity(mesh)
+    return build_discretization(mesh, build_reference_element(dim, p))
+
+
+def mass_matrix(disc):
+    """Mass matrix of the first element: jac * reference mass."""
+    return disc.jac[0] * disc.ref.mass_ref
+
+
+def diff_matrix(disc, nu):
+    """d/dx_nu on the first element, as applied by disc.ddx."""
+    return disc.ddx(np.eye(disc.Np), nu).T
 
 
 class TestJacobi:
@@ -68,12 +92,9 @@ class TestNodes:
 
 class TestOperators1D:
     def test_analytic_p1_matrices(self):
-        ref = build_reference_element(1, 1)
-        geom = element_geometry(ref, np.array([[0.0], [1.0]]))
-        m = elemental_mass_matrix(ref, geom)
-        assert np.allclose(m, np.array([[2, 1], [1, 2]]) / 6.0)
-        d = ref.diff[0] * geom.metric[0, 0]
-        assert np.allclose(d, [[-1, 1], [-1, 1]])
+        disc = one_element_disc([[0.0], [1.0]], 1)
+        assert np.allclose(mass_matrix(disc), np.array([[2, 1], [1, 2]]) / 6.0)
+        assert np.allclose(diff_matrix(disc, 0), [[-1, 1], [-1, 1]])
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_differentiation_exact(self, p):
@@ -135,69 +156,70 @@ class TestOperators2D:
 
     def test_lift_constant_flux(self):
         # M^-1 B 1 integrates to total surface length of the element
-        ref = build_reference_element(2, 3)
-        geom = element_geometry(ref, np.array([[0.0, 0], [1, 0], [0, 1]]))
-        m = elemental_mass_matrix(ref, geom)
-        flux = np.concatenate([np.full(ref.Nfp, geom.sjac[f] / geom.jac)
-                               for f in range(3)])
-        lifted = ref.lift_ref @ flux
-        assert np.ones(ref.Np) @ m @ lifted == pytest.approx(2 + np.sqrt(2), abs=1e-10)
+        disc = one_element_disc([[0.0, 0], [1, 0], [0, 1]], 3)
+        lifted = disc.lift(np.ones((1, disc.nfp_tot)))[0]
+        assert np.ones(disc.Np) @ mass_matrix(disc) @ lifted == \
+            pytest.approx(2 + np.sqrt(2), abs=1e-10)
 
 
 class TestGeometry:
     def test_triangle_normals_outward_unit(self):
-        ref = build_reference_element(2, 2)
-        geom = element_geometry(ref, np.array([[0.0, 0], [2, 0], [0, 1]]))
+        disc = one_element_disc([[0.0, 0], [2, 0], [0, 1]], 2)
         c = np.array([2.0 / 3, 1.0 / 3])
         mids = np.array([[1, 0], [1, 0.5], [0, 0.5]])
         for f in range(3):
-            n = geom.normals[f]
+            n = disc.normals[0, f]
             assert np.hypot(*n) == pytest.approx(1.0)
             assert np.dot(n, mids[f] - c) > 0
-        assert geom.volume == pytest.approx(1.0)
+        assert disc.integrate(np.ones((1, disc.Np))) == pytest.approx(1.0)
 
     def test_1d_geometry(self):
-        ref = build_reference_element(1, 2)
-        geom = element_geometry(ref, np.array([[1.0], [3.0]]))
-        assert geom.jac == pytest.approx(1.0)
-        assert geom.metric[0, 0] == pytest.approx(1.0)
-        assert geom.volume == pytest.approx(2.0)
+        disc = one_element_disc([[1.0], [3.0]], 2)
+        assert disc.jac[0] == pytest.approx(1.0)
+        assert disc.metric[0, 0, 0] == pytest.approx(1.0)
+        assert disc.integrate(np.ones((1, disc.Np))) == pytest.approx(2.0)
 
 
 class TestLDGOperators:
     @pytest.mark.parametrize("dim,p", [(1, 2), (1, 4), (2, 2), (2, 3)])
     def test_divergence_is_negative_adjoint(self, dim, p):
-        ref = build_reference_element(dim, p)
-        if dim == 1:
-            verts = np.array([[0.2], [0.9]])
-        else:
-            verts = np.array([[0.1, 0.0], [1.2, 0.3], [0.4, 1.1]])
-        geom = element_geometry(ref, verts)
-        signs = np.ones(ref.Nfaces)
-        ops = ldg_gradient_divergence(ref, geom, signs)
-        assert np.allclose(ops["div_ldg"], -ops["grad_ldg"].T, atol=1e-14)
-        for f in range(ref.Nfaces):
-            assert np.allclose(ops["div_neighbor"][f],
-                               -ops["grad_neighbor"][f].T, atol=1e-14)
-        # flipping every face sign moves all surface coupling to the neighbor
-        flipped = ldg_gradient_divergence(ref, geom, -signs)
-        stiff = elemental_stiffness_and_face(ref, geom)["stiffness"]
-        for nu in range(dim):
-            blk = slice(nu * ref.Np, (nu + 1) * ref.Np)
-            assert np.allclose(flipped["grad_ldg"][blk], -stiff[nu].T, atol=1e-14)
+        # the DD solver's LDG divergence is minus the adjoint of its gradient
+        # in the mass inner product: with unit diffusivity and no drift its
+        # operator L satisfies M L = -G^T M G, on Dirichlet contacts and on
+        # Robin walls alike
+        for tag in ("ELECTRODE_D", "INSULATOR_R"):
+            if dim == 1:
+                mesh = unit_interval_mesh(4, left=tag, right=tag, region="semi")
+            else:
+                mesh = generate_structured_mesh(make_spec(
+                    2, [0, 0], [1, 1], [("semi", [0, 0], [1, 1], 0.5)],
+                    default_tag=tag))
+            disc = build_discretization(mesh, build_reference_element(dim, p))
+            dd = DDSolver(disc, ph.MaterialTable({"semi": ph.lt_gaas()}))
+            n = disc.K * disc.Np
+            no_drift = tuple(np.zeros((disc.K, disc.Np)) for _ in range(dim))
+            grad = np.zeros((dim * n, n))
+            lap = np.zeros((n, n))
+            for j in range(n):
+                u = np.eye(n)[j].reshape(disc.K, disc.Np)
+                grad[:, j] = np.concatenate([g.ravel() for g in dd.gradient(u)])
+                lap[:, j] = dd.scalar_rhs(u, no_drift, 1.0).ravel()
+            m = np.kron(np.diag(disc.jac), disc.ref.mass_ref)
+            m_vec = np.kron(np.eye(dim), m)
+            assert np.allclose(m @ lap, -grad.T @ m_vec @ grad,
+                               rtol=0.0, atol=1e-12 * np.abs(m @ lap).max())
 
     def test_stiffness_integration_by_parts(self):
-        # S + S^T equals the boundary mass term: exact DG summation identity
-        ref = build_reference_element(2, 3)
-        geom = element_geometry(ref, np.array([[0.0, 0], [1, 0], [0.3, 0.8]]))
-        ops = elemental_stiffness_and_face(ref, geom)
-        stiff, fmass = ops["stiffness"], ops["face_mass"]
+        # S + S^T equals the boundary mass term: exact DG summation identity,
+        # with the boundary term M lift(n_nu u^-) of the Discretization
+        disc = one_element_disc([[0.0, 0], [1, 0], [0.3, 0.8]], 3)
+        m = mass_matrix(disc)
         for nu in range(2):
-            bnd = np.zeros((ref.Np, ref.Np))
-            for f in range(3):
-                idx = np.asarray(ref.face_nodes[f])
-                bnd[np.ix_(idx, idx)] += geom.normals[f, nu] * fmass[f]
-            assert np.allclose(stiff[nu] + stiff[nu].T, bnd, atol=1e-12)
+            stiff = m @ diff_matrix(disc, nu)
+            bnd = np.column_stack([
+                m @ disc.lift(disc.nhat[:, :, nu] * disc.face_minus(u))[0]
+                for u in np.eye(disc.Np)])
+            assert np.allclose(stiff + stiff.T, bnd, atol=1e-12)
 
 
 def test_bad_order_raises():

@@ -201,7 +201,9 @@ class TestCheckpoint:
         path = tmp_path / "stationary.chk"
         save_checkpoint(path, prob, sol)
         header = path.read_text().splitlines()
-        assert "node_id x y phi n_e n_h Ex Ey" in header[2]
+        assert header[0] == "# pcddg stationary checkpoint v2"
+        assert header[2] == f"# state_key {prob.state_key()}"
+        assert "node_id x y phi n_e n_h Ex Ey" in header[3]
         back = load_checkpoint(path, prob)
         assert back.phi == pytest.approx(sol.phi, abs=1e-14)
         assert back.n_e == pytest.approx(sol.n_e, rel=1e-14)
@@ -216,3 +218,38 @@ class TestCheckpoint:
         other = resistor_problem(n=31)
         with pytest.raises(PhysicsError, match="hash"):
             load_checkpoint(path, other)
+
+    def test_other_bias_rejected(self, tmp_path):
+        # same mesh, other contact voltage: the state key differs
+        prob = resistor_problem(n=30, v_bias=0.0)
+        path = tmp_path / "stationary.chk"
+        save_checkpoint(path, prob, prob.gummel_solve())
+        with pytest.raises(PhysicsError, match="other stationary inputs"):
+            load_checkpoint(path, resistor_problem(n=30, v_bias=0.1))
+
+    def test_other_material_rejected(self, tmp_path):
+        prob = resistor_problem(n=30)
+        path = tmp_path / "stationary.chk"
+        save_checkpoint(path, prob, prob.gummel_solve())
+        other = resistor_problem(n=30)
+        other.materials.materials["semi"].tau_e *= 2.0
+        with pytest.raises(PhysicsError, match="other stationary inputs"):
+            load_checkpoint(path, other)
+
+    def test_v1_rejected(self, tmp_path):
+        prob = resistor_problem(n=30)
+        path = tmp_path / "stationary.chk"
+        save_checkpoint(path, prob, prob.gummel_solve())
+        text = path.read_text().replace("checkpoint v2", "checkpoint v1")
+        path.write_text(text)
+        with pytest.raises(PhysicsError, match="v2"):
+            load_checkpoint(path, prob)
+
+    def test_loaded_solution_has_no_current(self, tmp_path):
+        prob = resistor_problem(n=30, v_bias=0.1)
+        path = tmp_path / "stationary.chk"
+        save_checkpoint(path, prob, prob.gummel_solve())
+        back = load_checkpoint(path, prob)
+        assert back.j_e is None and back.j_h is None
+        with pytest.raises(PhysicsError, match="no currents"):
+            prob.stationary_current(back)
