@@ -233,14 +233,16 @@ class CoupledSystem:
                        for nu in range(dd.disc.ref.dim)])
         return sigma, j0
 
-    def transient_current(self, dd_state, e_t_dd):
-        """J_e^t + J_h^t on the DD subdomain for given transient field."""
-        sigma, j0 = self._carrier_current(dd_state)
+    def transient_current(self, dd_state, e_t_dd, current=None):
+        """J_e^t + J_h^t on the DD subdomain for given transient field;
+        current is _carrier_current(dd_state) when the caller has it."""
+        sigma, j0 = self._carrier_current(dd_state) if current is None else current
         return tuple(j0[nu] + sigma * e_t_dd[nu] for nu in range(len(j0)))
 
-    def _em_rhs_with_carriers(self, dd_state):
-        """EM rhs closure with stage-local transient carrier current."""
-        sigma, j0 = self._carrier_current(dd_state)
+    def _em_rhs_with_carriers(self, dd_state, current=None):
+        """EM rhs closure with stage-local transient carrier current;
+        current as for transient_current."""
+        sigma, j0 = self._carrier_current(dd_state) if current is None else current
         # carrier current on the EM mesh; rows outside the DD subdomain stay 0
         j_full = np.zeros((len(j0), self.em.disc.K, self.em.disc.Np))
         j_dd = np.empty_like(j0)
@@ -296,8 +298,10 @@ def terminal_current_probe(cs, em_state, dd_state, t=0.0):
     if not cs.contacts:
         raise PhysicsError("no contacts configured for the current probe")
     from .stationary import contact_currents
-    j_c = cs.transient_current(dd_state, cs.e_t_on_dd(em_state))
-    de_dt = cs.e_t_on_dd(cs._em_rhs_with_carriers(dd_state)(em_state, t))
+    current = cs._carrier_current(dd_state)
+    j_c = cs.transient_current(dd_state, cs.e_t_on_dd(em_state), current)
+    rhs = cs._em_rhs_with_carriers(dd_state, current)
+    de_dt = cs.e_t_on_dd(rhs(em_state, t))
     eps_dd = cs.em.eps[cs.dd_in_em]
     j_tot = tuple(j + eps_dd * d for j, d in zip(j_c, de_dt))
     return contact_currents(cs.dd.disc, j_tot, cs.contact_idx, cs.contacts)

@@ -109,24 +109,27 @@ class DDSolver:
         self.e_s = tuple(zeros.copy() for _ in range(dim))
         self.n_e_s = zeros.copy()
         self.n_h_s = zeros.copy()
-        self._freeze_mobility()
+        self._freeze_background()
 
-    def _freeze_mobility(self):
+    def _freeze_background(self):
+        """Mobilities, diffusivities and R(n^s) of the stationary state."""
         e_mag = np.sqrt(sum(c * c for c in self.e_s))
         v_t = self.materials.v_t
         self.mu_e = ph.parallel_field_mobility(e_mag, "e", self)
         self.mu_h = ph.parallel_field_mobility(e_mag, "h", self)
         self.d_e = ph.einstein_diffusivity(self.mu_e, v_t)
         self.d_h = ph.einstein_diffusivity(self.mu_h, v_t)
+        self._r_s = ph.srh_recombination(self.n_e_s, self.n_h_s, self)
 
     def set_stationary(self, e_s, n_e_s, n_h_s):
-        """Freeze the stationary field and densities; recompute mu_c, d_c."""
+        """Freeze the stationary field and densities; recompute mu_c, d_c
+        and R(n^s)."""
         self.e_s = tuple(np.asarray(c, dtype=float) for c in e_s)
         self.n_e_s = np.asarray(n_e_s, dtype=float)
         self.n_h_s = np.asarray(n_h_s, dtype=float)
         if np.any(self.n_e_s < 0) or np.any(self.n_h_s < 0):
             raise PhysicsError("stationary densities must be nonnegative")
-        self._freeze_mobility()
+        self._freeze_background()
 
     # -- boundary data ---------------------------------------------------
     def _dirichlet_values(self, t, override=None):
@@ -214,9 +217,10 @@ class DDSolver:
         return rhs
 
     def transient_recombination(self, n_e_t, n_h_t):
-        """R^t = R(n^s + n^t) - R(n^s) with the SRH form."""
-        return ph.srh_recombination(self.n_e_s + n_e_t, self.n_h_s + n_h_t, self) \
-            - ph.srh_recombination(self.n_e_s, self.n_h_s, self)
+        """R^t = R(n^s + n^t) - R(n^s) with the SRH form; R(n^s) is
+        computed once per stationary state."""
+        return ph.srh_recombination(self.n_e_s + n_e_t, self.n_h_s + n_h_t,
+                                    self) - self._r_s
 
     def carrier_rhs(self, state, g=None, t=0.0, e_t=None):
         """Full rhs for state = (n_e^t, n_h^t), shape (2, K, Np)."""

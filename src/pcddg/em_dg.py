@@ -6,14 +6,15 @@ aperture source."""
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import physics as ph
 from .mesh import BOUNDARY_TAGS, INTERIOR
 from .physics import EPS0, MU0, PhysicsError
 
-# state component layout
-COMP_1D = ("ex", "hz", "dx", "bz", "jpx")
-COMP_2D = ("ex", "ey", "hz", "dx", "dy", "bz", "jpx", "jpy")
+# state rows per dimension: fields, PML auxiliaries, Drude currents
+_ROWS = {1: (("ex", "hz"), ("dx", "bz"), ("jpx",)),
+         2: (("ex", "ey", "hz"), ("dx", "dy", "bz"), ("jpx", "jpy"))}
 
 _PEC_LIKE = {"PEC", "ELECTRODE_D", "SOURCE_APERTURE"}
 _ABC_LIKE = {"ABC", "PML_interface"}
@@ -68,32 +69,35 @@ def _pml_sigma_profiles(disc, pml):
 class MaxwellSolver:
     """Maxwell rhs evaluation on a Discretization with per-region materials.
 
-    State is a (ncomp, K, Np) array in the order of COMP_1D / COMP_2D: the
-    fields (E components, then Hz), their PML auxiliaries (D components,
-    then Bz) and the Drude currents (one per E component).
-    rhs(state, t, j_carrier) returns the same shape.
+    State is a (ncomp, K, Np) array whose rows (comp, idx) are only those
+    the physics needs: the fields (E components, then Hz) always; their PML
+    auxiliaries (D components, then Bz) only when some PML rate sigma > 0;
+    the Drude currents (one per E component) only when some element is a
+    Drude metal.  rhs(state, t, j_carrier) returns the same shape.  Without
+    PML rows, dE/dt and dH/dt are (lift + curl - currents) / (eps, mu),
+    which is the sigma = 0 arithmetic, so runs without PML and with
+    zero-conductivity PML are bitwise identical.
 
-    Everything the rhs needs besides the state is built here as a
-    contiguous array, so that each elementwise op runs one flat loop:
+    Everything the rhs needs besides the state is built here:
 
-    - face coefficients, (K, Nfaces*Nfp), in jump form with fscale and the
-      impedances folded in.  With [[u]] = u^- - g u^+ and w = n x [[E]]
-      (its z component), fscale (H* - H^-) = cb (w - Z^+ [[H]]) and
+    - the face operator S (_face_op): a CSR matrix from the field rows of
+      the flat state to the face flux of every field row at every face
+      node, in jump form with fscale, the impedances and the ghost traces
+      folded in; the rhs lifts S @ u with one matmul.  With
+      [[u]] = u^- - g u^+ and w = n x [[E]] (its z component),
+      fscale (H* - H^-) = cb (w - Z^+ [[H]]) and
       fscale n x (E^- - E*) = ca (Y^+ w - [[H]]), where
-      cb = fscale / (Z^- + Z^+) and ca = fscale / (Y^- + Y^+).  The lifted
-      flux of every D/B row is _lift_w * w - _lift_h * [[H]];
-    - ghost multipliers g, (nfield, K, Nfaces*Nfp): 1 on interior faces,
-      -1 for E and +1 for H on PEC-like faces, 0 on ABC-like faces;
+      cb = fscale / (Z^- + Z^+) and ca = fscale / (Y^- + Y^+); the ghost
+      multiplier g is 1 on interior faces, -1 for E and +1 for H on
+      PEC-like faces, 0 on ABC-like faces;
     - the curl terms (metric factor per reference direction), 1/eps, 1/mu,
       the PML rates and the Drude coefficients, each (K, Np) or stacked
-      per component.
+      per component, the last two only when their rows exist.
 
-    Workspace ownership: the trace, jump, flux, derivative and current
-    buffers belong to the solver and are overwritten by every rhs call, so
-    one solver evaluates one rhs at a time.  The array rhs returns is
-    allocated fresh on each call and aliases no workspace; callers may keep
-    or modify it.  The sigma=0 PML path is the plain Maxwell path, so runs
-    without PML and with zero-conductivity PML are bitwise identical.
+    Workspace ownership: the derivative, current and PML buffers belong to
+    the solver and are overwritten by every rhs call, so one solver
+    evaluates one rhs at a time.  The array rhs returns is allocated fresh
+    on each call and aliases no workspace; callers may keep or modify it.
     """
 
     def __init__(self, disc, materials, source=None, pml=None):
@@ -102,9 +106,8 @@ class MaxwellSolver:
         self.source = source
         dim = disc.ref.dim
         K, Np, nfp = disc.K, disc.Np, disc.nfp_tot
-        self.comp = COMP_1D if dim == 1 else COMP_2D
-        self.idx = {c: i for i, c in enumerate(self.comp)}
         nf = dim + 1                    # field components: E..., Hz
+        n = K * Np
 
         mesh = disc.mesh
         mats = [materials.region(mesh.region_names[mesh.region_id[k]])
@@ -119,19 +122,32 @@ class MaxwellSolver:
         def nodal(per_elem):
             return np.repeat(np.asarray(per_elem, dtype=float)[:, None], Np, axis=1)
 
-        # face coefficients in jump form
+        # state rows, and the slices of the optional ones
+        has_pml = False
+        if pml is not None:
+            sx, sy = _pml_sigma_profiles(disc, pml)
+            has_pml = bool(np.any(sx > 0) or np.any(sy > 0))
+        has_drude = any(m.drude for m in mats)
+        field_rows, aux_rows, drude_rows = _ROWS[dim]
+        self.comp = (field_rows + (aux_rows if has_pml else ())
+                     + (drude_rows if has_drude else ()))
+        self.idx = {c: i for i, c in enumerate(self.comp)}
+        self._aux = slice(nf, 2 * nf) if has_pml else None
+        self._jp = slice(len(self.comp) - dim, None) if has_drude else None
+
+        # face coefficients in jump form: w = sum_e w_coef_e [[E_e]], and
+        # field row c takes lift_w_c w - lift_h_c [[H]]
         z_elem = np.sqrt(self.mu[:, 0] / self.eps[:, 0])
         zm = z_elem[:, None]
         zp = z_elem[disc.vmapP // Np]
         ca = disc.fscale / (1.0 / zm + 1.0 / zp)
         cb = disc.fscale / (zm + zp)
-        # D rows take t_e * fscale (H* - H^-), with w = -sum_e t_e [[E_e]]
         tang = [disc.nhat[:, :, dim - 1]]
         if dim == 2:
             tang.append(-disc.nhat[:, :, 0])
-        self._w_coef = -np.array(tang)
-        self._lift_w = np.array([t * cb for t in tang] + [ca / zp])
-        self._lift_h = np.array([t * cb * zp for t in tang] + [ca])
+        w_coef = -np.array(tang)
+        lift_w = np.array([t * cb for t in tang] + [ca / zp])
+        lift_h = np.array([t * cb * zp for t in tang] + [ca])
 
         pec = np.isin(disc.face_tag, [BOUNDARY_TAGS.index(t) for t in _PEC_LIKE])
         abc = np.isin(disc.face_tag, [BOUNDARY_TAGS.index(t) for t in _ABC_LIKE])
@@ -142,10 +158,33 @@ class MaxwellSolver:
                                f"{BOUNDARY_TAGS[disc.face_tag[k, f]]!r}")
         ghost_e = disc.face_expand(np.where(pec, -1.0, np.where(abc, 0.0, 1.0)))
         ghost_h = disc.face_expand(np.where(abc, 0.0, 1.0))
-        self._ghost = np.array([ghost_e] * dim + [ghost_h])
+        ghost = np.array([ghost_e] * dim + [ghost_h])
 
-        # curl terms (row of dD/dt, dB/dt; field; reference direction;
-        # metric factor): the 1D mesh coordinate is y
+        # S[(c, k, j), (f, node)]: coefficient of field f's jump in row c,
+        # on the minus trace and times -g on the plus trace.  Each row gets
+        # its 2 nf entries in place (the build's temporaries set the
+        # solver's peak memory); coinciding minus and plus nodes (boundary
+        # faces) are then summed and zeros dropped
+        data = np.empty((nf, K, nfp, 2, nf))     # (c, k, j, trace, f)
+        minus = np.moveaxis(data[..., 0, :], -1, 1)
+        np.multiply(lift_w[:, None], w_coef, out=minus[:, :dim])
+        np.negative(lift_h, out=minus[:, dim])
+        np.multiply(minus, -ghost, out=np.moveaxis(data[..., 1, :], -1, 1))
+        cols = np.empty((K, nfp, 2, nf), dtype=np.int32)
+        for f in range(nf):
+            cols[..., 0, f] = f * n + disc.vmapM
+            cols[..., 1, f] = f * n + disc.vmapP
+        face_op = sp.csr_matrix(
+            (data.ravel(), np.broadcast_to(cols, data.shape).ravel(),
+             np.arange(0, data.size + 1, 2 * nf, dtype=np.int32)),
+            shape=(nf * K * nfp, nf * n))
+        face_op.sum_duplicates()
+        face_op.eliminate_zeros()
+        self._face_op = face_op
+
+        # curl terms (row of dD/dt, dB/dt, or of eps dE/dt, mu dH/dt
+        # without PML; field; reference direction; metric factor): the 1D
+        # mesh coordinate is y
         metric = disc.metric
         terms = []
         for d in range(dim):
@@ -157,43 +196,37 @@ class MaxwellSolver:
         self._curl_terms = terms
         self._diff_t = [np.ascontiguousarray(dr.T) for dr in disc.ref.diff]
         self._lift_t = np.ascontiguousarray(disc.ref.lift_ref.T)
+        self._inv_em = np.array([nodal(1.0 / self.eps[:, 0])] * dim
+                                + [nodal(1.0 / self.mu[:, 0])])
 
         # PML: D_x, B_z decay with sigma_y and D_y with sigma_x; E_e is
         # restored with its own sigma; Hz decays with sigma_x
-        sx, sy = _pml_sigma_profiles(disc, pml)
-        zero = np.zeros((K, Np))
-        if dim == 1:
-            self._sig_aux = np.array([sy, sy])
-            self._sig_field = np.array([sx, zero])
-            self._sig_h = np.array([zero, sx])
-        else:
-            self._sig_aux = np.array([sy, sx, sy])
-            self._sig_field = np.array([sx, sy, zero])
-            self._sig_h = np.array([zero, zero, sx])
-        self._inv_em = np.array([nodal(1.0 / self.eps[:, 0])] * dim
-                                + [nodal(1.0 / self.mu[:, 0])])
-        self._drude_a = nodal([EPS0 * m.drude.omega_p ** 2 if m.drude else 0.0
-                               for m in mats])
-        self._drude_g = nodal([m.drude.gamma if m.drude else 0.0 for m in mats])
+        if has_pml:
+            zero = np.zeros((K, Np))
+            if dim == 1:
+                self._sig_aux = np.array([sy, sy])
+                self._sig_field = np.array([sx, zero])
+                self._sig_h = np.array([zero, sx])
+            else:
+                self._sig_aux = np.array([sy, sx, sy])
+                self._sig_field = np.array([sx, sy, zero])
+                self._sig_h = np.array([zero, zero, sx])
+            self._tmp = np.empty((nf, K, Np))
+        if has_drude:
+            self._drude_a = nodal([EPS0 * m.drude.omega_p ** 2 if m.drude
+                                   else 0.0 for m in mats])
+            self._drude_g = nodal([m.drude.gamma if m.drude else 0.0
+                                   for m in mats])
 
         self._src_profile = None
         self._src_amp = 0.0
         if source is not None:
             self._build_source(source)
 
-        # gather indices of both traces of every field into the flat state,
-        # and the workspaces every rhs call overwrites
-        n = K * Np
-        self._gather = np.array([[c * n + vmap for c in range(nf)]
-                                 for vmap in (disc.vmapM, disc.vmapP)])
-        self._trace_buf = np.empty((2, nf, K, nfp))
-        self._jump = np.empty((nf, K, nfp))
-        self._w = np.empty((K, nfp))
-        self._flux = np.empty((nf, K, nfp))
+        # workspaces every rhs call overwrites
         self._ref_grad = np.empty((dim, nf, K, Np))
         self._vol = np.empty((K, Np))
         self._cur = np.empty((dim, K, Np))
-        self._tmp = np.empty((nf, K, Np))
 
     # -- source ----------------------------------------------------------
     def _build_source(self, spec):
@@ -269,23 +302,14 @@ class MaxwellSolver:
         K, Np, nfp = d.K, d.Np, d.nfp_tot
         state = np.ascontiguousarray(state, dtype=float)
         out = np.empty_like(state)
-        fields, aux, drude = state[:nf], state[nf:2 * nf], state[2 * nf:]
-        r_field, r_aux, r_drude = out[:nf], out[nf:2 * nf], out[2 * nf:]
+        fields, r_field = state[:nf], out[:nf]
+        # lift + curl - currents: the D/B rows with PML, else the E/H rows
+        acc = r_field if self._aux is None else out[self._aux]
 
-        # upwind fluxes from one gather of both traces of every field
-        tr, jump, w = self._trace_buf, self._jump, self._w
-        np.take(state.reshape(-1), self._gather, out=tr, mode="clip")
-        np.multiply(tr[1], self._ghost, out=tr[1])
-        np.subtract(tr[0], tr[1], out=jump)
-        # the traces are spent: tr[0] and tr[1] serve as scratch below
-        np.multiply(self._w_coef, jump[:dim], out=tr[0, :dim])
-        np.add.reduce(tr[0, :dim], axis=0, out=w)
-        flux = self._flux
-        np.multiply(self._lift_w, w, out=flux)
-        np.multiply(self._lift_h, jump[dim], out=tr[1])
-        flux -= tr[1]
+        # upwind fluxes from one sparse product over the fields
+        flux = self._face_op @ state.reshape(-1)[:nf * K * Np]
         np.matmul(flux.reshape(nf * K, nfp), self._lift_t,
-                  out=r_aux.reshape(nf * K, Np))
+                  out=acc.reshape(nf * K, Np))
 
         # curl from one matmul per reference direction
         grad, vol = self._ref_grad, self._vol
@@ -294,11 +318,14 @@ class MaxwellSolver:
                       out=grad[r].reshape(nf * K, Np))
         for row, comp, r, coef in self._curl_terms:
             np.multiply(coef, grad[r, comp], out=vol)
-            r_aux[row] += vol
+            acc[row] += vol
 
         # Drude, optical source and carrier currents
         cur = self._cur
-        np.copyto(cur, drude)
+        if self._jp is None:
+            cur.fill(0.0)
+        else:
+            np.copyto(cur, state[self._jp])
         if self._src_profile is not None:
             np.multiply(self._src_profile, self._src_scale(t), out=vol)
             cur[self._src_row] += vol
@@ -306,19 +333,24 @@ class MaxwellSolver:
             for e, jc in enumerate(j_carrier[:dim]):
                 if jc is not None:
                     cur[e] += jc
-        r_aux[:dim] -= cur
+        acc[:dim] -= cur
 
-        # PML damping, then E = D / eps and H = B / mu
-        tmp = self._tmp
-        np.multiply(self._sig_aux, aux, out=tmp)
-        r_aux -= tmp
-        np.multiply(self._sig_field, aux, out=tmp)
-        tmp += r_aux
-        np.multiply(tmp, self._inv_em, out=r_field)
-        np.multiply(self._sig_h, fields, out=tmp)
-        r_field -= tmp
+        if self._aux is None:
+            r_field *= self._inv_em
+        else:
+            # PML damping, then E = D / eps and H = B / mu
+            aux, tmp = state[self._aux], self._tmp
+            np.multiply(self._sig_aux, aux, out=tmp)
+            acc -= tmp
+            np.multiply(self._sig_field, aux, out=tmp)
+            tmp += acc
+            np.multiply(tmp, self._inv_em, out=r_field)
+            np.multiply(self._sig_h, fields, out=tmp)
+            r_field -= tmp
 
-        np.multiply(self._drude_a, fields[:dim], out=r_drude)
-        np.multiply(self._drude_g, drude, out=cur)
-        r_drude -= cur
+        if self._jp is not None:
+            r_drude = out[self._jp]
+            np.multiply(self._drude_a, fields[:dim], out=r_drude)
+            np.multiply(self._drude_g, state[self._jp], out=cur)
+            r_drude -= cur
         return out

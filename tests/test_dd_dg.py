@@ -270,6 +270,23 @@ class TestCarrierRhs:
             - ph.srh_recombination(1e20, 1e20, mat)
         assert np.allclose(solver.transient_recombination(nt, nt), expect, rtol=1e-12)
 
+    def test_background_rate_follows_set_stationary(self):
+        # R(n^s) is stored per stationary state: a second set_stationary
+        # with other densities must change R^t, bitwise as if recomputed
+        solver, disc = interval_dd(4, 1)
+        zero = np.zeros((disc.K, disc.Np))
+        nt = np.full_like(zero, 1e19)
+        rates = []
+        for level in (1e20, 3e18):
+            ns = np.full_like(zero, level)
+            solver.set_stationary((zero,), ns, 0.5 * ns)
+            got = solver.transient_recombination(nt, nt)
+            fresh = ph.srh_recombination(ns + nt, 0.5 * ns + nt, solver) \
+                - ph.srh_recombination(ns, 0.5 * ns, solver)
+            assert np.array_equal(got, fresh)
+            rates.append(got)
+        assert not np.allclose(rates[0], rates[1], rtol=1e-3)
+
 
 class TestBoundaryFlux:
     """The boundary rules of DDSolver, read off integrals of its kernels:

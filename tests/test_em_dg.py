@@ -33,14 +33,15 @@ def square_solver(n, p):
 
 def face_stars_1d(solver, u):
     """Numerical fluxes (E*, H*) at every face node of a 1D solver, recovered
-    from its rhs: the D/B rows minus the volume derivatives are the lifted
-    face terms, which the two-column 1D lift determines exactly.  u must
-    carry no current and the solver no PML or source."""
+    from its rhs: eps dE/dt and mu dH/dt minus the volume derivatives are
+    the lifted face terms, which the two-column 1D lift determines exactly.
+    u must carry no current and the solver no PML or source."""
     d = solver.disc
     i = solver.idx
     r = solver.rhs(u, 0.0)
     ex, hz = u[i["ex"]], u[i["hz"]]
-    lifted = {"hz": r[i["dx"]] - d.ddx(hz, 0), "ex": r[i["bz"]] - d.ddx(ex, 0)}
+    lifted = {"hz": solver.eps * r[i["ex"]] - d.ddx(hz, 0),
+              "ex": solver.mu * r[i["hz"]] - d.ddx(ex, 0)}
     ny = d.nhat[:, :, 0]
     star = {}
     for c, trace in (("ex", ex), ("hz", hz)):
@@ -82,10 +83,10 @@ class TestUpwindFlux:
         scale = 3.0 / EPS0
         assert np.allclose(r[i["ex"]], -2.9 / solver.eps, rtol=0, atol=1e-12 * scale)
         assert np.allclose(r[i["ey"]], -1.7 / solver.eps, rtol=0, atol=1e-12 * scale)
-        assert np.allclose(r[i["dx"]], -2.9, rtol=0, atol=1e-11)
-        assert np.allclose(r[i["dy"]], -1.7, rtol=0, atol=1e-11)
-        for c in ("hz", "bz"):
-            assert np.max(np.abs(r[i[c]])) < 1e-11 * scale
+        assert np.allclose(solver.eps * r[i["ex"]], -2.9, rtol=0, atol=1e-11)
+        assert np.allclose(solver.eps * r[i["ey"]], -1.7, rtol=0, atol=1e-11)
+        for r_h in (r[i["hz"]], solver.mu * r[i["hz"]]):
+            assert np.max(np.abs(r_h)) < 1e-11 * scale
 
     def test_equal_impedance_formula(self):
         # E* = {E} - (Z/2) n x [[H]], H* = {H} + (1/(2Z)) (n x [[E]])_z,
@@ -94,7 +95,6 @@ class TestUpwindFlux:
         i = solver.idx
         rng = np.random.default_rng(3)
         u = rng.normal(size=solver.zero_state().shape)
-        u[i["jpx"]] = u[i["jpy"]] = 0.0
         ex, ey, hz = u[i["ex"]], u[i["ey"]], u[i["hz"]]
         nx, ny = disc.nhat[:, :, 0], disc.nhat[:, :, 1]
         exm, eym, hzm = (disc.face_minus(f) for f in (ex, ey, hz))
@@ -111,9 +111,10 @@ class TestUpwindFlux:
         r_bz = (disc.ddx(ex, 1) - disc.ddx(ey, 0)
                 + disc.lift(nx * (eym - ey_s) - ny * (exm - ex_s)))
         r = solver.rhs(u, 0.0)
-        for c, ref in (("dx", r_dx), ("dy", r_dy), ("bz", r_bz),
-                       ("ex", r_dx / EPS0), ("ey", r_dy / EPS0), ("hz", r_bz / MU0)):
-            assert np.allclose(r[i[c]], ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+        r_ex, r_ey, r_hz = r[i["ex"]], r[i["ey"]], r[i["hz"]]
+        for got, ref in ((EPS0 * r_ex, r_dx), (EPS0 * r_ey, r_dy), (MU0 * r_hz, r_bz),
+                         (r_ex, r_dx / EPS0), (r_ey, r_dy / EPS0), (r_hz, r_bz / MU0)):
+            assert np.allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
     def test_1d_example(self):
         # Ex = 1 on the side whose outward normal is ny, zero elsewhere:
@@ -134,7 +135,6 @@ class TestUpwindFlux:
         rng = np.random.default_rng(7)
         for _ in range(4):
             u = rng.normal(size=solver.zero_state().shape)
-            u[solver.idx["jpx"]] = 0.0
             star = face_stars_1d(solver, u)
             for c in ("ex", "hz"):
                 a, b = star[c][0, 1], star[c][1, 0]
@@ -152,9 +152,7 @@ class TestUpwindFlux:
 
 class TestBoundaryFlux:
     def random_state(self, solver, seed):
-        u = np.random.default_rng(seed).normal(size=solver.zero_state().shape)
-        u[solver.idx["jpx"]] = 0.0
-        return u
+        return np.random.default_rng(seed).normal(size=solver.zero_state().shape)
 
     def test_pec_doubles_tangential_jump(self):
         # [[E]] = 2 E^-, [[H]] = 0: E* = 0 and H* = H^- - ny E^- / Z
@@ -199,7 +197,12 @@ class TestBoundaryFlux:
 
 # ---------------------------------------------------------------------------
 # The unfused Maxwell rhs this package shipped before the fused kernel,
-# kept verbatim as the reference the fused rhs must reproduce.
+# kept as the reference the fused rhs must reproduce; it always carries
+# every row, and the tests map its rows to the solver's by name.
+
+FULL_ROWS = {1: ("ex", "hz", "dx", "bz", "jpx"),
+             2: ("ex", "ey", "hz", "dx", "dy", "bz", "jpx", "jpy")}
+
 
 def _ref_upwind_flux(minus, plus, z_minus, z_plus, nhat):
     z_minus = np.asarray(z_minus, dtype=float)
@@ -226,13 +229,15 @@ def _ref_upwind_flux(minus, plus, z_minus, z_plus, nhat):
 
 
 class ReferenceMaxwell:
-    """Per-call traces, dict fluxes and (K, 1) coefficient columns."""
+    """Per-call traces, dict fluxes and (K, 1) coefficient columns, on the
+    full state layout (every field, PML and Drude row)."""
 
     def __init__(self, solver, pml=None):
         from pcddg.em_dg import _ABC_LIKE, _PEC_LIKE, _pml_sigma_profiles
         from pcddg.mesh import BOUNDARY_TAGS
         disc = self.disc = solver.disc
-        self.idx = solver.idx
+        self.comp = FULL_ROWS[disc.ref.dim]
+        self.idx = {c: i for i, c in enumerate(self.comp)}
         self.optical_source = solver.optical_source
         self._src_spec = getattr(solver, "_src_spec", None)
         mesh = disc.mesh
@@ -330,11 +335,15 @@ class ReferenceMaxwell:
 
 def layered_case(dim, p, boundary, polarization="x"):
     """Vacuum / dielectric / Drude-gold layers along y with an aperture at
-    y = 0; 'ABC' cases also carry a graded PML."""
+    y = 0; 'ABC' cases also carry a graded PML.  'vacuum' is the same
+    geometry with every layer vacuum, ABC walls and no PML."""
     um = 1e-6
     width, height = 2 * um, 3 * um
     h = 0.5 * um
     layers = [("vac", 0.0, 1 * um), ("die", 1 * um, 2 * um), ("au", 2 * um, 3 * um)]
+    vacuum = boundary == "vacuum"
+    if vacuum:
+        boundary = "ABC"
     if dim == 1:
         regions = [(n, [a], [b], h) for n, a, b in layers]
         spec = make_spec(1, [0.0], [height], regions,
@@ -349,10 +358,12 @@ def layered_case(dim, p, boundary, polarization="x"):
                                 build_reference_element(dim, p))
     table = ph.MaterialTable({"vac": ph.vacuum(), "au": ph.gold(),
                               "die": ph.Material(name="die", eps_r=13.26)})
+    if vacuum:
+        table = ph.MaterialTable({n: ph.vacuum() for n in ("vac", "die", "au")})
     source = ph.OpticalSourceSpec(f_c=375e12, f_w=25e12, beam_width=1 * um,
                                   power=0.63e-3, polarization=polarization)
     pml = None
-    if boundary == "ABC":
+    if boundary == "ABC" and not vacuum:
         pml = PmlSpec(thickness={"yhi": 1 * um} if dim == 1
                       else {"xlo": 0.5 * um, "yhi": 1 * um})
     solver = MaxwellSolver(disc, table, source=source, pml=pml)
@@ -362,27 +373,34 @@ def layered_case(dim, p, boundary, polarization="x"):
 class TestFusedRhs:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    @pytest.mark.parametrize("boundary", ["PEC", "ABC"])
+    @pytest.mark.parametrize("boundary", ["PEC", "ABC", "vacuum"])
     def test_matches_reference(self, dim, p, boundary):
         rng = np.random.default_rng(100 * dim + 10 * p + len(boundary))
+        rows = {"PEC": ("ex", "jpx"), "ABC": ("ex", "dx", "jpx"),
+                "vacuum": ("ex",)}[boundary]
         for pol in ("x", "y") if dim == 2 else ("x",):
             solver, ref, disc = layered_case(dim, p, boundary, pol)
-            shape = solver.zero_state().shape
-            if boundary == "ABC":
-                assert np.any(solver._sig_aux > 0)
-            u = rng.normal(size=shape) * np.array(
+            assert {"ex", "dx", "jpx"} & set(solver.comp) == set(rows)
+            # the reference's full state holds zeros in the rows the solver
+            # does not carry
+            u_ref = rng.normal(size=(len(ref.comp), disc.K, disc.Np)) * np.array(
                 [1.0] * dim + [1.0 / Z0] + [EPS0] * dim + [MU0 / Z0] + [1e-3] * dim
             )[:, None, None]
+            for name in ref.comp:
+                if name not in solver.idx:
+                    u_ref[ref.idx[name]] = 0.0
+            u = np.array([u_ref[ref.idx[name]] for name in solver.comp])
             j = tuple(rng.normal(size=(disc.K, disc.Np)) for _ in range(dim))
             spec = solver._src_spec
             t = spec.delay + 0.3 / spec.f_c
             assert np.any(solver.optical_source(t))
-            for args in ((u, 0.0), (u, t), (u, t, j), (u, t, j[:1])):
-                got = solver.rhs(*args)
-                want = ref.rhs(*args)
+            for args in ((0.0,), (t,), (t, j), (t, j[:1])):
+                got = solver.rhs(u, *args)
+                want = ref.rhs(u_ref, *args)
                 for c, name in enumerate(solver.comp):
-                    tol = 1e-13 * np.max(np.abs(want[c]))
-                    assert np.max(np.abs(got[c] - want[c])) <= tol, (name, args[1:])
+                    w = want[ref.idx[name]]
+                    tol = 1e-13 * np.max(np.abs(w))
+                    assert np.max(np.abs(got[c] - w)) <= tol, (name, args)
 
     def test_results_are_fresh_arrays(self):
         solver, _, _ = layered_case(2, 2, "ABC")
@@ -416,6 +434,39 @@ class TestFusedRhs:
             assert np.array_equal(r, copy)
             assert not np.shares_memory(out, r)
         assert not np.shares_memory(out, u)
+
+
+class TestStateRows:
+    """State rows exist only for the physics present: PML auxiliaries when
+    some sigma > 0, Drude currents when some element is a Drude metal."""
+
+    @pytest.mark.parametrize("dim,case,comp", [
+        (1, "vacuum", ("ex", "hz")),
+        (1, "drude", ("ex", "hz", "jpx")),
+        (1, "pml", ("ex", "hz", "dx", "bz")),
+        (1, "pml_sigma0", ("ex", "hz")),
+        (2, "vacuum", ("ex", "ey", "hz")),
+        (2, "drude", ("ex", "ey", "hz", "jpx", "jpy")),
+        (2, "pml", ("ex", "ey", "hz", "dx", "dy", "bz")),
+        (2, "pml_sigma0", ("ex", "ey", "hz")),
+    ])
+    def test_layout(self, dim, case, comp):
+        region = "metal" if case == "drude" else "vac"
+        pml = {"pml": PmlSpec(thickness={"yhi": 0.25}),
+               "pml_sigma0": PmlSpec(thickness={"yhi": 0.25}, r_target=1.0)
+               }.get(case)
+        if dim == 1:
+            mesh = unit_interval_mesh(4, left="PEC", right="ABC", region=region)
+        else:
+            mesh = generate_structured_mesh(make_spec(
+                2, [0, 0], [1.0, 1.0], regions=[(region, [0, 0], [1, 1], 0.5)],
+                default_tag="PEC"))
+        disc = build_discretization(mesh, build_reference_element(dim, 1))
+        solver = MaxwellSolver(disc, vac_table(), pml=pml)
+        assert solver.comp == comp
+        assert solver.idx == {c: i for i, c in enumerate(comp)}
+        assert solver.zero_state().shape == (len(comp), disc.K, disc.Np)
+        assert solver.rhs(solver.zero_state()).shape == (len(comp), disc.K, disc.Np)
 
 
 class TestDrudeADE:
