@@ -8,5 +8,5 @@ drift-diffusion solve of the biased device.
 __version__ = "0.1.0"
 
 from .refelem import ConfigurationError, MeshError, build_reference_element
-from .mesh import Mesh, MeshFormatError, generate_structured_mesh, load_mesh_file, save_mesh_file
+from .mesh import Mesh, generate_structured_mesh
 from .physics import Material, MaterialTable, PhysicsError, default_materials

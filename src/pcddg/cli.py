@@ -22,7 +22,7 @@ from .coupler import (CoupledSystem, MultirateSchedule, ProbeSet,
                       run_coupled, stable_timestep)
 from .dgops import build_discretization
 from .em_dg import MaxwellSolver
-from .mesh import MeshFormatError, resolution_report
+from .mesh import resolution_report
 from .physics import PhysicsError
 from .refelem import ConfigurationError, build_reference_element
 from .stationary import (ConvergenceError, StationaryProblem,
@@ -283,7 +283,7 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config, strict=args.strict)
         out_dir = _out_dir(args)
-    except (ConfigurationError, MeshFormatError, OSError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -77,7 +77,7 @@ def dd_diffusion_error(n, p, d_val=1.0, t_end=0.02):
     d_nod = np.full_like(x, d_val)
     zero_v = (np.zeros_like(x),)
     u = np.sin(np.pi * x)
-    rhs = lambda nn, t: solver.scalar_rhs(nn, zero_v, d_nod, t)
+    rhs = lambda nn, t: solver.scalar_rhs(nn, zero_v, d_nod)
     u, t = _integrate(u, rhs, tvd_rk3_step, t_end,
                       0.2 * (1.0 / n) ** 2 / (d_val * (2 * p + 1) ** 2))
     return disc.l2_norm(u - np.sin(np.pi * x) * np.exp(-d_val * np.pi ** 2 * t))
@@ -93,7 +93,7 @@ def dd_advection_error(n, p, t_end=0.25):
     d_nod = np.zeros_like(x)
     pulse = lambda y: np.exp(-((y - 0.3) / 0.1) ** 2)
     u = pulse(x)
-    rhs = lambda nn, t: solver.scalar_rhs(nn, v, d_nod, t)
+    rhs = lambda nn, t: solver.scalar_rhs(nn, v, d_nod)
     u, t = _integrate(u, rhs, tvd_rk3_step, t_end, 0.2 / (n * (2 * p + 1)))
     return disc.l2_norm(u - pulse(x - t))
 

@@ -201,10 +201,6 @@ class CoupledSystem:
         if self.contacts:
             from .stationary import contact_face_index
             self.contact_idx = contact_face_index(dd.disc, self.contacts)
-            for i, ct in enumerate(self.contacts):
-                if not np.any(self.contact_idx == i):
-                    raise PhysicsError(
-                        f"contact {ct.name!r} matches no electrode face")
         self._g_last = None
 
     # -- field plumbing --------------------------------------------------
@@ -275,7 +271,7 @@ def multirate_advance(cs, em_state, dd_state, t, schedule, log=None):
     _log(log, t, "gen_avg")
 
     e_t_sync = cs.e_t_on_dd(em_state)
-    dd_rhs = lambda s, tt: cs.dd.carrier_rhs(s, g=g_tilde, t=tt, e_t=e_t_sync)
+    dd_rhs = lambda s, tt: cs.dd.carrier_rhs(s, g=g_tilde, e_t=e_t_sync)
     dd_state = tvd_rk3_step(dd_state, dd_rhs, dt_dd, t)
     _log(log, t, "dd_step")
 

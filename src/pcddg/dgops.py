@@ -79,6 +79,68 @@ class Discretization:
         return self.face_expand(self.face_tag == _TAG_IDX[tag])
 
 
+class LDGDiffusion:
+    """The LDG gradient q = grad u and diffusion div(c q) on a
+    Discretization, shared by the Poisson and the carrier solvers.
+
+    Alternating fluxes: u* upwinds along beta and (c q)* takes the other
+    side.  Faces tagged ELECTRODE_D are Dirichlet: u* = f_D and (c q)* =
+    (c q)^- + tau (f_D - u^-); every other boundary face is Neumann:
+    u* = u^- and (c q)* = 0.  f_D is a (K, Nfaces*Nfp) array (or a scalar)
+    read on Dirichlet faces only, default 0; tau is passed per call, and
+    None means no penalty.  traces, when given, is (u^-, u^+).
+    """
+
+    def __init__(self, disc):
+        self.disc = disc
+        self.dir_mask = disc.tag_face_mask("ELECTRODE_D")
+        self.neu_mask = disc.face_expand(disc.face_tag >= 0) & ~self.dir_mask
+        self.bs = disc.face_expand(disc.beta_sign)
+
+    def traces(self, u):
+        return self.disc.face_minus(u), self.disc.face_plus(u)
+
+    def normal_traces(self, comp):
+        """(n.c^-, n.c^+) of a vector field given by its components."""
+        d = self.disc
+        nhat = [d.nhat[:, :, nu] for nu in range(d.ref.dim)]
+        return (sum(n * d.face_minus(c) for n, c in zip(nhat, comp)),
+                sum(n * d.face_plus(c) for n, c in zip(nhat, comp)))
+
+    def gradient(self, u, f_d=0.0, traces=None):
+        """q = grad u, exact for degree <= p."""
+        d = self.disc
+        um, up = self.traces(u) if traces is None else traces
+        star = 0.5 * (um + up) + 0.5 * self.bs * (um - up)
+        star = np.where(self.dir_mask, f_d, star)
+        corr = np.where(self.neu_mask, um, star) - um
+        return tuple(d.ddx(u, nu) + d.lift(d.nhat[:, :, nu] * corr)
+                     for nu in range(d.ref.dim))
+
+    def diffusion(self, u, coef, f_d=0.0, penalty=None, traces=None):
+        """div(coef grad u) as (volume, surface) terms, whose sum it is;
+        they are returned apart so that callers fold them into their own
+        sums in a fixed order."""
+        d = self.disc
+        um, up = self.traces(u) if traces is None else traces
+        cq = tuple(coef * q for q in self.gradient(u, f_d, (um, up)))
+        fm, fp = self.normal_traces(cq)
+        star = 0.5 * (fm + fp) - 0.5 * self.bs * (fm - fp)
+        f_dir = fm if penalty is None else fm + penalty * (f_d - um)
+        star = np.where(self.dir_mask, f_dir, star)
+        star = np.where(self.neu_mask, 0.0, star)
+        volume = sum(d.ddx(c, nu) for nu, c in enumerate(cq))
+        return volume, d.lift(star - fm)
+
+    def penalty(self, coef, scale):
+        """Dirichlet penalty scale * coef^- (p+1)^2 / h per face node;
+        coef is nodal (K, Np) or per element (K, 1)."""
+        d = self.disc
+        h = np.repeat(d.h_elem[:, None], d.nfp_tot, axis=1)
+        c = d.face_minus(np.broadcast_to(coef, (d.K, d.Np)))
+        return scale * c * (d.ref.p + 1) ** 2 / h
+
+
 def build_discretization(mesh, ref, element_mask=None, cut_face_tag=None):
     """Assemble DG arrays for a mesh (or an element subset).
 
@@ -244,8 +306,3 @@ def interpolate(u, elems, rows):
     for i, (k, row) in enumerate(zip(elems, rows)):
         vals[i] = row @ u[k]
     return vals
-
-
-def evaluate_at_points(disc, u, points):
-    """Polynomial evaluation of a nodal field at arbitrary physical points."""
-    return interpolate(u, *interpolation_rows(disc, points))

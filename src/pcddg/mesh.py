@@ -1,5 +1,5 @@
-"""Interval and triangle meshes: generation, neutral ASCII I/O, face
-connectivity, boundary tags, and space-scale resolution diagnostics."""
+"""Interval and triangle meshes: generation, face connectivity, boundary
+tags, and space-scale resolution diagnostics."""
 
 import hashlib
 from dataclasses import dataclass, field
@@ -13,10 +13,6 @@ BOUNDARY_TAGS = ("PEC", "ABC", "PML_interface", "ELECTRODE_D",
 INTERIOR = -1
 
 _FACE_VERTS_2D = ((0, 1), (1, 2), (2, 0))
-
-
-class MeshFormatError(ValueError):
-    """Malformed mesh file."""
 
 
 @dataclass
@@ -59,14 +55,6 @@ class Mesh:
 
     def centroids(self):
         return self.vertices[self.elements].mean(axis=1)
-
-    def boundary_faces(self):
-        """List of (element, face, tag_name) for all boundary faces."""
-        out = []
-        kk, ff = np.nonzero(self.boundary_tag >= 0)
-        for k, f in zip(kk, ff):
-            out.append((int(k), int(f), BOUNDARY_TAGS[self.boundary_tag[k, f]]))
-        return out
 
     def content_hash(self):
         hsh = hashlib.sha256()
@@ -251,96 +239,6 @@ def _apply_boundary_tags(mesh, spec):
                 tag = t
                 break
         mesh.boundary_tag[k, f] = tag_idx[tag]
-
-
-# ---------------------------------------------------------------------------
-# neutral ASCII format
-
-def save_mesh_file(mesh, path):
-    with open(path, "w") as fh:
-        fh.write(f"dgpcd-mesh v1 dim={mesh.dim}\n")
-        fh.write(f"vertices {mesh.vertices.shape[0]}\n")
-        for v in mesh.vertices:
-            fh.write(" ".join(f"{c:.17g}" for c in v) + "\n")
-        fh.write(f"elements {mesh.K}\n")
-        for elem, rid in zip(mesh.elements, mesh.region_id):
-            fh.write(" ".join(str(i) for i in elem) + f" {rid}\n")
-        bnd = mesh.boundary_faces()
-        fh.write(f"boundary {len(bnd)}\n")
-        for k, f, tag in bnd:
-            fh.write(f"{k} {f} {tag}\n")
-        for rid in sorted(mesh.region_names):
-            fh.write(f"# region {rid} {mesh.region_names[rid]}\n")
-
-
-def load_mesh_file(path):
-    """Load the neutral ASCII mesh format; errors carry the offending line."""
-    tag_idx = {t: i for i, t in enumerate(BOUNDARY_TAGS)}
-    with open(path) as fh:
-        raw = fh.readlines()
-    region_names = {}
-    lines = []
-    for lineno, line in enumerate(raw, start=1):
-        txt = line.strip()
-        if txt.startswith("# region "):
-            parts = txt.split()
-            region_names[int(parts[2])] = parts[3]
-        txt = txt.split("#", 1)[0].strip()
-        if txt:
-            lines.append((lineno, txt))
-    it = iter(lines)
-
-    def take(expect=None):
-        try:
-            lineno, txt = next(it)
-        except StopIteration:
-            raise MeshFormatError("unexpected end of mesh file") from None
-        if expect is not None and not txt.startswith(expect):
-            raise MeshFormatError(f"line {lineno}: expected {expect!r}, got {txt!r}")
-        return lineno, txt
-
-    _, header = take("dgpcd-mesh")
-    parts = header.split()
-    if parts[:2] != ["dgpcd-mesh", "v1"] or not parts[2].startswith("dim="):
-        raise MeshFormatError(f"bad header {header!r}")
-    dim = int(parts[2][4:])
-    if dim not in (1, 2):
-        raise MeshFormatError(f"unsupported dim {dim}")
-    _, vh = take("vertices")
-    nv = int(vh.split()[1])
-    verts = np.zeros((nv, dim))
-    for i in range(nv):
-        lineno, txt = take()
-        vals = txt.split()
-        if len(vals) != dim:
-            raise MeshFormatError(f"line {lineno}: expected {dim} coordinates")
-        verts[i] = [float(v) for v in vals]
-    _, eh = take("elements")
-    ke = int(eh.split()[1])
-    elems = np.zeros((ke, dim + 1), dtype=int)
-    rid = np.zeros(ke, dtype=int)
-    for i in range(ke):
-        lineno, txt = take()
-        vals = txt.split()
-        if len(vals) != dim + 2:
-            raise MeshFormatError(f"line {lineno}: expected {dim + 1} indices + region id")
-        elems[i] = [int(v) for v in vals[:-1]]
-        rid[i] = int(vals[-1])
-    _, bh = take("boundary")
-    nb = int(bh.split()[1])
-    mesh = Mesh(dim=dim, vertices=verts, elements=elems, region_id=rid,
-                region_names=region_names)
-    build_face_connectivity(mesh)
-    for i in range(nb):
-        lineno, txt = take()
-        k, f, tag = txt.split()
-        if tag not in tag_idx:
-            raise MeshFormatError(f"line {lineno}: unknown boundary tag {tag!r}")
-        k, f = int(k), int(f)
-        if mesh.etoe[k, f] != k:
-            raise MeshFormatError(f"line {lineno}: face ({k},{f}) is not a boundary face")
-        mesh.boundary_tag[k, f] = tag_idx[tag]
-    return validate_mesh(mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Stationary Poisson / drift-diffusion solve by Gummel iteration.
 
-Poisson is discretized with the same alternating LDG fluxes as the transient
-carrier solver (plus a Dirichlet penalty); the two continuity equations are
-solved as linear LDG convection-diffusion systems with the opposite carrier
-lagged.  Sparse operators are assembled by probing the matrix-free kernels
-with distance-2-colored unit vectors, so the assembled systems are exactly
-the kernels the transient solver runs.
+Poisson and both carriers use one LDG diffusion kernel
+(dgops.LDGDiffusion): Poisson is the kernel with coefficient eps on the
+non-metal elements; the two continuity equations are the transient
+carrier solver's LDG convection-diffusion rhs with the opposite carrier
+lagged.  Dirichlet face values and the Dirichlet penalty are arguments of
+each call: the stationary solves pass a penalty, the transient never does.
+Sparse operators are assembled by probing these matrix-free kernels with
+distance-2-colored unit vectors, so the assembled systems are exactly the
+kernels the transient solver runs.
 """
 
 import dataclasses
@@ -18,8 +21,8 @@ import scipy.sparse.linalg as spla
 
 from . import physics as ph
 from .physics import PhysicsError, Q
-from .dd_dg import DDSolver, ldg_diffusion_fluxes
-from .dgops import build_discretization
+from .dd_dg import DDSolver
+from .dgops import LDGDiffusion, build_discretization
 from .mesh import BOUNDARY_TAGS
 from .refelem import build_reference_element
 
@@ -55,7 +58,9 @@ def face_centroids(disc):
 
 
 def contact_face_index(disc, contacts):
-    """(K, Nfaces) contact index for Dirichlet faces, -1 elsewhere."""
+    """(K, Nfaces) contact index for Dirichlet faces, -1 elsewhere.  Every
+    electrode face must lie in a contact box, and every contact must hold
+    an electrode face."""
     out = -np.ones((disc.K, disc.ref.Nfaces), dtype=int)
     cent = face_centroids(disc)
     dirf = disc.face_tag == _TAG_IDX["ELECTRODE_D"]
@@ -67,6 +72,9 @@ def contact_face_index(disc, contacts):
             raise PhysicsError(
                 f"electrode face at {c} matches no declared contact")
         out[k, f] = hit[0]
+    for i, ct in enumerate(contacts):
+        if not np.any(out == i):
+            raise PhysicsError(f"contact {ct.name!r} matches no electrode face")
     return out
 
 
@@ -210,8 +218,8 @@ class StationaryProblem:
     def _setup_poisson_bc(self):
         d = self.pdisc
         self.p_contact = self._contact_of_face(d)
-        self.p_dir = d.face_expand(self.p_contact >= 0)
-        if not np.any(self.p_dir):
+        self.poisson = LDGDiffusion(d)
+        if not np.any(self.poisson.dir_mask):
             raise PhysicsError("all-Neumann Poisson problem: no electrode "
                                "faces to gauge the potential")
         v_t = self.materials.v_t
@@ -229,10 +237,7 @@ class StationaryProblem:
         self._volt_face = d.face_expand(volt)
         self._built_in_face = d.face_expand(built_in)
         self.phi_dirichlet = self._volt_face + self._built_in_face
-        # penalty coefficient per face node
-        h = np.repeat(d.h_elem[:, None], d.nfp_tot, axis=1)
-        eps_f = np.repeat(self.eps_p, d.nfp_tot, axis=1)
-        self.tau = self.penalty * eps_f * (d.ref.p + 1) ** 2 / h
+        self.tau = self.poisson.penalty(self.eps_p, self.penalty)
 
     def _setup_dd_bc(self):
         d = self.ddisc
@@ -244,35 +249,18 @@ class StationaryProblem:
         self.fd_nh = np.repeat(nh_c, d.nfp_tot, axis=1)
 
     # -- Poisson ---------------------------------------------------------
-    def poisson_gradient(self, phi, dirichlet_vals):
-        """LDG gradient of phi on the Poisson subdomain (Neumann: phi*=phi-)."""
-        d = self.pdisc
-        pm, pp = d.face_minus(phi), d.face_plus(phi)
-        bs = d.face_expand(d.beta_sign)
-        star = ldg_diffusion_fluxes(pm, pp, pm, pp, d.nhat, bs)["n_star"]
-        bnd = d.face_expand(d.face_tag >= 0)
-        star = np.where(bnd, pm, star)
-        star = np.where(self.p_dir, dirichlet_vals, star)
-        corr = star - pm
-        return tuple(d.ddx(phi, nu) + d.lift(d.nhat[:, :, nu] * corr)
-                     for nu in range(d.ref.dim))
-
     def poisson_apply(self, phi, dirichlet_vals=None):
-        """Nodal values of -div(eps grad phi) with LDG fluxes and penalty."""
-        d = self.pdisc
+        """Nodal values of -div(eps grad phi): the LDG kernel with penalty
+        tau; dirichlet_vals defaults to the contact potentials."""
         g = self.phi_dirichlet if dirichlet_vals is None else dirichlet_vals
-        q = self.poisson_gradient(phi, g)
-        fq = tuple(self.eps_p * q[nu] for nu in range(d.ref.dim))
-        fm = sum(d.nhat[:, :, nu] * d.face_minus(fq[nu]) for nu in range(d.ref.dim))
-        fp = sum(d.nhat[:, :, nu] * d.face_plus(fq[nu]) for nu in range(d.ref.dim))
-        bs = d.face_expand(d.beta_sign)
-        fstar = ldg_diffusion_fluxes(fm, fm, fm, fp, d.nhat, bs)["dq_star"]
-        bnd = d.face_expand(d.face_tag >= 0)
-        fstar = np.where(bnd, 0.0, fstar)                       # Neumann
-        pm = d.face_minus(phi)
-        fstar = np.where(self.p_dir, fm + self.tau * (g - pm), fstar)
-        div = sum(d.ddx(fq[nu], nu) for nu in range(d.ref.dim))
-        return -(div + d.lift(fstar - fm))
+        volume, surface = self.poisson.diffusion(phi, self.eps_p, g, self.tau)
+        return -(volume + surface)
+
+    def _poisson_operator(self, dirichlet_vals):
+        """Sparse A and offset c with poisson_apply(u) = A u + c."""
+        return assemble_affine_operator(
+            lambda u: self.poisson_apply(u, dirichlet_vals), self.pdisc,
+            homogeneous_fn=lambda u: self.poisson_apply(u, 0.0))
 
     def charge_density(self, n_e, n_h):
         """rho = q (n_h - n_e + C) on semiconductor rows of the Poisson grid."""
@@ -282,46 +270,38 @@ class StationaryProblem:
 
     def poisson_solve(self, n_e, n_h, dirichlet_vals=None):
         """Linear Poisson solve with frozen charge; returns phi, E^s."""
-        a, c = assemble_affine_operator(
-            lambda u: self.poisson_apply(u, dirichlet_vals), self.pdisc,
-            homogeneous_fn=lambda u: self.poisson_apply(
-                u, np.zeros_like(self.phi_dirichlet)))
+        a, c = self._poisson_operator(dirichlet_vals)
         rho = self.charge_density(n_e, n_h).reshape(-1)
         phi = solve_sparse(a, rho - c).reshape(self.pdisc.K, self.pdisc.Np)
         g = self.phi_dirichlet if dirichlet_vals is None else dirichlet_vals
-        e_s = tuple(-q for q in self.poisson_gradient(phi, g))
-        return phi, e_s
+        return phi, tuple(-q for q in self.poisson.gradient(phi, g))
 
     # -- continuity ------------------------------------------------------
-    def _carrier_system(self, carrier, e_s_dd, n_other, lagged):
-        """Affine kernel for the steady continuity equation of one carrier,
-        plus its homogeneous-boundary-data twin for matrix probing; SRH is
-        linearized with its denominator at the lagged (n_e, n_h)."""
+    def _carrier_system(self, carrier, n_other, lagged):
+        """Affine kernel for the steady continuity equation of one carrier
+        in the drift velocity and diffusivity of the solver's stationary
+        state, plus its homogeneous-boundary-data twin for matrix probing;
+        SRH is linearized with its denominator at the lagged (n_e, n_h)."""
         dd = self.dd
-        d = self.ddisc
-        mu = dd.mu_e if carrier == "e" else dd.mu_h
-        dc = dd.d_e if carrier == "e" else dd.d_h
-        sgn = -1.0 if carrier == "e" else 1.0
-        v = tuple(sgn * mu * c for c in e_s_dd)
-        fd = self.fd_ne if carrier == "e" else self.fd_nh
-        h = np.repeat(d.h_elem[:, None], d.nfp_tot, axis=1)
-        dd.dir_penalty = self.penalty * d.face_minus(dc) \
-            * (d.ref.p + 1) ** 2 / h
+        if carrier == "e":
+            v, dc, fd = dd.v_e, dd.d_e, self.fd_ne
+        else:
+            v, dc, fd = dd.v_h, dd.d_h, self.fd_nh
+        tau = dd.penalty(dc, self.penalty)
 
-        def make(fd_arr):
+        def make(f_d):
             def apply_fn(n):
-                rhs = dd.scalar_rhs(n, v, dc, t=0.0,
-                                    f_d=lambda pts, t: fd_arr[dd.dir_mask])
+                rhs = dd.scalar_rhs(n, v, dc, f_d=f_d, penalty=tau)
                 n_e, n_h = (n, n_other) if carrier == "e" else (n_other, n)
                 return rhs - ph.srh_recombination(n_e, n_h, dd, lagged=lagged)
             return apply_fn
-        return make(fd), make(np.zeros_like(fd))
+        return make(fd), make(0.0)
 
-    def continuity_solve(self, carrier, e_s_dd, n_self, n_other):
-        """One lagged-R linear solve for n_c^s."""
+    def continuity_solve(self, carrier, n_self, n_other):
+        """One lagged-R linear solve for n_c^s in the field of the last
+        dd.set_stationary."""
         lagged = (n_self, n_other) if carrier == "e" else (n_other, n_self)
-        apply_fn, homo_fn = self._carrier_system(carrier, e_s_dd, n_other,
-                                                 lagged)
+        apply_fn, homo_fn = self._carrier_system(carrier, n_other, lagged)
         a, c = assemble_affine_operator(apply_fn, self.ddisc,
                                         homogeneous_fn=homo_fn)
         n = solve_sparse(a, -c).reshape(self.ddisc.K, self.ddisc.Np)
@@ -357,10 +337,7 @@ class StationaryProblem:
         """Damped Newton on the nonlinear Poisson equation with Boltzmann-
         linearized charge; returns updated phi and the carrier multipliers."""
         v_t = self.materials.v_t
-        a, c = assemble_affine_operator(
-            lambda u: self.poisson_apply(u, dirichlet_vals), self.pdisc,
-            homogeneous_fn=lambda u: self.poisson_apply(
-                u, np.zeros_like(self.phi_dirichlet)))
+        a, c = self._poisson_operator(dirichlet_vals)
         ne, nh = n_e.copy(), n_h.copy()
         for it in range(max_iter):
             resid = a @ phi.reshape(-1) + c - self.charge_density(ne, nh).reshape(-1)
@@ -405,11 +382,10 @@ class StationaryProblem:
         solves; returns the updated state and the field."""
         phi, n_e_b, n_h_b = self._newton_poisson(phi, n_e, n_h,
                                                  dirichlet_vals=g_dir)
-        e_s = tuple(-q for q in self.poisson_gradient(phi, g_dir))
-        e_dd = self.e_on_dd(e_s)
-        self.dd.set_stationary(e_dd, n_e_b, n_h_b)
-        n_e = self.continuity_solve("e", e_dd, n_e_b, n_h_b)
-        n_h = self.continuity_solve("h", e_dd, n_h, n_e)
+        e_s = tuple(-q for q in self.poisson.gradient(phi, g_dir))
+        self.dd.set_stationary(self.e_on_dd(e_s), n_e_b, n_h_b)
+        n_e = self.continuity_solve("e", n_e_b, n_h_b)
+        n_h = self.continuity_solve("h", n_h, n_e)
         return phi, n_e, n_h, e_s
 
     def _pack(self, phi, n_e, n_h):
@@ -478,10 +454,8 @@ class StationaryProblem:
         dd = self.dd
         e_dd = self.e_on_dd(e_s)
         dd.set_stationary(e_dd, n_e, n_h)
-        fd_e = lambda pts, t: self.fd_ne[dd.dir_mask]
-        fd_h = lambda pts, t: self.fd_nh[dd.dir_mask]
-        grad_ne = dd.gradient(n_e, f_d=fd_e)
-        grad_nh = dd.gradient(n_h, f_d=fd_h)
+        grad_ne = dd.gradient(n_e, self.fd_ne)
+        grad_nh = dd.gradient(n_h, self.fd_nh)
         dim = self.ddisc.ref.dim
         j_e = tuple(Q * (dd.mu_e * n_e * e_dd[nu] + dd.d_e * grad_ne[nu])
                     for nu in range(dim))

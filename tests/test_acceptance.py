@@ -104,7 +104,7 @@ class TestChargeConservation:
         u = np.exp(-((x - 0.4) / 0.12) ** 2)
         v = (np.full_like(x, 0.35),)
         d_nod = np.full_like(x, 1e-3)
-        rhs = lambda n, t: solver.scalar_rhs(n, v, d_nod, t)
+        rhs = lambda n, t: solver.scalar_rhs(n, v, d_nod)
         h = 1.0 / 16
         dt = 0.25 * min(h ** 2 / (1e-3 * 25), h / (0.35 * 5))
         m0 = disc.integrate(u)

@@ -318,6 +318,37 @@ class TestCli:
         assert "incompatible; recomputing" in capsys.readouterr().out
         assert (out / "stationary.chk").read_text() != old
 
+    def test_transient_same_after_solve_or_checkpoint(self, tmp_path, capsys):
+        # a transient seeded by an in-process Gummel solve and one seeded by
+        # the checkpoint that solve wrote get the same physics: the
+        # stationary solves leave nothing (such as a Dirichlet penalty) on
+        # the shared carrier solver.  Short gap so that light and carriers
+        # reach the contact within 3 fs.
+        cfg = tmp_path / "short.cfg"
+        text = DEVICE_CFG
+        for old, new in (("0 um -> 1 um", "0 um -> 0.6 um"),
+                         ("0 um -> 0.5 um", "0 um -> 0.3 um"),
+                         ("0.5 um -> 1 um", "0.3 um -> 0.6 um"),
+                         ("1 um -> 1 um", "0.6 um -> 0.6 um"),
+                         ("t_end = 0.5 fs", "t_end = 3 fs"),
+                         ("points = 0.75 um", "points = 0.45 um")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg.write_text(text)
+        solved, loaded = tmp_path / "solved", tmp_path / "loaded"
+        assert main(["transient", "--config", str(cfg),
+                     "--out", str(solved)]) == 0
+        assert main(["stationary", "--config", str(cfg),
+                     "--out", str(loaded)]) == 0
+        capsys.readouterr()
+        assert main(["transient", "--config", str(cfg),
+                     "--out", str(loaded)]) == 0
+        assert "loaded stationary checkpoint" in capsys.readouterr().out
+        header, data = out_mod.read_probe_csv(str(solved / "probes.csv"))
+        assert np.all(data[-1, header.index("I_anode")] != 0.0)
+        assert (solved / "probes.csv").read_bytes() \
+            == (loaded / "probes.csv").read_bytes()
+
     def test_end_to_end_determinism(self, device_cfg, tmp_path, capsys):
         blobs = []
         for run in ("a", "b"):

@@ -193,7 +193,7 @@ class TestMultirate:
         # reference: direct DD step driven by exactly g0
         dd_ref = tvd_rk3_step(
             dd, lambda s, t: cs.dd.carrier_rhs(
-                s, g=g0, t=t, e_t=(np.zeros((cs.dd.disc.K, cs.dd.disc.Np)),)),
+                s, g=g0, e_t=(np.zeros((cs.dd.disc.K, cs.dd.disc.Np)),)),
             sched.dt_dd)
         assert dd_out == pytest.approx(dd_ref, abs=0.0)
 

@@ -3,13 +3,8 @@ import pytest
 
 from pcddg import physics as ph
 from pcddg.coupler import tvd_rk3_step
-from pcddg.dd_dg import (
-    DDSolver,
-    build_drift_velocity,
-    lax_friedrichs_flux,
-    ldg_diffusion_fluxes,
-)
-from pcddg.dgops import build_discretization, nodal_field
+from pcddg.dd_dg import DDSolver, lax_friedrichs_flux
+from pcddg.dgops import LDGDiffusion, build_discretization, nodal_field
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import MeshError, build_reference_element
 
@@ -21,25 +16,57 @@ def semi_table(**over):
     return ph.MaterialTable(materials={"semi": mat})
 
 
-def interval_dd(n, p, left="ELECTRODE_D", right="ELECTRODE_D", **kw):
+def interval_dd(n, p, left="ELECTRODE_D", right="ELECTRODE_D"):
     mesh = unit_interval_mesh(n, left=left, right=right, region="semi")
     disc = build_discretization(mesh, build_reference_element(1, p))
-    return DDSolver(disc, semi_table(), **kw), disc
+    return DDSolver(disc, semi_table()), disc
+
+
+def element_integrals(disc, u):
+    return disc.jac * (u @ disc.ref.mass_ref.sum(axis=0))
 
 
 class TestFluxFunctions:
+    """The LDG fluxes of the shared kernel, read off element integrals on
+    [0, 1/2] + [1/2, 1] with Neumann walls: the integral of q over an
+    element is the jump of u* across it, and that of div(c q) the net
+    normal flux (c q)*.  beta points from element 0 into element 1."""
+
+    def _kernel(self, p=1):
+        mesh = unit_interval_mesh(2, left="INSULATOR_R", right="INSULATOR_R",
+                                  region="semi")
+        disc = build_discretization(mesh, build_reference_element(1, p))
+        return LDGDiffusion(disc), disc
+
     def test_ldg_scalar_upwinds_minus(self):
-        f = ldg_diffusion_fluxes(2.0, 4.0, 0.0, 0.0, None, 1.0)
-        assert f["n_star"] == pytest.approx(2.0)
+        # u = 2 | 4: u* at the middle face is element 0's trace, 2
+        kern, disc = self._kernel()
+        u = np.array([[2.0, 2.0], [4.0, 4.0]])
+        q = kern.gradient(u)[0]
+        assert element_integrals(disc, q) == pytest.approx([0.0, 2.0],
+                                                           abs=1e-12)
 
     def test_ldg_vector_takes_plus(self):
-        f = ldg_diffusion_fluxes(0.0, 0.0, 5.0, -1.0, None, 1.0)
-        assert f["dq_star"] == pytest.approx(-1.0)
+        # u = x, c = 5 | -1: (c q)* at the middle face is element 1's, -1
+        kern, disc = self._kernel()
+        u = disc.x[:, :, 0]
+        coef = np.array([[5.0], [-1.0]])
+        div = sum(kern.diffusion(u, coef))
+        assert element_integrals(disc, div) == pytest.approx([-1.0, 1.0],
+                                                             rel=1e-12)
 
     def test_ldg_continuous_identity(self):
-        f = ldg_diffusion_fluxes(3.0, 3.0, 1.5, 1.5, None, -1.0)
-        assert f["n_star"] == pytest.approx(3.0)
-        assert f["dq_star"] == pytest.approx(1.5)
+        # continuous u and c q: both stars are the common trace, so the
+        # gradient and the diffusion of u = x^2 are exact, with exact
+        # Dirichlet data on the walls
+        mesh = unit_interval_mesh(3, region="semi")
+        disc = build_discretization(mesh, build_reference_element(1, 2))
+        kern = LDGDiffusion(disc)
+        x = disc.x[:, :, 0]
+        f_d = disc.face_minus(x) ** 2
+        assert np.allclose(kern.gradient(x ** 2, f_d)[0], 2.0 * x, atol=1e-12)
+        div = sum(kern.diffusion(x ** 2, 1.5, f_d))
+        assert np.allclose(div, 3.0, atol=1e-10)
 
     def test_lf_alpha(self):
         # alpha = max(|1|, |-3|)/2 = 1.5
@@ -60,50 +87,81 @@ class TestFluxFunctions:
 
 
 class TestDriftVelocity:
+    """The drift velocities of DDSolver: v_c = -+mu_c E^s is built by
+    set_stationary, and carrier_rhs adds only the E^t part."""
+
     def test_et_zero(self):
-        es = (np.full((2, 3), 5.0),)
-        mu = np.full((2, 3), 0.1)
-        d = build_drift_velocity(es, None, mu, "e")
-        assert np.allclose(d["v"][0], -0.5)
-        assert np.allclose(d["v_src"][0], 0.0)
+        solver, disc = interval_dd(4, 2)
+        e_s = np.full((disc.K, disc.Np), 5e4)
+        ns = np.full_like(e_s, 1e20)
+        solver.set_stationary((e_s,), ns, ns)
+        assert np.array_equal(solver.v_e[0], -solver.mu_e * e_s)
+        state = np.stack([1e18 * np.sin(np.pi * disc.x[:, :, 0])] * 2)
+        assert np.array_equal(solver.carrier_rhs(state, e_t=(0.0 * e_s,)),
+                              solver.carrier_rhs(state))
 
     def test_carrier_signs_opposite(self):
-        es = (np.ones((1, 2)),)
-        mu = np.ones((1, 2))
-        ve = build_drift_velocity(es, None, mu, "e")["v"][0]
-        vh = build_drift_velocity(es, None, mu, "h")["v"][0]
-        assert np.allclose(ve, -vh)
+        solver, disc = interval_dd(4, 2)
+        e_s = 1e5 * np.cos(disc.x[:, :, 0])
+        solver.set_stationary((e_s,), e_s ** 2, e_s ** 2)
+        assert np.allclose(solver.v_e[0] / solver.mu_e,
+                           -solver.v_h[0] / solver.mu_h, rtol=1e-15, atol=0)
 
     def test_src_uses_only_et(self):
-        es = (np.full((1, 2), 2.0),)
-        et = (np.full((1, 2), 0.5),)
-        mu = np.full((1, 2), 2.0)
-        d = build_drift_velocity(es, et, mu, "h")
-        assert np.allclose(d["v"][0], 2.0 * 2.5)
-        assert np.allclose(d["v_src"][0], 2.0 * 0.5)
+        # zero transient state in uniform E^s and E^t over n^s = N (1 + x):
+        # only -div(v^t n^s) remains, with v^t = -+mu E^t
+        solver, disc = interval_dd(4, 2)
+        x = disc.x[:, :, 0]
+        ns = 1e20 * (1.0 + x)
+        solver.set_stationary((np.full_like(x, 1e5),), ns, ns)
+        e_t = (np.full_like(x, 2e3),)
+        r = solver.carrier_rhs(np.zeros((2,) + x.shape), e_t=e_t)
+        assert np.allclose(r[0], solver.mu_e * 2e3 * 1e20, rtol=1e-10, atol=0)
+        assert np.allclose(r[1], -solver.mu_h * 2e3 * 1e20, rtol=1e-10, atol=0)
+
+    def test_total_velocity_sums_parts(self):
+        # with E^t the drift is v_c + v_c^t, within round-off of the
+        # velocity of the total field, and the source carries n^s in v_c^t
+        solver, disc = interval_dd(5, 2, right="INSULATOR_R")
+        x = disc.x[:, :, 0]
+        e_s, e_t = 1e5 * np.cos(3 * x), 4e4 * np.sin(5 * x)
+        ns = 1e20 * (1.0 + x ** 2)
+        solver.set_stationary((e_s,), ns, 0.5 * ns)
+        state = np.stack([1e19 * np.exp(-x), 1e19 * x])
+        got = solver.carrier_rhs(state, e_t=(e_t,))
+        r_t = solver.transient_recombination(state[0], state[1])
+        for i, (sgn, mu, dc, n_s) in enumerate(
+                ((-1.0, solver.mu_e, solver.d_e, ns),
+                 (1.0, solver.mu_h, solver.d_h, 0.5 * ns))):
+            want = solver.scalar_rhs(
+                state[i], (sgn * mu * (e_s + e_t),), dc,
+                v_src=(sgn * mu * e_t,), n_src=n_s) - r_t
+            assert np.allclose(got[i], want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
 
     def test_bad_carrier(self):
+        # the mobility of the solver's columns names the carrier
+        solver, _ = interval_dd(2, 1)
         with pytest.raises(ph.PhysicsError):
-            build_drift_velocity((np.ones((1, 1)),), None, np.ones((1, 1)), "q")
+            ph.parallel_field_mobility(0.0, "q", solver)
 
 
 class TestGradient:
     def test_constant_gives_zero(self):
         solver, disc = interval_dd(4, 2)
-        q = solver.gradient(np.full((disc.K, disc.Np), 3.0),
-                            f_d=lambda x, t: 3.0)
+        q = solver.gradient(np.full((disc.K, disc.Np), 3.0), 3.0)
         assert np.max(np.abs(q[0])) < 1e-12
 
     def test_linear_exact(self):
         solver, disc = interval_dd(2, 1)
         n = nodal_field(disc, lambda x: x)
-        q = solver.gradient(n, f_d=lambda x, t: x[:, 0])
+        q = solver.gradient(n, disc.face_minus(n))
         assert np.allclose(q[0], 1.0, atol=1e-10)
 
     def test_quadratic_exact_p2(self):
         solver, disc = interval_dd(3, 2)
         n = nodal_field(disc, lambda x: x ** 2)
-        q = solver.gradient(n, f_d=lambda x, t: x[:, 0] ** 2)
+        q = solver.gradient(n, disc.face_minus(n))
         assert np.allclose(q[0], 2.0 * disc.x[:, :, 0], atol=1e-10)
 
     def test_2d_exact(self):
@@ -113,7 +171,7 @@ class TestGradient:
         disc = build_discretization(mesh, build_reference_element(2, 2))
         solver = DDSolver(disc, semi_table())
         n = nodal_field(disc, lambda x, y: x * y + y ** 2)
-        q = solver.gradient(n, f_d=lambda x, t: x[:, 0] * x[:, 1] + x[:, 1] ** 2)
+        q = solver.gradient(n, disc.face_minus(n))
         assert np.allclose(q[0], disc.x[:, :, 1], atol=1e-10)
         assert np.allclose(q[1], disc.x[:, :, 0] + 2 * disc.x[:, :, 1], atol=1e-10)
 
@@ -136,7 +194,7 @@ def diffusion_error(n_el, p, d_val=1.0):
     nsteps = int(np.ceil(t_end / dt))
     dt = t_end / nsteps
     u = np.sin(np.pi * x)
-    rhs = lambda nn, t: solver.scalar_rhs(nn, zero_v, d_nod, t)
+    rhs = lambda nn, t: solver.scalar_rhs(nn, zero_v, d_nod)
     t = 0.0
     for _ in range(nsteps):
         u = tvd_rk3_step(u, rhs, dt, t)
@@ -155,7 +213,7 @@ def advection_error(n_el, p):
     dt = t_end / nsteps
     pulse = lambda y: np.exp(-((y - 0.3) / 0.1) ** 2)
     u = pulse(x)
-    rhs = lambda nn, t: solver.scalar_rhs(nn, v, d_nod, t)
+    rhs = lambda nn, t: solver.scalar_rhs(nn, v, d_nod)
     t = 0.0
     for _ in range(nsteps):
         u = tvd_rk3_step(u, rhs, dt, t)
@@ -186,7 +244,7 @@ class TestInvariants:
         u = 1.0 + 0.5 * np.sin(np.pi * x) ** 2
         m0 = disc.integrate(u)
         dt = 0.1 * (1.0 / 16) ** 2 / (0.05 * 25)
-        rhs = lambda nn, t: solver.scalar_rhs(nn, v, d_nod, t)
+        rhs = lambda nn, t: solver.scalar_rhs(nn, v, d_nod)
         for s in range(1000):
             u = tvd_rk3_step(u, rhs, dt, s * dt)
         assert abs(disc.integrate(u) - m0) / m0 < 1e-8
@@ -198,7 +256,7 @@ class TestInvariants:
         zero_v = (np.zeros_like(x),)
         u = np.maximum(0.0, np.sin(np.pi * x)) ** 4
         dt = 0.2 * (1.0 / 16) ** 2 / 9.0
-        rhs = lambda nn, t: solver.scalar_rhs(nn, zero_v, d_nod, t)
+        rhs = lambda nn, t: solver.scalar_rhs(nn, zero_v, d_nod)
         for s in range(200):
             u = tvd_rk3_step(u, rhs, dt, s * dt)
         assert u.min() >= -1e-10 * 1.0
@@ -293,8 +351,8 @@ class TestBoundaryFlux:
     the gradient integrates to the jump of n* between the two ends, and the
     rhs to the net boundary flux sum(f_diff - f_adv) over the end faces."""
 
-    def _case(self, left, right, f_d=None):
-        solver, disc = interval_dd(3, 2, left=left, right=right, dirichlet=f_d)
+    def _case(self, left, right):
+        solver, disc = interval_dd(3, 2, left=left, right=right)
         x = disc.x[:, :, 0]
         n = 2.0 + np.sin(2.0 * x) + x ** 2
         v = (np.full_like(x, 1.5),)
@@ -302,17 +360,32 @@ class TestBoundaryFlux:
 
     def test_dirichlet_zero(self):
         # n* = f_D in the gradient, (v n)* = (n.v) f_D and (n.d grad n)* is
-        # the inner trace; f_D defaults to 0
+        # the inner trace; f_D is a face array and defaults to 0
         for f_d in (0.0, 3.0):
-            fn = None if f_d == 0.0 else (lambda pts, t: np.full(len(pts), 3.0))
-            solver, disc, n, v, d = self._case("ELECTRODE_D", "INSULATOR_R", fn)
-            q = solver.gradient(n)[0]
+            solver, disc, n, v, d = self._case("ELECTRODE_D", "INSULATOR_R")
+            kw = {} if f_d == 0.0 else \
+                {"f_d": np.full((disc.K, disc.nfp_tot), f_d)}
+            q = solver.gradient(n, **kw)[0]
             assert disc.integrate(q) == pytest.approx(n[-1, -1] - f_d,
                                                       rel=1e-12)
-            rhs = solver.scalar_rhs(n, v, d)
+            rhs = solver.scalar_rhs(n, v, d, **kw)
             # left face: n_hat = -1, so f_adv = -v f_D and f_diff = -d q^-
             assert disc.integrate(rhs) == pytest.approx(
                 v[0][0, 0] * f_d - d * q[0, 0], rel=1e-12)
+
+    def test_dirichlet_penalty(self):
+        # a penalty tau adds tau (f_D - n^-) to the outward diffusion flux on
+        # Dirichlet faces only; without one the rhs is unchanged
+        solver, disc, n, v, d = self._case("ELECTRODE_D", "INSULATOR_R")
+        f_d = np.full((disc.K, disc.nfp_tot), 3.0)
+        tau = solver.penalty(np.full_like(n, d), 10.0)
+        plain = solver.scalar_rhs(n, v, d, f_d=f_d)
+        pen = solver.scalar_rhs(n, v, d, f_d=f_d, penalty=tau)
+        assert disc.integrate(pen - plain) == pytest.approx(
+            tau[0, 0] * (3.0 - n[0, 0]), rel=1e-12)
+        off_dirichlet = np.where(solver.dir_mask, tau, np.nan)
+        assert np.array_equal(
+            solver.scalar_rhs(n, v, d, f_d=f_d, penalty=off_dirichlet), pen)
 
     def test_robin_total_flux_zero(self):
         # n* = n^- in the gradient, and the total flux (drift, diffusion and

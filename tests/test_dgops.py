@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pcddg.dgops import build_discretization, evaluate_at_points, nodal_field
+from pcddg.dgops import (build_discretization, interpolate, interpolation_rows,
+                          nodal_field)
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import MeshError, build_reference_element
 
@@ -151,7 +152,7 @@ class TestPointEvaluation:
         d = build_discretization(mesh, ref)
         u = nodal_field(d, lambda x: x ** 3 + x)
         pts = np.array([[0.11], [0.5], [0.93]])
-        vals = evaluate_at_points(d, u, pts)
+        vals = interpolate(u, *interpolation_rows(d, pts))
         assert np.allclose(vals, pts[:, 0] ** 3 + pts[:, 0], atol=1e-12)
 
     def test_eval_2d(self):
@@ -160,7 +161,7 @@ class TestPointEvaluation:
         d = build_discretization(mesh, ref)
         u = nodal_field(d, lambda x, y: x * y ** 2 + 2 * x)
         pts = np.array([[0.3, 0.7], [0.05, 0.05], [0.99, 0.5]])
-        vals = evaluate_at_points(d, u, pts)
+        vals = interpolate(u, *interpolation_rows(d, pts))
         assert np.allclose(vals, pts[:, 0] * pts[:, 1] ** 2 + 2 * pts[:, 0], atol=1e-11)
 
     def test_outside_raises(self):
@@ -168,4 +169,4 @@ class TestPointEvaluation:
         ref = build_reference_element(1, 2)
         d = build_discretization(mesh, ref)
         with pytest.raises(MeshError, match="outside"):
-            evaluate_at_points(d, np.zeros((3, 3)), [[1.5]])
+            interpolation_rows(d, [[1.5]])

@@ -6,13 +6,10 @@ from pcddg.mesh import (
     BOUNDARY_TAGS,
     INTERIOR,
     Mesh,
-    MeshFormatError,
     build_face_connectivity,
     generate_structured_mesh,
-    load_mesh_file,
     make_spec,
     resolution_report,
-    save_mesh_file,
     unit_interval_mesh,
     validate_mesh,
 )
@@ -91,7 +88,8 @@ class TestGeneration2D:
 
     def test_boundary_tags_by_box(self):
         m = generate_structured_mesh(two_region_2d())
-        for k, f, tag in m.boundary_faces():
+        for k, f in np.argwhere(m.boundary_tag >= 0):
+            tag = BOUNDARY_TAGS[m.boundary_tag[k, f]]
             a, b = ((0, 1), (1, 2), (2, 0))[f]
             ymid = 0.5 * (m.vertices[m.elements[k, a], 1] + m.vertices[m.elements[k, b], 1])
             assert tag == ("ABC" if ymid > 0.5e-6 - 1e-12 else "PEC")
@@ -130,50 +128,7 @@ class TestValidation:
 
 
 class TestFileFormat:
-    def test_round_trip_2d(self, tmp_path):
-        m = generate_structured_mesh(two_region_2d())
-        path = tmp_path / "mesh.txt"
-        save_mesh_file(m, path)
-        m2 = load_mesh_file(path)
-        assert m2.dim == 2
-        assert np.allclose(m2.vertices, m.vertices)
-        assert np.array_equal(m2.elements, m.elements)
-        assert np.array_equal(m2.region_id, m.region_id)
-        assert np.array_equal(m2.boundary_tag, m.boundary_tag)
-        assert m2.region_names == m.region_names
-        assert m2.content_hash() == m.content_hash()
-
-    def test_round_trip_1d(self, tmp_path):
-        m = unit_interval_mesh(7, lo=-2e-6, hi=3e-6, left="ABC", right="PEC")
-        path = tmp_path / "m1.txt"
-        save_mesh_file(m, path)
-        m2 = load_mesh_file(path)
-        assert np.allclose(m2.vertices, m.vertices)
-        assert np.array_equal(m2.boundary_tag, m.boundary_tag)
-
-    def test_bad_header(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("hello world\n")
-        with pytest.raises(MeshFormatError):
-            load_mesh_file(p)
-
-    def test_bad_tag_reports_line(self, tmp_path):
-        m = unit_interval_mesh(3)
-        p = tmp_path / "m.txt"
-        save_mesh_file(m, p)
-        txt = p.read_text().replace("ELECTRODE_D", "NOSUCHTAG", 1)
-        p.write_text(txt)
-        with pytest.raises(MeshFormatError, match="line .*NOSUCHTAG"):
-            load_mesh_file(p)
-
-    def test_truncated_file(self, tmp_path):
-        m = unit_interval_mesh(3)
-        p = tmp_path / "m.txt"
-        save_mesh_file(m, p)
-        lines = p.read_text().splitlines()
-        p.write_text("\n".join(lines[:4]))
-        with pytest.raises(MeshFormatError):
-            load_mesh_file(p)
+    """The mesh content hash that checkpoints record."""
 
     def test_content_hash_changes(self, tmp_path):
         m = unit_interval_mesh(5)

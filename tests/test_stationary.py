@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pcddg.dgops import evaluate_at_points
+from pcddg.dgops import interpolate, interpolation_rows
 from pcddg.mesh import make_spec, generate_structured_mesh, unit_interval_mesh
 from pcddg.physics import MaterialTable, PhysicsError, lt_gaas, EPS0, Q
 from pcddg.stationary import (StationaryProblem, make_contacts,
@@ -102,6 +102,17 @@ class TestPoisson:
         resid = np.linalg.norm(a @ phi + c - rho)
         assert resid <= 1e-10 * max(np.linalg.norm(rho), np.linalg.norm(c))
 
+    def test_poisson_is_the_carrier_diffusion_kernel(self):
+        # one LDG kernel: -poisson_apply is, bitwise, the carrier rhs with
+        # no drift, diffusivity eps and the Poisson penalty
+        prob = resistor_problem(n=12, v_bias=0.3)
+        u = np.random.default_rng(5).normal(size=(12, prob.pdisc.Np))
+        zero_v = (np.zeros_like(u),)
+        eps = np.broadcast_to(prob.eps_p, u.shape)
+        got = prob.dd.scalar_rhs(u, zero_v, eps, f_d=prob.phi_dirichlet,
+                                 penalty=prob.tau)
+        assert np.array_equal(got, -prob.poisson_apply(u))
+
     def test_all_neumann_raises_gauge_error(self):
         mesh = unit_interval_mesh(10, 0.0, L, region="semi",
                                   left="INSULATOR_R", right="INSULATOR_R")
@@ -116,6 +127,18 @@ class TestPoisson:
         with pytest.raises(PhysicsError, match="contact"):
             StationaryProblem(mesh, mats, contacts, p=2)
 
+    def test_contact_without_electrode_face_rejected(self):
+        # a cathode box on the interior point L/2 holds no electrode face:
+        # rejected, not solved with a current of 0
+        mesh = unit_interval_mesh(10, 0.0, L, region="semi",
+                                  right="INSULATOR_R")
+        mats = MaterialTable({"semi": lt_gaas()})
+        contacts = make_contacts([("anode", [0.0], [0.0], 0.1),
+                                  ("cathode", [L / 2], [L / 2], 0.0)])
+        with pytest.raises(PhysicsError,
+                           match="'cathode' matches no electrode face"):
+            StationaryProblem(mesh, mats, contacts, p=2)
+
 
 class TestOracleEquivalence:
     def test_resistor_matches_sg_oracle(self):
@@ -125,8 +148,8 @@ class TestOracleEquivalence:
         prob = resistor_problem(n=60, v_bias=v_bias)
         sol = prob.gummel_solve()
         pts = xo.reshape(-1, 1)
-        phi = evaluate_at_points(prob.pdisc, sol.phi, pts)
-        n_e = evaluate_at_points(prob.ddisc, sol.n_e, pts)
+        phi = interpolate(sol.phi, *interpolation_rows(prob.pdisc, pts))
+        n_e = interpolate(sol.n_e, *interpolation_rows(prob.ddisc, pts))
         assert np.max(np.abs(phi - ref["phi"])) < 0.01 * v_bias
         inner = slice(2, -2)
         rel = np.abs(n_e[inner] - ref["n_e"][inner]) / ref["n_e"][inner]
@@ -162,12 +185,12 @@ class TestOracleEquivalence:
         prob = diode_problem(v_bias=v_bias)
         sol = prob.gummel_solve()
         pts = xo.reshape(-1, 1)
-        phi = evaluate_at_points(prob.pdisc, sol.phi, pts)
+        phi = interpolate(sol.phi, *interpolation_rows(prob.pdisc, pts))
         v_t = prob.materials.v_t
         v_bi = 2.0 * v_t * np.log(C / 9e12)
         assert np.max(np.abs(phi - ref["phi"])) < 0.01 * (v_bias + v_bi)
         # majority densities away from the junction and contacts
-        n_e = evaluate_at_points(prob.ddisc, sol.n_e, pts)
+        n_e = interpolate(sol.n_e, *interpolation_rows(prob.ddisc, pts))
         maj = ref["n_e"] > 0.1 * C
         maj[:3] = maj[-3:] = False
         rel = np.abs(n_e[maj] - ref["n_e"][maj]) / ref["n_e"][maj]
