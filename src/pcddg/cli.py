@@ -260,11 +260,10 @@ def run_info(cfg, out_dir):
     em_info = stable_timestep("maxwell", disc, table, safety=cfg.safety,
                               detail=True)
     print(f"dt_em <= {em_info['dt']:.3e} s  (bound: {em_info['bound']})")
+    mats, mat_idx = table.element_materials(mesh)
     ddisc = build_discretization(
         mesh, build_reference_element(mesh.dim, cfg.p_dd),
-        element_mask=np.array(
-            [table.region(mesh.region_names[mesh.region_id[k]]).semiconductor
-             for k in range(mesh.K)]),
+        element_mask=np.array([m.semiconductor for m in mats])[mat_idx],
         cut_face_tag=lambda k, f, nbr: "INSULATOR_R")
     dd_info = stable_timestep("dd", ddisc, table,
                               state_estimate={"e_mag": e_est},

@@ -64,37 +64,48 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
     and d = V_T mu per carrier.  Returns +inf when no term limits the step.
     """
     p = disc.ref.p
-    mesh = disc.mesh
-    mats = [materials.region(mesh.region_names[mesh.region_id[k]])
-            for k in disc.elems]
+    mats, mat_idx = materials.element_materials(disc.mesh, disc.elems)
     h = disc.h_elem
-    bounds = []   # (dt, label, element)
+
+    def per_elem(values):
+        return np.array(values, dtype=float)[mat_idx]
+
+    def bound(label, num, den, applies):
+        return label, np.divide(num, den, out=np.full(len(h), np.inf),
+                                where=applies), applies
+
+    # (label, dt per element, applies per element), in the order the
+    # bounds of one element are taken
+    bounds = []
     if system == "maxwell":
-        for k, m in enumerate(mats):
-            eps_r = m.drude.eps_inf if m.drude else m.eps_r
-            c = ph.C0 / np.sqrt(eps_r * m.mu_r)
-            bounds.append((h[k] / (c * (2 * p + 1)), "maxwell_cfl", k))
+        c = per_elem([ph.C0 / np.sqrt((m.drude.eps_inf if m.drude else m.eps_r)
+                                      * m.mu_r) for m in mats])
+        bounds.append(bound("maxwell_cfl", h, c * (2 * p + 1),
+                            np.ones(len(h), dtype=bool)))
     elif system == "dd":
         e_mag = 0.0 if state_estimate is None else float(state_estimate.get("e_mag", 0.0))
         v_t = materials.v_t
-        for k, m in enumerate(mats):
-            if not m.semiconductor:
-                continue
-            for carrier in ("e", "h"):
-                mu = ph.parallel_field_mobility(e_mag, carrier, m)
-                v = mu * e_mag
-                d = ph.einstein_diffusivity(mu, v_t)
-                if v > 0:
-                    bounds.append((h[k] / (v * (2 * p + 1)), f"drift_{carrier}", k))
-                if d > 0:
-                    bounds.append((h[k] ** 2 / (d * (2 * p + 1) ** 2),
-                                   f"diffusion_{carrier}", k))
+        semi = np.array([m.semiconductor for m in mats])[mat_idx]
+        for carrier in ("e", "h"):
+            mu = [ph.parallel_field_mobility(e_mag, carrier, m)
+                  if m.semiconductor else 0.0 for m in mats]
+            v = per_elem([u * e_mag for u in mu])
+            d = per_elem([ph.einstein_diffusivity(u, v_t) for u in mu])
+            bounds.append(bound(f"drift_{carrier}", h, v * (2 * p + 1),
+                                semi & (v > 0)))
+            bounds.append(bound(f"diffusion_{carrier}", h ** 2,
+                                d * (2 * p + 1) ** 2, semi & (d > 0)))
     else:
         raise PhysicsError(f"unknown system {system!r}")
-    if not bounds:
+    # the first smallest bound, elements in order
+    dts = np.stack([b[1] for b in bounds], axis=1).reshape(-1)
+    cand = np.flatnonzero(np.stack([b[2] for b in bounds], axis=1))
+    if len(cand) == 0:
         result = (np.inf, "none", -1)
     else:
-        result = min(bounds, key=lambda b: b[0])
+        i = cand[np.argmin(dts[cand])]
+        k, j = divmod(int(i), len(bounds))
+        result = (dts[i], bounds[j][0], k)
     dt = safety * result[0]
     if detail:
         return {"dt": dt, "bound": result[1], "element": result[2],
@@ -192,7 +203,8 @@ class CoupledSystem:
             raise PhysicsError("DD subdomain element missing from the EM "
                                f"discretization: {exc}") from None
         self.gcoef = np.array(
-            [ph.generation_coefficient(m, wavelength) for m in dd.mats])[:, None]
+            [ph.generation_coefficient(m, wavelength) for m in dd.mats]
+        )[dd.mat_idx][:, None]
         # flat indices of the E components on the DD rows of an EM state
         K, Np = em.disc.K, em.disc.Np
         rows = np.array([em.idx[c] for c in ("ex", "ey")[:em.disc.ref.dim]])

@@ -47,19 +47,20 @@ class DDSolver(LDGDiffusion):
     def __init__(self, disc, materials):
         super().__init__(disc)
         self.materials = materials
-        mesh = disc.mesh
-        self.mats = [materials.region(mesh.region_names[mesh.region_id[k]])
-                     for k in disc.elems]
-        for k, m in enumerate(self.mats):
-            if not m.semiconductor:
-                raise PhysicsError(
-                    f"element {disc.elems[k]} ({m.name}) is not a semiconductor; "
-                    "restrict the DD subdomain")
+        # materials per region, and per element the index of its own
+        self.mats, self.mat_idx = materials.element_materials(disc.mesh,
+                                                              disc.elems)
+        semi = np.array([m.semiconductor for m in self.mats])[self.mat_idx]
+        if not np.all(semi):
+            k = int(np.argmin(semi))
+            raise PhysicsError(
+                f"element {disc.elems[k]} ({self.mats[self.mat_idx[k]].name}) "
+                "is not a semiconductor; restrict the DD subdomain")
         # per-element (K, 1) columns of the SRH and mobility parameters,
         # named as on Material so that the physics functions take self
         for attr in _COLUMN_ATTRS:
-            setattr(self, attr,
-                    np.array([getattr(m, attr) for m in self.mats])[:, None])
+            setattr(self, attr, np.array([getattr(m, attr) for m in self.mats])
+                    [self.mat_idx][:, None])
 
         # stationary background (zero until set_stationary)
         dim = disc.ref.dim

@@ -1,6 +1,11 @@
 """Mesh-level nodal DG data: physical nodes, metric factors, face node maps,
 lift operators, and boundary classification, optionally restricted to an
-element subset (the DD/Poisson subdomains)."""
+element subset (the DD/Poisson subdomains).
+
+Set-up is array-based: the plus-side face node of every interior face node
+is found by one batched nearest-coordinate match over all interior face
+pairs, and each matched pair must coincide within NODETOL (relative to
+the coordinate size, at least 1)."""
 
 from dataclasses import dataclass
 
@@ -200,40 +205,57 @@ def build_discretization(mesh, ref, element_mask=None, cut_face_tag=None):
     nhat = np.repeat(normals, Nfp, axis=1)
 
     # face node maps
-    fidx = np.concatenate(ref.face_nodes)                 # (Nfaces*Nfp,)
-    vmapM = (np.arange(K)[:, None] * Np + fidx[None, :])
+    fnodes = np.array(ref.face_nodes)                     # (Nfaces, Nfp)
+    vmapM = (np.arange(K)[:, None] * Np + fnodes.reshape(-1)[None, :])
     vmapP = vmapM.copy()
+    kg = np.repeat(elems[:, None], Nfaces, axis=1)
+    nbr_g = mesh.etoe[elems]
+    nbr_s = glob2sub[nbr_g]
+    bnd = nbr_g == kg                                     # mesh boundary
+    cut = ~bnd & (nbr_s < 0)                              # cut by the subset
+    inner = ~bnd & ~cut
+    btag = mesh.boundary_tag[elems]
     face_tag = np.full((K, Nfaces), INTERIOR, dtype=int)
+    face_tag[bnd] = btag[bnd]
     beta_sign = np.ones((K, Nfaces))
+    beta_sign[inner] = np.where(kg[inner] < nbr_g[inner], 1.0, -1.0)
+
+    # each interior face node takes the neighbor face node nearest to it;
+    # the pair must coincide within NODETOL
     xflat = x.reshape(K * Np, dim)
-    for ks in range(K):
-        kg = elems[ks]
-        for f in range(Nfaces):
-            nbr_g = mesh.etoe[kg, f]
-            sl = slice(f * Nfp, (f + 1) * Nfp)
-            if nbr_g == kg:                               # mesh boundary
-                tag = mesh.boundary_tag[kg, f]
-                if tag < 0:
-                    raise MeshError(f"untagged boundary face ({kg},{f})")
-                face_tag[ks, f] = tag
-                continue
-            nbr_s = glob2sub[nbr_g]
-            if nbr_s < 0:                                 # cut by the subset
-                if cut_face_tag is None:
-                    raise MeshError("element subset cuts an interior face and "
-                                    "no cut_face_tag rule was given")
-                face_tag[ks, f] = _TAG_IDX[cut_face_tag(kg, f, nbr_g)]
-                continue
-            f2 = mesh.etof[kg, f]
-            mine = xflat[vmapM[ks, sl]]
-            theirs_idx = nbr_s * Np + np.asarray(ref.face_nodes[f2])
-            theirs = xflat[theirs_idx]
-            d2 = ((mine[:, None, :] - theirs[None, :, :]) ** 2).sum(axis=2)
-            match = np.argmin(d2, axis=1)
-            if np.max(np.sqrt(d2[np.arange(Nfp), match])) > NODETOL * max(1.0, np.max(np.abs(mine))):
-                raise MeshError(f"face node mismatch between elements {kg} and {nbr_g}")
-            vmapP[ks, sl] = theirs_idx[match]
-            beta_sign[ks, f] = 1.0 if kg < nbr_g else -1.0
+    mine = xflat[vmapM.reshape(K, Nfaces, Nfp)[inner]]    # (I, Nfp, dim)
+    theirs_idx = (nbr_s[inner] * Np)[:, None] + fnodes[mesh.etof[elems][inner]]
+    theirs = xflat[theirs_idx]
+    d2 = sum((mine[:, :, None, d] - theirs[:, None, :, d]) ** 2
+             for d in range(dim))                         # (I, Nfp, Nfp)
+    match = np.argmin(d2, axis=2)
+    vmapP.reshape(K, Nfaces, Nfp)[inner] = np.take_along_axis(theirs_idx, match, 1)
+    tol = NODETOL * np.fmax(1.0, np.max(np.abs(mine), axis=(1, 2)))
+    mismatch = np.zeros((K, Nfaces), dtype=bool)
+    mismatch[inner] = np.max(np.sqrt(d2.min(axis=2)), axis=1) > tol
+
+    # errors name the first bad face in (element, face) order; the cut
+    # rule is called once per cut face in that order, up to that face
+    untagged = bnd & (btag < 0)
+    bad = untagged | mismatch
+    if cut_face_tag is None:
+        bad |= cut
+    first_bad = np.flatnonzero(bad)[0] if np.any(bad) else bad.size
+    if cut_face_tag is not None:
+        for ks, f in np.argwhere(cut):
+            if ks * Nfaces + f >= first_bad:
+                break
+            face_tag[ks, f] = _TAG_IDX[cut_face_tag(elems[ks], int(f),
+                                                    nbr_g[ks, f])]
+    if first_bad < bad.size:
+        ks, f = divmod(int(first_bad), Nfaces)
+        if untagged[ks, f]:
+            raise MeshError(f"untagged boundary face ({elems[ks]},{f})")
+        if cut[ks, f]:
+            raise MeshError("element subset cuts an interior face and "
+                            "no cut_face_tag rule was given")
+        raise MeshError(f"face node mismatch between elements {elems[ks]} "
+                        f"and {nbr_g[ks, f]}")
 
     return Discretization(
         ref=ref, mesh=mesh, elems=elems, x=x, jac=jac, metric=metric,

@@ -109,11 +109,13 @@ class MaxwellSolver:
         nf = dim + 1                    # field components: E..., Hz
         n = K * Np
 
-        mesh = disc.mesh
-        mats = [materials.region(mesh.region_names[mesh.region_id[k]])
-                for k in disc.elems]
-        eps_r = np.array([m.drude.eps_inf if m.drude else m.eps_r for m in mats])
-        mu_r = np.array([m.mu_r for m in mats])
+        mats, mat_idx = materials.element_materials(disc.mesh, disc.elems)
+
+        def per_elem(values):
+            return np.array(values)[mat_idx]
+
+        eps_r = per_elem([m.drude.eps_inf if m.drude else m.eps_r for m in mats])
+        mu_r = per_elem([m.mu_r for m in mats])
         if not (np.all(eps_r > 0) and np.all(mu_r > 0)):
             raise PhysicsError("wave impedance must be positive")
         self.eps = (eps_r * EPS0)[:, None]
@@ -213,10 +215,10 @@ class MaxwellSolver:
                 self._sig_h = np.array([zero, zero, sx])
             self._tmp = np.empty((nf, K, Np))
         if has_drude:
-            self._drude_a = nodal([EPS0 * m.drude.omega_p ** 2 if m.drude
-                                   else 0.0 for m in mats])
-            self._drude_g = nodal([m.drude.gamma if m.drude else 0.0
-                                   for m in mats])
+            self._drude_a = nodal(per_elem([EPS0 * m.drude.omega_p ** 2
+                                            if m.drude else 0.0 for m in mats]))
+            self._drude_g = nodal(per_elem([m.drude.gamma if m.drude else 0.0
+                                            for m in mats]))
 
         self._src_profile = None
         self._src_amp = 0.0
@@ -256,6 +258,9 @@ class MaxwellSolver:
         # keep the footprint local to the aperture neighborhood
         prof[np.abs(zeta) > 4 * depth] = 0.0
         self._src_profile = prof
+        # the source current is added on the nonzero nodes only
+        self._src_nodes = np.flatnonzero(prof)
+        self._src_values = prof.reshape(-1)[self._src_nodes]
         z_ap = float(np.sqrt(self.mu[ksel, 0].mean() / self.eps[ksel, 0].mean()))
         if spec.peak_field is not None:
             sheet = 2.0 * spec.peak_field / z_ap
@@ -327,8 +332,8 @@ class MaxwellSolver:
         else:
             np.copyto(cur, state[self._jp])
         if self._src_profile is not None:
-            np.multiply(self._src_profile, self._src_scale(t), out=vol)
-            cur[self._src_row] += vol
+            cur[self._src_row].reshape(-1)[self._src_nodes] += \
+                self._src_values * self._src_scale(t)
         if j_carrier is not None:
             for e, jc in enumerate(j_carrier[:dim]):
                 if jc is not None:

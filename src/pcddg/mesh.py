@@ -1,5 +1,10 @@
 """Interval and triangle meshes: generation, face connectivity, boundary
-tags, and space-scale resolution diagnostics."""
+tags, and space-scale resolution diagnostics.
+
+Set-up is array-based: the element list, the region of each element, the
+face connectivity (faces keyed by their sorted vertex ids, matched with
+np.unique) and the boundary tags (the first tag box holding a face
+centroid wins) are numpy operations over all elements at once."""
 
 import hashlib
 from dataclasses import dataclass, field
@@ -65,31 +70,39 @@ class Mesh:
         return hsh.hexdigest()[:16]
 
 
-def _face_key(mesh, k, f):
+def _face_vertices(mesh):
+    """(K, Nfaces, dim) vertex ids of every face, sorted within a face."""
     if mesh.dim == 1:
-        return (mesh.elements[k, f],)
-    a, b = _FACE_VERTS_2D[f]
-    return tuple(sorted((mesh.elements[k, a], mesh.elements[k, b])))
+        return mesh.elements[:, :, None]
+    return np.sort(mesh.elements[:, np.array(_FACE_VERTS_2D)], axis=2)
 
 
 def build_face_connectivity(mesh):
     """Fill etoe/etof by matching face vertex sets; errors on non-manifold faces."""
     K, nf = mesh.K, mesh.Nfaces
-    faces = {}
-    for k in range(K):
-        for f in range(nf):
-            faces.setdefault(_face_key(mesh, k, f), []).append((k, f))
+    fv = _face_vertices(mesh).reshape(K * nf, -1)
+    key = fv[:, 0].astype(np.int64)
+    if mesh.dim == 2:
+        key = key * (int(mesh.elements.max()) + 1) + fv[:, 1]
+    _, first, inv, count = np.unique(key, return_index=True,
+                                     return_inverse=True, return_counts=True)
+    inv = inv.reshape(-1)
+    if np.any(count > 2):
+        # the first face, in element order, of a key with too many elements
+        i = np.argmin(np.where(count > 2, first, K * nf))
+        raise MeshError(f"non-manifold face {tuple(fv[first[i]])}: "
+                        f"{count[i]} incident elements")
     mesh.etoe = np.tile(np.arange(K)[:, None], (1, nf))
     mesh.etof = np.tile(np.arange(nf)[None, :], (K, 1))
-    for key, inc in faces.items():
-        if len(inc) > 2:
-            raise MeshError(f"non-manifold face {key}: {len(inc)} incident elements")
-        if len(inc) == 2:
-            (k1, f1), (k2, f2) = inc
-            mesh.etoe[k1, f1] = k2
-            mesh.etof[k1, f1] = f2
-            mesh.etoe[k2, f2] = k1
-            mesh.etof[k2, f2] = f1
+    # faces grouped by key, each group in element order: a shared key's
+    # two faces are adjacent
+    order = np.argsort(inv, kind="stable")
+    start = np.cumsum(count) - count
+    a = order[start[count == 2]]
+    b = order[start[count == 2] + 1]
+    etoe, etof = mesh.etoe.reshape(-1), mesh.etof.reshape(-1)
+    etoe[a], etof[a] = b // nf, b % nf
+    etoe[b], etof[b] = a // nf, a % nf
     if mesh.boundary_tag is None:
         mesh.boundary_tag = np.full((K, nf), INTERIOR, dtype=int)
     return mesh
@@ -169,15 +182,24 @@ def _axis_breaks(spec, axis):
     return np.array(pts)
 
 
-def _region_of(spec, point):
-    hits = [i for i, r in enumerate(spec.regions)
-            if np.all(r.lo - 1e-12 <= point) and np.all(point <= r.hi + 1e-12)]
-    if len(hits) == 0:
-        raise MeshError(f"point {point} not covered by any region box")
-    if len(hits) > 1:
-        names = [spec.regions[i].name for i in hits]
-        raise MeshError(f"overlapping region boxes {names} at {point}")
-    return hits[0]
+def _in_boxes(points, lo, hi):
+    """(n, nbox) bool: point i lies in box j, with a 1e-12 tolerance."""
+    pts = points[:, None, :]
+    return np.all((lo[None] - 1e-12 <= pts) & (pts <= hi[None] + 1e-12), axis=2)
+
+
+def _region_of(spec, points):
+    """Region index of each point; every point must lie in exactly one box."""
+    hits = _in_boxes(points, np.array([r.lo for r in spec.regions]),
+                     np.array([r.hi for r in spec.regions]))
+    n_hit = hits.sum(axis=1)
+    if np.any(n_hit != 1):
+        i = int(np.argmax(n_hit != 1))
+        if n_hit[i] == 0:
+            raise MeshError(f"point {points[i]} not covered by any region box")
+        names = [r.name for r, hit in zip(spec.regions, hits[i]) if hit]
+        raise MeshError(f"overlapping region boxes {names} at {points[i]}")
+    return np.argmax(hits, axis=1)
 
 
 def generate_structured_mesh(spec):
@@ -196,31 +218,19 @@ def generate_structured_mesh(spec):
         nx, ny = len(x), len(y)
         xx, yy = np.meshgrid(x, y, indexing="ij")
         verts = np.column_stack([xx.ravel(), yy.ravel()])
-        elems = []
-        for i in range(nx - 1):
-            for j in range(ny - 1):
-                v00 = i * ny + j
-                v10 = (i + 1) * ny + j
-                v01 = i * ny + j + 1
-                v11 = (i + 1) * ny + j + 1
-                elems.append([v00, v10, v11])
-                elems.append([v00, v11, v01])
-        elems = np.asarray(elems)
+        # two triangles per grid cell, cells in (i, j) order
+        v00 = (np.arange(nx - 1)[:, None] * ny + np.arange(ny - 1)).ravel()
+        v10, v01, v11 = v00 + ny, v00 + 1, v00 + ny + 1
+        elems = np.stack([np.stack([v00, v10, v11], axis=1),
+                          np.stack([v00, v11, v01], axis=1)],
+                         axis=1).reshape(-1, 3)
     mesh = Mesh(dim=spec.dim, vertices=verts, elements=np.asarray(elems),
                 region_id=np.zeros(len(elems), dtype=int))
-    cent = mesh.centroids()
-    mesh.region_id = np.array([_region_of(spec, c) for c in cent])
+    mesh.region_id = _region_of(spec, mesh.centroids())
     mesh.region_names = {i: r.name for i, r in enumerate(spec.regions)}
     build_face_connectivity(mesh)
     _apply_boundary_tags(mesh, spec)
     return validate_mesh(mesh)
-
-
-def _face_centroid(mesh, k, f):
-    if mesh.dim == 1:
-        return mesh.vertices[mesh.elements[k, f]]
-    a, b = _FACE_VERTS_2D[f]
-    return 0.5 * (mesh.vertices[mesh.elements[k, a]] + mesh.vertices[mesh.elements[k, b]])
 
 
 def _apply_boundary_tags(mesh, spec):
@@ -231,14 +241,19 @@ def _apply_boundary_tags(mesh, spec):
     if spec.default_tag not in tag_idx:
         raise MeshError(f"unknown boundary tag {spec.default_tag!r}")
     on_boundary = mesh.etoe == np.arange(mesh.K)[:, None]
-    for k, f in np.argwhere(on_boundary):
-        c = _face_centroid(mesh, k, f)
-        tag = spec.default_tag
-        for t, lo, hi in spec.tag_boxes:
-            if np.all(lo - 1e-12 <= c) and np.all(c <= hi + 1e-12):
-                tag = t
-                break
-        mesh.boundary_tag[k, f] = tag_idx[tag]
+    fv = _face_vertices(mesh)[on_boundary]
+    if mesh.dim == 1:
+        cent = mesh.vertices[fv[:, 0]]
+    else:
+        cent = 0.5 * (mesh.vertices[fv[:, 0]] + mesh.vertices[fv[:, 1]])
+    # the first tag box holding the face centroid wins
+    tags = np.array([tag_idx[t] for t, _, _ in spec.tag_boxes]
+                    + [tag_idx[spec.default_tag]])
+    hits = np.ones((len(cent), len(tags)), dtype=bool)
+    if spec.tag_boxes:
+        hits[:, :-1] = _in_boxes(cent, np.array([b[1] for b in spec.tag_boxes]),
+                                 np.array([b[2] for b in spec.tag_boxes]))
+    mesh.boundary_tag[on_boundary] = tags[np.argmax(hits, axis=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,19 @@ class MaterialTable:
         except KeyError:
             raise PhysicsError(f"unknown material region {name!r}") from None
 
+    def element_materials(self, mesh, elems=None):
+        """The materials of the regions that elems (default: every element
+        of the mesh) lie in, one per region in order of first appearance,
+        and per element the index of its material in that list."""
+        rid = mesh.region_id if elems is None else mesh.region_id[elems]
+        ids, first, inv = np.unique(rid, return_index=True,
+                                    return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return ([self.region(mesh.region_names[i]) for i in ids[order]],
+                rank[inv.reshape(-1)])
+
     @property
     def v_t(self):
         return thermal_voltage(self.temperature)
@@ -114,7 +127,7 @@ def poynting_magnitude(e_fields, h_fields):
         return np.abs(e_fields[0] * h_fields[0])
     ex, ey = e_fields
     hz = h_fields[0]
-    return np.abs(hz) * np.hypot(ex, ey)
+    return np.abs(hz) * np.sqrt(ex * ex + ey * ey)
 
 
 def parallel_field_mobility(e_mag, carrier, mat):

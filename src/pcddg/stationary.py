@@ -182,9 +182,13 @@ class StationaryProblem:
         self.materials = materials
         self.contacts = contacts
         ref = build_reference_element(mesh.dim, p)
-        mat_of = lambda k: materials.region(mesh.region_names[mesh.region_id[k]])
-        is_metal = np.array([mat_of(k).drude is not None for k in range(mesh.K)])
-        is_semi = np.array([mat_of(k).semiconductor for k in range(mesh.K)])
+        mats, mat_idx = materials.element_materials(mesh)
+
+        def per_elem(values, elems=slice(None)):
+            return np.array(values)[mat_idx[elems]]
+
+        is_metal = per_elem([m.drude is not None for m in mats])
+        is_semi = per_elem([m.semiconductor for m in mats])
         if not np.any(is_semi):
             raise PhysicsError("stationary problem needs a semiconductor region")
         self.pdisc = build_discretization(
@@ -200,11 +204,10 @@ class StationaryProblem:
         self.semi_mask_p = np.zeros(self.pdisc.K, dtype=bool)
         self.semi_mask_p[self.semi_in_p] = True
 
-        pmats = [mat_of(g) for g in self.pdisc.elems]
-        self.eps_p = np.array([m.eps_r * ph.EPS0 for m in pmats])[:, None]
-        dmats = [mat_of(g) for g in self.ddisc.elems]
-        self.doping = np.array([m.doping for m in dmats])[:, None]
-        self.n_i = np.array([m.n_i for m in dmats])[:, None]
+        self.eps_p = per_elem([m.eps_r * ph.EPS0 for m in mats],
+                              self.pdisc.elems)[:, None]
+        self.doping = per_elem([m.doping for m in mats], self.ddisc.elems)[:, None]
+        self.n_i = per_elem([m.n_i for m in mats], self.ddisc.elems)[:, None]
         self.dd = DDSolver(self.ddisc, materials)
 
         self.penalty = penalty
@@ -554,8 +557,10 @@ def load_checkpoint(path, problem):
     if not lines or lines[0].rstrip("\n") != CHECKPOINT_FORMAT:
         raise PhysicsError(f"not a {CHECKPOINT_FORMAT[2:]} file")
 
+    comments = [ln for ln in lines if ln.startswith("#")]
+
     def header(name):
-        found = [ln.split()[2] for ln in lines if ln.startswith(f"# {name} ")]
+        found = [ln.split()[2] for ln in comments if ln.startswith(f"# {name} ")]
         if not found:
             raise PhysicsError(f"checkpoint missing its {name} header")
         return found[0]
@@ -567,8 +572,8 @@ def load_checkpoint(path, problem):
     if header("state_key") != problem.state_key():
         raise PhysicsError("checkpoint was written for other stationary inputs "
                            "(contacts, materials, temperature, order or penalty)")
-    data = np.array([[float(v) for v in ln.split()]
-                     for ln in lines if not ln.startswith("#")])
+    rows = [ln for ln in lines if not ln.startswith("#")]
+    data = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, 0))
     if data.shape[0] != d.K * d.Np:
         raise PhysicsError("checkpoint node count does not match discretization")
     dim = d.ref.dim

@@ -119,6 +119,15 @@ class TestGeneration:
         assert ph.poynting_magnitude([np.array(3.0), np.array(4.0)],
                                      [np.array(2.0)]) == pytest.approx(10.0)
 
+    def test_poynting_2d_matches_hypot_form(self):
+        rng = np.random.default_rng(11)
+        ex, ey, hz = (s * rng.standard_normal((400, 6))
+                      for s in (1e7, 3e6, 2.6e4))
+        ey[:10] = 0.0
+        got = ph.poynting_magnitude((ex, ey), (hz,))
+        want = np.abs(hz) * np.hypot(ex, ey)
+        assert np.max(np.abs(got - want) / want) <= 4e-16
+
     def test_zero_outside_semiconductor(self):
         # G lives on the DD subdomain; fields in the vacuum do not enter it
         cs = vacuum_semi_system()
