@@ -85,16 +85,15 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
     elif system == "dd":
         e_mag = 0.0 if state_estimate is None else float(state_estimate.get("e_mag", 0.0))
         v_t = materials.v_t
-        semi = np.array([m.semiconductor for m in mats])[mat_idx]
         for carrier in ("e", "h"):
+            # v = d = 0 outside the semiconductors: no bound there
             mu = [ph.parallel_field_mobility(e_mag, carrier, m)
                   if m.semiconductor else 0.0 for m in mats]
             v = per_elem([u * e_mag for u in mu])
             d = per_elem([ph.einstein_diffusivity(u, v_t) for u in mu])
-            bounds.append(bound(f"drift_{carrier}", h, v * (2 * p + 1),
-                                semi & (v > 0)))
+            bounds.append(bound(f"drift_{carrier}", h, v * (2 * p + 1), v > 0))
             bounds.append(bound(f"diffusion_{carrier}", h ** 2,
-                                d * (2 * p + 1) ** 2, semi & (d > 0)))
+                                d * (2 * p + 1) ** 2, d > 0))
     else:
         raise PhysicsError(f"unknown system {system!r}")
     # the first smallest bound, elements in order
