@@ -55,8 +55,6 @@ def build_parser():
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None,
                        help="BLAS/OpenMP thread cap")
-        p.add_argument("--strict", action="store_true",
-                       help="reject unknown config keys")
     return parser
 
 
@@ -280,7 +278,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     _limit_threads(args.threads)
     try:
-        cfg = parse_config(args.config, strict=args.strict)
+        cfg = parse_config(args.config)
         out_dir = _out_dir(args)
     except (ConfigurationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -160,8 +160,9 @@ _KNOWN_SOURCE_KEYS = {"f_c", "f_w", "beam_width", "power", "peak_field",
                       "polarization", "t0"}
 
 
-def parse_config(path, strict=False):
-    """Parse and validate a device deck; errors carry section.key context."""
+def parse_config(path):
+    """Parse and validate a device deck; errors carry section.key context,
+    and a key that no section reads is an error."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as fh:
         text = fh.read()
@@ -181,7 +182,7 @@ def parse_config(path, strict=False):
         raise ConfigurationError(f"mesh.dim must be 1 or 2, got {dim}")
     lo, hi = parse_box(mesh.pop("domain", None) or _missing("mesh.domain"),
                        dim, "mesh.domain")
-    if strict and mesh:
+    if mesh:
         raise ConfigurationError(f"mesh.{next(iter(mesh))}: unknown key")
 
     regions = []
@@ -199,7 +200,7 @@ def parse_config(path, strict=False):
         if h <= 0:
             raise ConfigurationError(f"{sec}.h must be > 0")
         mat_name = items.pop("material").strip()
-        if strict and items:
+        if items:
             raise ConfigurationError(f"{sec}.{next(iter(items))}: unknown key")
         materials[name] = _resolve_material(mat_name, parser, f"{sec}.material")
         regions.append((name, mat_name, rlo, rhi, h))
@@ -233,7 +234,7 @@ def parse_config(path, strict=False):
                 raise ConfigurationError(f"{sec}.{req}: missing required key")
         clo, chi = parse_box(items.pop("box"), dim, f"{sec}.box")
         volt = parse_quantity(items.pop("voltage"), f"{sec}.voltage")
-        if strict and items:
+        if items:
             raise ConfigurationError(f"{sec}.{next(iter(items))}: unknown key")
         contacts.append(Contact(name, clo, chi, volt))
         tag_boxes.append(("ELECTRODE_D", clo, chi))
@@ -292,7 +293,7 @@ def parse_config(path, strict=False):
             cadence = int(items.pop("cadence"))
             if cadence < 1:
                 raise ConfigurationError("probes.cadence must be >= 1")
-        if strict and items:
+        if items:
             raise ConfigurationError(
                 f"probes.{next(iter(items))}: unknown key")
 
@@ -303,7 +304,7 @@ def parse_config(path, strict=False):
         conv["orders"] = [int(x) for x in
                           items.pop("orders", "1,2").split(",")]
         conv["levels"] = int(items.pop("levels", "3"))
-        if strict and items:
+        if items:
             raise ConfigurationError(
                 f"convergence.{next(iter(items))}: unknown key")
 

@@ -231,14 +231,9 @@ class CoupledSystem:
         their diffusion; sigma is the conductivity of the total densities."""
         dd = self.dd
         n_e_t, n_h_t = dd_state[0], dd_state[1]
-        ge = dd.gradient(n_e_t)
-        gh = dd.gradient(n_h_t)
         sigma = ph.Q * (dd.mu_e * (dd.n_e_s + n_e_t)
                         + dd.mu_h * (dd.n_h_s + n_h_t))
-        j0 = np.array([ph.Q * (dd.mu_e * n_e_t * dd.e_s[nu] + dd.d_e * ge[nu]
-                               + dd.mu_h * n_h_t * dd.e_s[nu] - dd.d_h * gh[nu])
-                       for nu in range(dd.disc.ref.dim)])
-        return sigma, j0
+        return sigma, np.array(dd.conduction_current(n_e_t, n_h_t, dd.e_s))
 
     def transient_current(self, dd_state, e_t_dd, current=None):
         """J_e^t + J_h^t on the DD subdomain for given transient field;

@@ -148,5 +148,15 @@ class DDSolver(LDGDiffusion):
                                      n_src=ns) - r_t
         return out
 
+    def conduction_current(self, n_e, n_h, e, f_e=0.0, f_h=0.0):
+        """J = q(mu_e n_e E + d_e grad n_e) + q(mu_h n_h E - d_h grad n_h)
+        per component of the field e, in the frozen mu_c and d_c; f_e and
+        f_h are the gradients' Dirichlet data."""
+        g_e = self.gradient(n_e, f_e)
+        g_h = self.gradient(n_h, f_h)
+        return tuple(ph.Q * (self.mu_e * n_e * e[nu] + self.d_e * g_e[nu])
+                     + ph.Q * (self.mu_h * n_h * e[nu] - self.d_h * g_h[nu])
+                     for nu in range(self.disc.ref.dim))
+
     def total_carriers(self, state):
         return (self.disc.integrate(state[0]), self.disc.integrate(state[1]))

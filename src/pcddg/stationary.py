@@ -7,8 +7,10 @@ carrier solver's LDG convection-diffusion rhs with the opposite carrier
 lagged.  Dirichlet face values and the Dirichlet penalty are arguments of
 each call: the stationary solves pass a penalty, the transient never does.
 Sparse operators are assembled by probing these matrix-free kernels with
-distance-2-colored unit vectors, so the assembled systems are exactly the
-kernels the transient solver runs.
+colored unit vectors (Curtis-Powell-Reid), so the assembled systems are
+exactly the kernels the transient solver runs.  The probing stencil is one
+sparse adjacency product, the elements within two faces: the width of the
+LDG kernel, not a parameter.
 """
 
 import dataclasses
@@ -27,6 +29,9 @@ from .mesh import BOUNDARY_TAGS
 from .refelem import build_reference_element
 
 _TAG_IDX = {t: i for i, t in enumerate(BOUNDARY_TAGS)}
+_ANDERSON_DEPTH = 4      # iterates kept by the Gummel acceleration
+_NEWTON_MAX_ITER = 30    # Newton-Poisson steps per Gummel sweep
+_NEWTON_CLAMP = 5.0      # largest Newton-Poisson step, in V_T
 
 
 class ConvergenceError(RuntimeError):
@@ -84,8 +89,8 @@ class StationarySolution:
     e_s: tuple                       # field components, same layout
     n_e: np.ndarray                  # (Kd, Np) on the semiconductor subdomain
     n_h: np.ndarray
-    j_e: tuple                       # charge-current components (Kd, Np);
-    j_h: tuple                       # None when loaded from a checkpoint
+    j: tuple                         # conduction-current components (Kd, Np);
+                                     # None when loaded from a checkpoint
     gummel_history: list = field(default_factory=list)
     converged: bool = False
     mesh_hash: str = ""
@@ -94,68 +99,53 @@ class StationarySolution:
 # ---------------------------------------------------------------------------
 # sparse assembly of matrix-free kernels
 
-def _element_adjacency(disc):
-    glob2sub = {g: s for s, g in enumerate(disc.elems)}
-    nbrs = []
-    for kg in disc.elems:
-        nb = set()
-        for f in range(disc.ref.Nfaces):
-            g2 = disc.mesh.etoe[kg, f]
-            if g2 != kg and g2 in glob2sub:
-                nb.add(glob2sub[g2])
-        nbrs.append(nb)
-    return nbrs
-
-
-def _ball(nbrs, k, radius):
-    out = {k}
-    frontier = {k}
-    for _ in range(radius):
-        frontier = {n for f in frontier for n in nbrs[f]} - out
-        out |= frontier
-    return out
-
-
-def _stencil_colors(disc, radius):
-    """Greedy coloring with separation > 2*radius so that the row balls of
-    same-color probes never overlap."""
-    nbrs = _element_adjacency(disc)
-    colors = -np.ones(disc.K, dtype=int)
-    for k in range(disc.K):
-        taken = {colors[n] for n in _ball(nbrs, k, 2 * radius)}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[k] = c
-    return colors, nbrs
-
-
-def assemble_affine_operator(apply_fn, disc, radius=2, homogeneous_fn=None):
+def assemble_affine_operator(apply_fn, disc, *, homogeneous_fn):
     """Assemble apply_fn(u) = A u + c by probing the matrix-free kernel.
 
-    radius is the stencil width in elements: 2 for LDG diffusion (gradient
-    then divergence), 1 for pure advection.  When the affine part carries
-    large boundary data, pass homogeneous_fn (same operator with zero
-    boundary data) so the unit probes of A are not lost to cancellation.
+    homogeneous_fn is the same operator with zero boundary data: A is probed
+    through it so that the unit probes are not lost to cancellation against
+    large boundary data.  With E the element adjacency of the subdomain,
+    column block k of A lives on the rows of reach = (I + E)^2, the elements
+    within two faces of k (LDG: gradient, then divergence).  Elements more
+    than four faces apart, outside the pattern of reach^2, have disjoint
+    reaches and are probed together; the greedy coloring takes the smallest
+    free color in element order.
     """
     K, Np = disc.K, disc.Np
     c = apply_fn(np.zeros((K, Np)))
-    hfn = homogeneous_fn if homogeneous_fn is not None else apply_fn
-    ch = hfn(np.zeros((K, Np)))
-    colors, nbrs = _stencil_colors(disc, radius)
+    ch = homogeneous_fn(np.zeros((K, Np)))
+    glob2sub = -np.ones(disc.mesh.K, dtype=int)
+    glob2sub[disc.elems] = np.arange(K)
+    nbr = glob2sub[disc.mesh.etoe[disc.elems]]
+    own = np.broadcast_to(np.arange(K)[:, None], nbr.shape)
+    inner = (nbr >= 0) & (nbr != own)
+    step = sp.identity(K, format="csr") + sp.csr_matrix(
+        (np.ones(inner.sum()), (own[inner], nbr[inner])), shape=(K, K))
+    reach = step @ step
+    conflict = reach @ reach
+    colors = -np.ones(K, dtype=int)
+    for k in range(K):
+        taken = set(colors[conflict.indices[
+            conflict.indptr[k]:conflict.indptr[k + 1]]].tolist())
+        color = 0
+        while color in taken:
+            color += 1
+        colors[k] = color
     rows, cols, vals = [], [], []
     for color in range(colors.max() + 1):
         ks = np.flatnonzero(colors == color)
+        blocks = reach[ks].tocoo()      # (probe, element it reaches) pairs
+        hit = blocks.col
         for j in range(Np):
             u = np.zeros((K, Np))
             u[ks, j] = 1.0
-            r = hfn(u) - ch
-            for k in ks:
-                for k2 in sorted(_ball(nbrs, k, radius)):
-                    rows.extend(k2 * Np + np.arange(Np))
-                    cols.extend([k * Np + j] * Np)
-                    vals.extend(r[k2])
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(K * Np, K * Np))
+            r = homogeneous_fn(u) - ch
+            rows.append((hit[:, None] * Np + np.arange(Np)).ravel())
+            cols.append(np.repeat(ks[blocks.row] * Np + j, Np))
+            vals.append(r[hit].ravel())
+    a = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(K * Np, K * Np))
     a.eliminate_zeros()
     return a, c.reshape(-1)
 
@@ -215,12 +205,9 @@ class StationaryProblem:
         self._setup_dd_bc()
 
     # -- boundary plumbing ----------------------------------------------
-    def _contact_of_face(self, disc):
-        return contact_face_index(disc, self.contacts)
-
     def _setup_poisson_bc(self):
         d = self.pdisc
-        self.p_contact = self._contact_of_face(d)
+        self.p_contact = contact_face_index(d, self.contacts)
         self.poisson = LDGDiffusion(d)
         if not np.any(self.poisson.dir_mask):
             raise PhysicsError("all-Neumann Poisson problem: no electrode "
@@ -244,10 +231,8 @@ class StationaryProblem:
 
     def _setup_dd_bc(self):
         d = self.ddisc
-        self.d_contact = self._contact_of_face(d)
+        self.d_contact = contact_face_index(d, self.contacts)
         ne_c, nh_c = ph.ohmic_contact_densities(self.doping, self.n_i)
-        self.ne_contact = np.broadcast_to(ne_c, (d.K, d.Np)).copy()
-        self.nh_contact = np.broadcast_to(nh_c, (d.K, d.Np)).copy()
         self.fd_ne = np.repeat(ne_c, d.nfp_tot, axis=1)
         self.fd_nh = np.repeat(nh_c, d.nfp_tot, axis=1)
 
@@ -270,14 +255,6 @@ class StationaryProblem:
         rho = np.zeros((self.pdisc.K, self.pdisc.Np))
         rho[self.semi_in_p] = Q * (n_h - n_e + self.doping)
         return rho
-
-    def poisson_solve(self, n_e, n_h, dirichlet_vals=None):
-        """Linear Poisson solve with frozen charge; returns phi, E^s."""
-        a, c = self._poisson_operator(dirichlet_vals)
-        rho = self.charge_density(n_e, n_h).reshape(-1)
-        phi = solve_sparse(a, rho - c).reshape(self.pdisc.K, self.pdisc.Np)
-        g = self.phi_dirichlet if dirichlet_vals is None else dirichlet_vals
-        return phi, tuple(-q for q in self.poisson.gradient(phi, g))
 
     # -- continuity ------------------------------------------------------
     def _carrier_system(self, carrier, n_other, lagged):
@@ -332,17 +309,17 @@ class StationaryProblem:
         zeros = tuple(np.zeros_like(phi) for _ in range(self.pdisc.ref.dim))
         zd = tuple(np.zeros_like(n_e) for _ in range(self.ddisc.ref.dim))
         return StationarySolution(phi=phi, e_s=zeros, n_e=n_e, n_h=n_h,
-                                  j_e=zd, j_h=zd,
+                                  j=zd,
                                   mesh_hash=self.mesh.content_hash())
 
-    def _newton_poisson(self, phi, n_e, n_h, max_iter=30, clamp=5.0,
-                        dirichlet_vals=None):
+    def _newton_poisson(self, phi, n_e, n_h, dirichlet_vals=None):
         """Damped Newton on the nonlinear Poisson equation with Boltzmann-
-        linearized charge; returns updated phi and the carrier multipliers."""
+        linearized charge, each step clamped to _NEWTON_CLAMP V_T; returns
+        updated phi and the carrier multipliers."""
         v_t = self.materials.v_t
         a, c = self._poisson_operator(dirichlet_vals)
         ne, nh = n_e.copy(), n_h.copy()
-        for it in range(max_iter):
+        for it in range(_NEWTON_MAX_ITER):
             resid = a @ phi.reshape(-1) + c - self.charge_density(ne, nh).reshape(-1)
             dcharge = np.zeros((self.pdisc.K, self.pdisc.Np))
             dcharge[self.semi_in_p] = Q * (ne + nh) / v_t
@@ -350,7 +327,8 @@ class StationaryProblem:
             dphi = solve_sparse(jac.tocsr(), -resid)
             if not np.all(np.isfinite(dphi)):
                 raise ConvergenceError("Newton-Poisson produced non-finite update")
-            step = np.clip(dphi.reshape(phi.shape), -clamp * v_t, clamp * v_t)
+            step = np.clip(dphi.reshape(phi.shape), -_NEWTON_CLAMP * v_t,
+                           _NEWTON_CLAMP * v_t)
             phi = phi + step
             upd = step[self.semi_in_p] / v_t
             ne = ne * np.exp(upd)
@@ -409,8 +387,9 @@ class StationaryProblem:
         return phi, n_e, n_h
 
     def _gummel_sweeps(self, g_dir, phi, n_e, n_h, tol, max_iter, history,
-                       verbose, label="", anderson_depth=4):
-        """Anderson-accelerated fixed-point iteration on the Gummel sweep."""
+                       verbose, label=""):
+        """Fixed-point iteration on the Gummel sweep, Anderson-accelerated
+        over the last _ANDERSON_DEPTH iterates."""
         v_t = self.materials.v_t
         np_p = self.pdisc.K * self.pdisc.Np
         s = self._pack(phi, n_e, n_h)
@@ -434,7 +413,7 @@ class StationaryProblem:
                 return phi, e_s, n_e, n_h
             s_hist.append(s)
             f_hist.append(f)
-            if len(s_hist) > anderson_depth:
+            if len(s_hist) > _ANDERSON_DEPTH:
                 s_hist.pop(0)
                 f_hist.pop(0)
             m = len(s_hist)
@@ -454,18 +433,11 @@ class StationaryProblem:
             f"(last update {history[-1]:.3e})", history)
 
     def _finalize(self, phi, e_s, n_e, n_h, history):
-        dd = self.dd
         e_dd = self.e_on_dd(e_s)
-        dd.set_stationary(e_dd, n_e, n_h)
-        grad_ne = dd.gradient(n_e, self.fd_ne)
-        grad_nh = dd.gradient(n_h, self.fd_nh)
-        dim = self.ddisc.ref.dim
-        j_e = tuple(Q * (dd.mu_e * n_e * e_dd[nu] + dd.d_e * grad_ne[nu])
-                    for nu in range(dim))
-        j_h = tuple(Q * (dd.mu_h * n_h * e_dd[nu] - dd.d_h * grad_nh[nu])
-                    for nu in range(dim))
+        self.dd.set_stationary(e_dd, n_e, n_h)
+        j = self.dd.conduction_current(n_e, n_h, e_dd, self.fd_ne, self.fd_nh)
         return StationarySolution(
-            phi=phi, e_s=e_s, n_e=n_e, n_h=n_h, j_e=j_e, j_h=j_h,
+            phi=phi, e_s=e_s, n_e=n_e, n_h=n_h, j=j,
             gummel_history=history, converged=True,
             mesh_hash=self.mesh.content_hash())
 
@@ -487,11 +459,10 @@ class StationaryProblem:
         """Terminal current per contact, I = contour integral of (J_e+J_h).n."""
         if not sol.converged:
             raise ConvergenceError("stationary_current needs a converged solution")
-        if sol.j_e is None:
+        if sol.j is None:
             raise PhysicsError("the solution carries no currents (a checkpoint "
                                "stores none); solve the problem to get them")
-        jtot = tuple(je + jh for je, jh in zip(sol.j_e, sol.j_h))
-        return contact_currents(self.ddisc, jtot, self.d_contact, self.contacts)
+        return contact_currents(self.ddisc, sol.j, self.d_contact, self.contacts)
 
 
 def contact_currents(disc, j, contact_idx, contacts):
@@ -550,7 +521,7 @@ def save_checkpoint(path, problem, sol):
 
 def load_checkpoint(path, problem):
     """Read a checkpoint and validate it against the problem's mesh hash and
-    state key.  The solution carries no currents (j_e = j_h = None)."""
+    state key.  The solution carries no currents (j = None)."""
     d = problem.pdisc
     with open(path) as fh:
         lines = fh.readlines()
@@ -586,5 +557,5 @@ def load_checkpoint(path, problem):
     n_e = n_e_full[problem.semi_in_p]
     n_h = n_h_full[problem.semi_in_p]
     return StationarySolution(phi=phi, e_s=e_s, n_e=n_e, n_h=n_h,
-                              j_e=None, j_h=None, converged=True,
+                              j=None, converged=True,
                               mesh_hash=mesh_hash)

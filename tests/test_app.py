@@ -93,7 +93,7 @@ class TestQuantityParsing:
 
 class TestShippedConfig:
     def test_parses_strict(self):
-        cfg = parse_config(SHIPPED, strict=True)
+        cfg = parse_config(SHIPPED)
         assert cfg.contacts[0].voltage == pytest.approx(10.0)
         mat = cfg.materials["pcd"]
         assert mat.doping == pytest.approx(1.3e22)
@@ -124,7 +124,7 @@ def test_documented_decks_parse_strict(deck, tmp_path):
         path.write_text(_readme_decks()[int(deck.split("#")[1])])
     else:
         path = os.path.join(REPO, deck)
-    cfg = parse_config(str(path), strict=True)
+    cfg = parse_config(str(path))
     assert cfg.build_mesh().K > 0
 
 
@@ -136,9 +136,17 @@ class TestConfigValidation:
     def test_unknown_key_strict(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(DEVICE_CFG + "\nwibble = 3\n")
-        with pytest.raises(ConfigurationError, match="wibble"):
-            parse_config(str(path), strict=True)
-        parse_config(str(path))   # lax mode tolerates it
+        with pytest.raises(ConfigurationError, match="probes.wibble"):
+            parse_config(str(path))
+        # every section rejects a key it does not read
+        for sec in ("mesh", "region.semi", "contact.anode"):
+            path.write_text(DEVICE_CFG.replace(f"[{sec}]\n",
+                                               f"[{sec}]\nwibble = 3\n"))
+            with pytest.raises(ConfigurationError, match=f"{sec}.wibble"):
+                parse_config(str(path))
+        path.write_text(DEVICE_CFG + "\n[convergence]\nwibble = 3\n")
+        with pytest.raises(ConfigurationError, match="convergence.wibble"):
+            parse_config(str(path))
 
     def test_negative_lifetime_message(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -5,8 +5,10 @@ import pytest
 
 from pcddg.dgops import interpolate, interpolation_rows
 from pcddg.mesh import make_spec, generate_structured_mesh, unit_interval_mesh
-from pcddg.physics import MaterialTable, PhysicsError, lt_gaas, EPS0, Q
-from pcddg.stationary import (StationaryProblem, make_contacts,
+from pcddg.physics import (MaterialTable, PhysicsError, gold, lt_gaas, vacuum,
+                           EPS0, Q)
+from pcddg.stationary import (StationaryProblem, assemble_affine_operator,
+                              make_contacts, solve_sparse,
                               save_checkpoint, load_checkpoint)
 
 from sg_oracle import SGProblem, lt_gaas_params
@@ -35,6 +37,30 @@ def diode_problem(h=2e-8, p=2, v_bias=0.0, length=2e-6):
     contacts = make_contacts([("left", [0.0], [0.0], v_bias),
                               ("right", [length], [length], 0.0)])
     return StationaryProblem(mesh, mats, contacts, p=p)
+
+
+def electrodes_problem(p=1, h=0.25e-6):
+    """Coarse two-electrode device: gold electrodes on LT-GaAs, vacuum in
+    the gap, 1 V across."""
+    um = 1e-6
+    spec = make_spec(
+        2, [0, 0], [2 * um, 1.2 * um],
+        [("semi", [0, 0], [2 * um, 1 * um], h),
+         ("auL", [0, 1 * um], [0.5 * um, 1.2 * um], h),
+         ("auR", [1.5 * um, 1 * um], [2 * um, 1.2 * um], h),
+         ("vac", [0.5 * um, 1 * um], [1.5 * um, 1.2 * um], h)],
+        tag_boxes=[("ELECTRODE_D", [0, 1.2 * um], [0.5 * um, 1.2 * um]),
+                   ("ELECTRODE_D", [1.5 * um, 1.2 * um], [2 * um, 1.2 * um]),
+                   ("ABC", [0, 0], [2 * um, 0]),
+                   ("INSULATOR_R", [0, 0], [2 * um, 1.2 * um])],
+        default_tag="PEC")
+    mats = MaterialTable({"semi": lt_gaas(), "auL": gold(), "auR": gold(),
+                          "vac": vacuum()})
+    contacts = make_contacts([("anode", [0, um], [0.5 * um, 1.2 * um], 1.0),
+                              ("cathode", [1.5 * um, um], [2 * um, 1.2 * um],
+                               0.0)])
+    return StationaryProblem(generate_structured_mesh(spec), mats, contacts,
+                             p=p)
 
 
 class TestEquilibrium:
@@ -79,9 +105,8 @@ class TestPoisson:
             xf = d.x.reshape(-1, 1)[d.vmapM].reshape(d.K, d.nfp_tot)
             g = np.sin(k * xf)
             rho = eps * k ** 2 * np.sin(k * d.x[:, :, 0])
-            n_e = np.full((d.K, d.Np), C)
-            n_h = rho / Q
-            phi, e_s = prob.poisson_solve(n_e, n_h, dirichlet_vals=g)
+            a, c = prob._poisson_operator(g)
+            phi = solve_sparse(a, rho.reshape(-1) - c).reshape(d.K, d.Np)
             err = d.l2_norm(phi - np.sin(k * d.x[:, :, 0]))
             errs.append(err)
             hs.append(L / n)
@@ -89,7 +114,6 @@ class TestPoisson:
         assert orders[-1] > p + 0.5
 
     def test_linear_solve_residual(self):
-        from pcddg.stationary import assemble_affine_operator
         prob = resistor_problem(n=30)
         a, c = assemble_affine_operator(
             prob.poisson_apply, prob.pdisc,
@@ -97,7 +121,6 @@ class TestPoisson:
                 u, np.zeros_like(prob.phi_dirichlet)))
         rho = prob.charge_density(np.full((30, 3), C),
                                   np.full((30, 3), 9e12 ** 2 / C)).reshape(-1)
-        from pcddg.stationary import solve_sparse
         phi = solve_sparse(a, rho - c)
         resid = np.linalg.norm(a @ phi + c - rho)
         assert resid <= 1e-10 * max(np.linalg.norm(rho), np.linalg.norm(c))
@@ -138,6 +161,60 @@ class TestPoisson:
         with pytest.raises(PhysicsError,
                            match="'cathode' matches no electrode face"):
             StationaryProblem(mesh, mats, contacts, p=2)
+
+
+def affine_system(prob, name):
+    """(apply_fn, homogeneous_fn, disc) of the Poisson or one continuity
+    system, at the field of one Newton-Poisson step at full bias."""
+    g = prob._volt_face + prob._built_in_face
+    if name == "poisson":
+        return (lambda u: prob.poisson_apply(u, g),
+                lambda u: prob.poisson_apply(u, 0.0), prob.pdisc)
+    sol = prob.equilibrium_initial_guess()
+    phi, n_e, n_h = prob._newton_poisson(sol.phi, sol.n_e, sol.n_h,
+                                         dirichlet_vals=g)
+    e_s = tuple(-q for q in prob.poisson.gradient(phi, g))
+    prob.dd.set_stationary(prob.e_on_dd(e_s), n_e, n_h)
+    n_other = n_h if name == "e" else n_e
+    return prob._carrier_system(name, n_other, (n_e, n_h)) + (prob.ddisc,)
+
+
+def probe_each_column(fn, disc):
+    """Dense matrix of the linear part of fn: one unit probe per column,
+    K*Np kernel calls."""
+    shape = (disc.K, disc.Np)
+    f0 = fn(np.zeros(shape))
+    cols = []
+    for i in range(disc.K * disc.Np):
+        u = np.zeros(disc.K * disc.Np)
+        u[i] = 1.0
+        cols.append((fn(u.reshape(shape)) - f0).reshape(-1))
+    return np.column_stack(cols)
+
+
+ASSEMBLY_CASES = ([("resistor", p) for p in (1, 2, 3)]
+                  + [("electrodes", p) for p in (1, 2)])
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("system", ["poisson", "e", "h"])
+    @pytest.mark.parametrize("device,p", ASSEMBLY_CASES)
+    def test_matches_column_probing(self, device, p, system):
+        # colored probing reads each column exactly as a lone unit probe
+        # does: A and c are bitwise those of K*Np single-column probes
+        if device == "resistor":
+            prob = resistor_problem(n=12, p=p, v_bias=0.5)
+        else:
+            prob = electrodes_problem(p=p)
+        apply_fn, homogeneous_fn, disc = affine_system(prob, system)
+        a, c = assemble_affine_operator(apply_fn, disc,
+                                        homogeneous_fn=homogeneous_fn)
+        assert a.dtype == np.float64 and a.has_canonical_format
+        assert np.all(a.data != 0)
+        assert np.array_equal(a.toarray(),
+                              probe_each_column(homogeneous_fn, disc))
+        assert np.array_equal(c, apply_fn(np.zeros((disc.K, disc.Np)))
+                              .reshape(-1))
 
 
 class TestOracleEquivalence:
@@ -273,6 +350,6 @@ class TestCheckpoint:
         path = tmp_path / "stationary.chk"
         save_checkpoint(path, prob, prob.gummel_solve())
         back = load_checkpoint(path, prob)
-        assert back.j_e is None and back.j_h is None
+        assert back.j is None
         with pytest.raises(PhysicsError, match="no currents"):
             prob.stationary_current(back)
