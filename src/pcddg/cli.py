@@ -53,8 +53,6 @@ def build_parser():
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="device config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="BLAS/OpenMP thread cap")
     return parser
 
 
@@ -64,34 +62,18 @@ def _out_dir(args):
     return d
 
 
-def _limit_threads(n):
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
-def _stationary_problem(cfg, mesh, p):
-    table = cfg.material_table()
-    return StationaryProblem(mesh, table, cfg.contacts, p=p)
-
-
-def _solve_stationary(cfg, mesh, p, verbose=True):
-    prob = _stationary_problem(cfg, mesh, p)
-    sol = prob.gummel_solve(verbose=verbose)
-    return prob, sol
+def _stationary_problem(cfg, mesh):
+    """The stationary problem at run.p_dd, which parse_config makes equal
+    to run.p_em: the transient's DD solver shares the EM nodes."""
+    return StationaryProblem(mesh, cfg.material_table(), cfg.contacts,
+                             p=cfg.p_dd)
 
 
 def run_stationary(cfg, out_dir):
     t0 = time.perf_counter()
     mesh = cfg.build_mesh()
-    prob, sol = _solve_stationary(cfg, mesh, cfg.p_dd)
+    prob = _stationary_problem(cfg, mesh)
+    sol = prob.gummel_solve(verbose=True)
     save_checkpoint(os.path.join(out_dir, "stationary.chk"), prob, sol)
 
     currents = prob.stationary_current(sol)
@@ -100,14 +82,9 @@ def run_stationary(cfg, out_dir):
     out_mod._atomic_write(os.path.join(out_dir, "stationary_currents.csv"),
                           "\n".join(lines) + "\n")
 
-    dim = prob.pdisc.ref.dim
-    n_e = np.zeros((prob.pdisc.K, prob.pdisc.Np))
-    n_h = np.zeros_like(n_e)
-    n_e[prob.semi_in_p] = sol.n_e
-    n_h[prob.semi_in_p] = sol.n_h
-    e_vec = sol.e_s if dim == 2 else (sol.e_s[0],)
+    n_e, n_h = prob.poisson_densities(sol)
     out_mod.write_vtk(os.path.join(out_dir, "stationary.vtk"), prob.pdisc,
-                      {"phi": sol.phi, "n_e": n_e, "n_h": n_h, "E": e_vec})
+                      {"phi": sol.phi, "n_e": n_e, "n_h": n_h, "E": sol.e_s})
 
     manifest = out_mod.RunManifest(
         command="stationary", config_hash=cfg.config_hash,
@@ -130,9 +107,9 @@ def run_transient(cfg, out_dir):
     mesh = cfg.build_mesh()
     table = cfg.material_table()
 
-    # stationary seed at the EM order so both solvers share nodal layouts;
-    # fall back to a fresh solve when no compatible checkpoint exists
-    prob = _stationary_problem(cfg, mesh, cfg.p_em)
+    # stationary seed from the checkpoint; a fresh solve when no compatible
+    # checkpoint exists
+    prob = _stationary_problem(cfg, mesh)
     chk = os.path.join(out_dir, "stationary.chk")
     sol = None
     if os.path.exists(chk):
@@ -148,9 +125,7 @@ def run_transient(cfg, out_dir):
     em_disc = build_discretization(mesh,
                                    build_reference_element(mesh.dim, cfg.p_em))
     em = MaxwellSolver(em_disc, table, source=cfg.source, pml=cfg.pml)
-    dd = prob.dd
-    dd.set_stationary(prob.e_on_dd(sol.e_s), sol.n_e, sol.n_h)
-    cs = CoupledSystem(em, dd, wavelength=cfg.wavelength,
+    cs = CoupledSystem(em, prob.dd, wavelength=cfg.wavelength,
                        contacts=tuple(cfg.contacts))
 
     e_mag = float(max(np.max(np.abs(c)) for c in sol.e_s))
@@ -276,7 +251,6 @@ _RUNNERS = {"stationary": run_stationary, "transient": run_transient,
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _limit_threads(args.threads)
     try:
         cfg = parse_config(args.config)
         out_dir = _out_dir(args)

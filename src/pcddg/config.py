@@ -274,6 +274,11 @@ def parse_config(path):
     for label, p in (("p_em", p_em), ("p_dd", p_dd)):
         if not 1 <= p <= 6:
             raise ConfigurationError(f"run.{label} must be in [1, 6], got {p}")
+    if p_dd != p_em:
+        # the transient seeds the DD solver with the stationary state on
+        # the nodes of the EM order
+        raise ConfigurationError(f"run.p_dd = {p_dd} and run.p_em = {p_em} "
+                                 "must be equal")
     m_override = None
     if "m" in run and run["m"].strip() != "auto":
         m_override = int(run["m"])

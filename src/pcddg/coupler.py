@@ -121,7 +121,6 @@ class MultirateSchedule:
     dt_em: float
     m: int
     t_end: float
-    n_sync: int = 0
 
     def __post_init__(self):
         if self.dt_em <= 0 or self.t_end <= 0:
@@ -212,7 +211,6 @@ class CoupledSystem:
         if self.contacts:
             from .stationary import contact_face_index
             self.contact_idx = contact_face_index(dd.disc, self.contacts)
-        self._g_last = None
 
     # -- field plumbing --------------------------------------------------
     def e_t_on_dd(self, em_state):
@@ -263,35 +261,30 @@ def _log(log, t, action):
         log.append(f"t={t:.17g} action={action}")
 
 
-def multirate_advance(cs, em_state, dd_state, t, schedule, log=None):
-    """Advance the coupled system one DD macro step (m Maxwell substeps)."""
-    dt_dd = schedule.dt_dd
-    expect = schedule.n_sync * dt_dd
-    if abs(t - expect) > 1e-9 * max(dt_dd, abs(t), 1e-300):
-        raise PhysicsError(f"clocks desynchronized: t={t} but sync counter "
-                           f"implies {expect}")
+def multirate_advance(cs, em_state, dd_state, t, schedule, g_last=None,
+                      log=None):
+    """Advance the coupled system one DD macro step (m Maxwell substeps)
+    from time t.  g_last is the generation before the last Maxwell substep
+    of the previous macro step (None at the first); returns the new states
+    and that generation of this step."""
     # averaged generation from the two most recent Maxwell steps
     g_now = cs.generation(em_state)
-    g_last = g_now if cs._g_last is None else cs._g_last
-    g_tilde = 0.5 * (g_last + g_now)
+    g_tilde = 0.5 * ((g_now if g_last is None else g_last) + g_now)
     _log(log, t, "gen_avg")
 
     e_t_sync = cs.e_t_on_dd(em_state)
     dd_rhs = lambda s, tt: cs.dd.carrier_rhs(s, g=g_tilde, e_t=e_t_sync)
-    dd_state = tvd_rk3_step(dd_state, dd_rhs, dt_dd, t)
+    dd_state = tvd_rk3_step(dd_state, dd_rhs, schedule.dt_dd, t)
     _log(log, t, "dd_step")
 
     em_rhs = cs._em_rhs_with_carriers(dd_state)
     for i in range(schedule.m):
         if i == schedule.m - 1:
-            cs._g_last = cs.generation(em_state)
+            g_last = cs.generation(em_state)
         em_state = lsrk45_step(em_state, em_rhs, schedule.dt_em,
                                t + i * schedule.dt_em)
         _log(log, t + (i + 1) * schedule.dt_em, "em_step")
-    schedule.n_sync += 1
-    t = schedule.n_sync * dt_dd
-    _log(log, t, "sync")
-    return em_state, dd_state, t
+    return em_state, dd_state, g_last
 
 
 def terminal_current_probe(cs, em_state, dd_state, t=0.0):
@@ -310,18 +303,23 @@ def terminal_current_probe(cs, em_state, dd_state, t=0.0):
 
 
 def run_coupled(cs, schedule, probes=None, log=None):
-    """March the coupled system to t_end, recording probes at sync points."""
+    """March the coupled system to t_end, recording probes at sync points.
+    The march owns its clock and the generation carried between macro
+    steps, so cs and schedule can run again."""
     if probes is not None:
         probes.validate(cs.em.disc)
     em_state = cs.em.zero_state()
     dd_state = np.zeros((2, cs.dd.disc.K, cs.dd.disc.Np))
     t = 0.0
+    g_last = None
     if probes is not None:
         probes.record(cs, em_state, dd_state, t)
     n_macro = int(round(schedule.t_end / schedule.dt_dd))
     for k in range(n_macro):
-        em_state, dd_state, t = multirate_advance(cs, em_state, dd_state, t,
-                                                  schedule, log=log)
+        em_state, dd_state, g_last = multirate_advance(
+            cs, em_state, dd_state, t, schedule, g_last=g_last, log=log)
+        t = (k + 1) * schedule.dt_dd
+        _log(log, t, "sync")
         if probes is not None and (k + 1) % probes.cadence == 0:
             probes.record(cs, em_state, dd_state, t)
     return em_state, dd_state, t

@@ -48,7 +48,6 @@ class Material:
     alpha_abs: float = 0.0       # m^-1
     eta: float = 1.0
     drude: DrudeParams = None
-    pml: bool = False
 
     def __post_init__(self):
         if self.eps_r <= 0 or self.mu_r <= 0:
@@ -167,6 +166,9 @@ def ev_to_angular_frequency(e_ev):
     return e_ev * Q / HBAR
 
 
+_SQRT_2LN2 = np.sqrt(2.0 * np.log(2.0))
+
+
 @dataclass
 class OpticalSourceSpec:
     """Gaussian-modulated optical beam entering through a tagged aperture."""
@@ -189,11 +191,7 @@ class OpticalSourceSpec:
     @property
     def sigma_t(self):
         # amplitude spectrum |g^(f)| has FWHM f_w
-        return np.sqrt(2.0 * np.log(2.0)) / (np.pi * self.f_w)
-
-    @property
-    def wavelength(self):
-        return C0 / self.f_c
+        return _SQRT_2LN2 / (np.pi * self.f_w)
 
     @property
     def delay(self):
@@ -201,9 +199,9 @@ class OpticalSourceSpec:
 
     def envelope(self, t):
         """Gaussian-modulated carrier at time t (a float or an array)."""
-        sigma_t = self.sigma_t
-        u = t - (4.0 * sigma_t if self.t0 is None else self.t0)
-        return np.exp(-u * u / (2.0 * sigma_t ** 2)) * np.sin(2 * np.pi * self.f_c * u)
+        u = t - self.delay
+        return (np.exp(-u * u / (2.0 * self.sigma_t ** 2))
+                * np.sin(2 * np.pi * self.f_c * u))
 
 
 # ---------------------------------------------------------------------------

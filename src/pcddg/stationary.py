@@ -10,12 +10,22 @@ Sparse operators are assembled by probing these matrix-free kernels with
 colored unit vectors (Curtis-Powell-Reid), so the assembled systems are
 exactly the kernels the transient solver runs.  The probing stencil is one
 sparse adjacency product, the elements within two faces: the width of the
-LDG kernel, not a parameter.
+LDG kernel, not a parameter.  The Poisson matrix depends on eps, the mesh
+and the penalty only: each problem probes it once, on first use, and a
+Newton-Poisson step forms only the offset of its Dirichlet data.
+
+The stationary state is (phi, n_e, n_h).  StationaryProblem._finalize is
+the one place a StationarySolution is built: it derives E = -grad phi at
+the contact potentials, the conduction current and the DD solver's
+stationary state from the three arrays.  A checkpoint (format v3) stores
+only those arrays per Poisson node, so a loaded solution is bitwise the
+solved one, current included.
 """
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,15 +95,14 @@ def contact_face_index(disc, contacts):
 
 @dataclass
 class StationarySolution:
+    """(phi, n_e, n_h) and what StationaryProblem._finalize derives from
+    them."""
     phi: np.ndarray                  # (Kp, Np) on the Poisson subdomain
     e_s: tuple                       # field components, same layout
     n_e: np.ndarray                  # (Kd, Np) on the semiconductor subdomain
     n_h: np.ndarray
-    j: tuple                         # conduction-current components (Kd, Np);
-                                     # None when loaded from a checkpoint
-    gummel_history: list = field(default_factory=list)
-    converged: bool = False
-    mesh_hash: str = ""
+    j: tuple                         # conduction-current components (Kd, Np)
+    gummel_history: list             # max|dphi|/V_T per sweep; [] if loaded
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +200,6 @@ class StationaryProblem:
         # semiconductor rows inside the Poisson subdomain
         p2s = {g: i for i, g in enumerate(self.pdisc.elems)}
         self.semi_in_p = np.array([p2s[g] for g in self.ddisc.elems])
-        self.semi_mask_p = np.zeros(self.pdisc.K, dtype=bool)
-        self.semi_mask_p[self.semi_in_p] = True
 
         self.eps_p = per_elem([m.eps_r * ph.EPS0 for m in mats],
                               self.pdisc.elems)[:, None]
@@ -244,17 +251,27 @@ class StationaryProblem:
         volume, surface = self.poisson.diffusion(phi, self.eps_p, g, self.tau)
         return -(volume + surface)
 
-    def _poisson_operator(self, dirichlet_vals):
-        """Sparse A and offset c with poisson_apply(u) = A u + c."""
-        return assemble_affine_operator(
-            lambda u: self.poisson_apply(u, dirichlet_vals), self.pdisc,
-            homogeneous_fn=lambda u: self.poisson_apply(u, 0.0))
+    @cached_property
+    def poisson_matrix(self):
+        """Sparse A with poisson_apply(u, g) = A u + poisson_apply(0, g) for
+        every Dirichlet data g; probed on first use, not at set-up."""
+        def homogeneous(u):
+            return self.poisson_apply(u, 0.0)
+        a, _ = assemble_affine_operator(homogeneous, self.pdisc,
+                                        homogeneous_fn=homogeneous)
+        return a
 
     def charge_density(self, n_e, n_h):
         """rho = q (n_h - n_e + C) on semiconductor rows of the Poisson grid."""
         rho = np.zeros((self.pdisc.K, self.pdisc.Np))
         rho[self.semi_in_p] = Q * (n_h - n_e + self.doping)
         return rho
+
+    def poisson_densities(self, sol):
+        """(n_e, n_h) of sol on the Poisson grid, 0 off the semiconductor."""
+        dens = np.zeros((2, self.pdisc.K, self.pdisc.Np))
+        dens[:, self.semi_in_p] = sol.n_e, sol.n_h
+        return dens
 
     # -- continuity ------------------------------------------------------
     def _carrier_system(self, carrier, n_other, lagged):
@@ -300,24 +317,23 @@ class StationaryProblem:
 
     # -- Gummel ----------------------------------------------------------
     def equilibrium_initial_guess(self):
+        """(phi, n_e, n_h) of local charge neutrality at zero bias."""
         ne, nh = ph.ohmic_contact_densities(self.doping, self.n_i)
         v_t = self.materials.v_t
         n_e = np.broadcast_to(ne, (self.ddisc.K, self.ddisc.Np)).copy()
         n_h = np.broadcast_to(nh, (self.ddisc.K, self.ddisc.Np)).copy()
         phi = np.zeros((self.pdisc.K, self.pdisc.Np))
         phi[self.semi_in_p] = v_t * np.log(n_e / self.n_i)
-        zeros = tuple(np.zeros_like(phi) for _ in range(self.pdisc.ref.dim))
-        zd = tuple(np.zeros_like(n_e) for _ in range(self.ddisc.ref.dim))
-        return StationarySolution(phi=phi, e_s=zeros, n_e=n_e, n_h=n_h,
-                                  j=zd,
-                                  mesh_hash=self.mesh.content_hash())
+        return phi, n_e, n_h
 
-    def _newton_poisson(self, phi, n_e, n_h, dirichlet_vals=None):
+    def _newton_poisson(self, phi, n_e, n_h, g_dir):
         """Damped Newton on the nonlinear Poisson equation with Boltzmann-
-        linearized charge, each step clamped to _NEWTON_CLAMP V_T; returns
-        updated phi and the carrier multipliers."""
+        linearized charge and Dirichlet data g_dir, each step clamped to
+        _NEWTON_CLAMP V_T; returns updated phi and the carrier
+        multipliers."""
         v_t = self.materials.v_t
-        a, c = self._poisson_operator(dirichlet_vals)
+        a = self.poisson_matrix
+        c = self.poisson_apply(np.zeros_like(phi), g_dir).reshape(-1)
         ne, nh = n_e.copy(), n_h.copy()
         for it in range(_NEWTON_MAX_ITER):
             resid = a @ phi.reshape(-1) + c - self.charge_density(ne, nh).reshape(-1)
@@ -347,27 +363,25 @@ class StationaryProblem:
             ramp_step = 10.0 * v_t
         v_max = max((abs(ct.voltage) for ct in self.contacts), default=0.0)
         n_stage = max(1, int(np.ceil(v_max / ramp_step)))
-        sol = self.equilibrium_initial_guess()
-        phi, n_e, n_h = sol.phi, sol.n_e, sol.n_h
+        phi, n_e, n_h = self.equilibrium_initial_guess()
         history = []
         for stage in range(1, n_stage + 1):
             scale = stage / n_stage
             g_dir = scale * self._volt_face + self._built_in_face
-            phi, e_s, n_e, n_h = self._gummel_sweeps(
+            phi, n_e, n_h = self._gummel_sweeps(
                 g_dir, phi, n_e, n_h, tol, max_iter, history, verbose,
                 label=f"ramp {scale:.3f}")
-        return self._finalize(phi, e_s, n_e, n_h, history)
+        return self._finalize(phi, n_e, n_h, history)
 
     def _sweep(self, g_dir, phi, n_e, n_h):
         """One Gummel sweep: nonlinear Poisson, then the two continuity
-        solves; returns the updated state and the field."""
-        phi, n_e_b, n_h_b = self._newton_poisson(phi, n_e, n_h,
-                                                 dirichlet_vals=g_dir)
+        solves in its field; returns the updated state."""
+        phi, n_e_b, n_h_b = self._newton_poisson(phi, n_e, n_h, g_dir)
         e_s = tuple(-q for q in self.poisson.gradient(phi, g_dir))
         self.dd.set_stationary(self.e_on_dd(e_s), n_e_b, n_h_b)
         n_e = self.continuity_solve("e", n_e_b, n_h_b)
         n_h = self.continuity_solve("h", n_h, n_e)
-        return phi, n_e, n_h, e_s
+        return phi, n_e, n_h
 
     def _pack(self, phi, n_e, n_h):
         v_t = self.materials.v_t
@@ -394,10 +408,9 @@ class StationaryProblem:
         np_p = self.pdisc.K * self.pdisc.Np
         s = self._pack(phi, n_e, n_h)
         s_hist, f_hist = [], []
-        e_s = None
         for it in range(max_iter):
             phi, n_e, n_h = self._unpack(s)
-            phi, n_e, n_h, e_s = self._sweep(g_dir, phi, n_e, n_h)
+            phi, n_e, n_h = self._sweep(g_dir, phi, n_e, n_h)
             if not np.all(np.isfinite(phi)):
                 bad = np.argwhere(~np.isfinite(phi))[0]
                 raise ConvergenceError(f"non-finite potential at element "
@@ -410,7 +423,7 @@ class StationaryProblem:
                 print(f"gummel {label} iter {it:3d}: "
                       f"max|dphi|/V_T = {update:.3e}")
             if update < tol:
-                return phi, e_s, n_e, n_h
+                return phi, n_e, n_h
             s_hist.append(s)
             f_hist.append(f)
             if len(s_hist) > _ANDERSON_DEPTH:
@@ -432,14 +445,16 @@ class StationaryProblem:
             f"Gummel iteration did not reach {tol} in {max_iter} sweeps "
             f"(last update {history[-1]:.3e})", history)
 
-    def _finalize(self, phi, e_s, n_e, n_h, history):
+    def _finalize(self, phi, n_e, n_h, history):
+        """The solution of the state (phi, n_e, n_h): E = -grad phi at the
+        contact potentials and the conduction current; the DD solver's
+        stationary state is set to it."""
+        e_s = tuple(-q for q in self.poisson.gradient(phi, self.phi_dirichlet))
         e_dd = self.e_on_dd(e_s)
         self.dd.set_stationary(e_dd, n_e, n_h)
         j = self.dd.conduction_current(n_e, n_h, e_dd, self.fd_ne, self.fd_nh)
-        return StationarySolution(
-            phi=phi, e_s=e_s, n_e=n_e, n_h=n_h, j=j,
-            gummel_history=history, converged=True,
-            mesh_hash=self.mesh.content_hash())
+        return StationarySolution(phi=phi, e_s=e_s, n_e=n_e, n_h=n_h, j=j,
+                                  gummel_history=history)
 
     def state_key(self):
         """Hash of every input the stationary state depends on: the mesh,
@@ -457,11 +472,6 @@ class StationaryProblem:
     # -- observables -----------------------------------------------------
     def stationary_current(self, sol):
         """Terminal current per contact, I = contour integral of (J_e+J_h).n."""
-        if not sol.converged:
-            raise ConvergenceError("stationary_current needs a converged solution")
-        if sol.j is None:
-            raise PhysicsError("the solution carries no currents (a checkpoint "
-                               "stores none); solve the problem to get them")
         return contact_currents(self.ddisc, sol.j, self.d_contact, self.contacts)
 
 
@@ -491,71 +501,40 @@ def _face_integral(disc, face_vals, mask):
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 
-CHECKPOINT_FORMAT = "# pcddg stationary checkpoint v2"
+CHECKPOINT_FORMAT = "# pcddg stationary checkpoint v3"
 
 
 def save_checkpoint(path, problem, sol):
-    d = problem.pdisc
-    dim = d.ref.dim
-    n_e = np.zeros((d.K, d.Np))
-    n_h = np.zeros((d.K, d.Np))
-    n_e[problem.semi_in_p] = sol.n_e
-    n_h[problem.semi_in_p] = sol.n_h
-    ex = sol.e_s[0]
-    ey = sol.e_s[1] if dim == 2 else np.zeros_like(ex)
-    with open(path, "w") as fh:
-        fh.write(f"{CHECKPOINT_FORMAT}\n")
-        fh.write(f"# mesh_hash {sol.mesh_hash}\n")
-        fh.write(f"# state_key {problem.state_key()}\n")
-        fh.write("# node_id x y phi n_e n_h Ex Ey\n")
-        nid = 0
-        for k in range(d.K):
-            for j in range(d.Np):
-                x = d.x[k, j, 0]
-                y = d.x[k, j, 1] if dim == 2 else 0.0
-                fh.write(f"{nid} {x:.17g} {y:.17g} {sol.phi[k, j]:.17g} "
-                         f"{n_e[k, j]:.17g} {n_h[k, j]:.17g} "
-                         f"{ex[k, j]:.17g} {ey[k, j]:.17g}\n")
-                nid += 1
+    """Write phi, n_e and n_h per Poisson node (densities 0 off the
+    semiconductor) under the problem's mesh hash and state key."""
+    cols = np.concatenate([sol.phi[None], problem.poisson_densities(sol)])
+    np.savetxt(path, cols.reshape(3, -1).T, fmt="%.17g", comments="",
+               header=f"{CHECKPOINT_FORMAT}\n"
+                      f"# mesh_hash {problem.mesh.content_hash()}\n"
+                      f"# state_key {problem.state_key()}\n"
+                      "# phi n_e n_h")
 
 
 def load_checkpoint(path, problem):
-    """Read a checkpoint and validate it against the problem's mesh hash and
-    state key.  The solution carries no currents (j = None)."""
+    """Read a checkpoint, validate it against the problem's mesh hash and
+    state key, and build its solution from (phi, n_e, n_h): bitwise the
+    solution that was saved."""
     d = problem.pdisc
     with open(path) as fh:
-        lines = fh.readlines()
-    if not lines or lines[0].rstrip("\n") != CHECKPOINT_FORMAT:
+        fmt, mesh_line, key_line = (fh.readline().rstrip("\n")
+                                    for _ in range(3))
+    if fmt != CHECKPOINT_FORMAT:
         raise PhysicsError(f"not a {CHECKPOINT_FORMAT[2:]} file")
-
-    comments = [ln for ln in lines if ln.startswith("#")]
-
-    def header(name):
-        found = [ln.split()[2] for ln in comments if ln.startswith(f"# {name} ")]
-        if not found:
-            raise PhysicsError(f"checkpoint missing its {name} header")
-        return found[0]
-
-    mesh_hash = header("mesh_hash")
-    if mesh_hash != problem.mesh.content_hash():
+    mesh_hash = problem.mesh.content_hash()
+    if mesh_line != f"# mesh_hash {mesh_hash}":
         raise PhysicsError("checkpoint mesh hash does not match the mesh "
-                           f"({mesh_hash} != {problem.mesh.content_hash()})")
-    if header("state_key") != problem.state_key():
+                           f"({mesh_line!r}, expected {mesh_hash})")
+    if key_line != f"# state_key {problem.state_key()}":
         raise PhysicsError("checkpoint was written for other stationary inputs "
                            "(contacts, materials, temperature, order or penalty)")
-    rows = [ln for ln in lines if not ln.startswith("#")]
-    data = np.loadtxt(rows, ndmin=2) if rows else np.empty((0, 0))
-    if data.shape[0] != d.K * d.Np:
+    data = np.loadtxt(path, ndmin=2)
+    if data.shape != (d.K * d.Np, 3):
         raise PhysicsError("checkpoint node count does not match discretization")
-    dim = d.ref.dim
-    phi = data[:, 3].reshape(d.K, d.Np)
-    n_e_full = data[:, 4].reshape(d.K, d.Np)
-    n_h_full = data[:, 5].reshape(d.K, d.Np)
-    ex = data[:, 6].reshape(d.K, d.Np)
-    ey = data[:, 7].reshape(d.K, d.Np)
-    e_s = (ex, ey) if dim == 2 else (ex,)
-    n_e = n_e_full[problem.semi_in_p]
-    n_h = n_h_full[problem.semi_in_p]
-    return StationarySolution(phi=phi, e_s=e_s, n_e=n_e, n_h=n_h,
-                              j=None, converged=True,
-                              mesh_hash=mesh_hash)
+    phi, n_e, n_h = np.ascontiguousarray(data.T).reshape(3, d.K, d.Np)
+    return problem._finalize(phi, n_e[problem.semi_in_p],
+                             n_h[problem.semi_in_p], [])

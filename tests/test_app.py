@@ -169,8 +169,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=r"p_em must be in \[1, 6\]"):
             parse_config(str(path))
 
+    def test_unequal_orders_rejected(self, tmp_path):
+        # the transient seeds the DD solver with the stationary state on the
+        # EM nodes: one order for both
+        path = tmp_path / "bad.cfg"
+        path.write_text(DEVICE_CFG.replace("p_dd = 2", "p_dd = 1"))
+        with pytest.raises(ConfigurationError,
+                           match=r"run.p_dd = 1 and run.p_em = 2"):
+            parse_config(str(path))
+
     def test_run_threads_is_unknown(self, tmp_path):
-        # the thread cap is the --threads flag; the deck has no such key
+        # BLAS threads are set in the environment before the process
+        # starts; the deck has no such key
         path = tmp_path / "bad.cfg"
         path.write_text(DEVICE_CFG.replace("t_end = 0.5 fs\n",
                                           "t_end = 0.5 fs\nthreads = 2\n"))
@@ -325,6 +335,20 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert "incompatible; recomputing" in capsys.readouterr().out
         assert (out / "stationary.chk").read_text() != old
+
+    def test_transient_recomputes_v2_checkpoint(self, device_cfg, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        assert main(["stationary", "--config", device_cfg,
+                     "--out", str(out)]) == 0
+        chk = out / "stationary.chk"
+        v3 = chk.read_text()
+        chk.write_text(v3.replace("checkpoint v3", "checkpoint v2"))
+        capsys.readouterr()
+        assert main(["transient", "--config", device_cfg,
+                     "--out", str(out)]) == 0
+        assert "incompatible; recomputing" in capsys.readouterr().out
+        assert chk.read_text() == v3
 
     def test_transient_same_after_solve_or_checkpoint(self, tmp_path, capsys):
         # a transient seeded by an in-process Gummel solve and one seeded by

@@ -488,17 +488,17 @@ def test_checkpoint_parse_matches_float(tmp_path):
     mesh, table = cfg.build_mesh(), cfg.material_table()
     prob = StationaryProblem(mesh, table, cfg.contacts, p=2)
     rng = np.random.default_rng(3)
-    sol = prob.equilibrium_initial_guess()
-    sol.phi = sol.phi * (1.0 + 1e-3 * rng.standard_normal(sol.phi.shape))
+    phi, n_e, n_h = prob.equilibrium_initial_guess()
+    phi = phi * (1.0 + 1e-3 * rng.standard_normal(phi.shape))
     path = tmp_path / "s.chk"
-    save_checkpoint(path, prob, sol)
+    save_checkpoint(path, prob, prob._finalize(phi, n_e, n_h, []))
     with open(path) as fh:
         data = reference_checkpoint_data(fh.readlines())
     got = load_checkpoint(path, prob)
     d = prob.pdisc
-    assert np.array_equal(got.phi, data[:, 3].reshape(d.K, d.Np))
-    assert np.array_equal(got.e_s[0], data[:, 6].reshape(d.K, d.Np))
-    assert np.array_equal(got.n_e, data[:, 4].reshape(d.K, d.Np)[prob.semi_in_p])
+    assert np.array_equal(got.phi, data[:, 0].reshape(d.K, d.Np))
+    assert np.array_equal(got.n_e, data[:, 1].reshape(d.K, d.Np)[prob.semi_in_p])
+    assert np.array_equal(got.n_h, data[:, 2].reshape(d.K, d.Np)[prob.semi_in_p])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pcddg import stationary
 from pcddg.dgops import interpolate, interpolation_rows
 from pcddg.mesh import make_spec, generate_structured_mesh, unit_interval_mesh
 from pcddg.physics import (MaterialTable, PhysicsError, gold, lt_gaas, vacuum,
@@ -66,16 +67,15 @@ def electrodes_problem(p=1, h=0.25e-6):
 class TestEquilibrium:
     def test_initial_guess_builtin_potential(self):
         prob = resistor_problem(n=20)
-        sol = prob.equilibrium_initial_guess()
+        phi, n_e, _ = prob.equilibrium_initial_guess()
         v_t = prob.materials.v_t
         expected = v_t * np.log(C / 9e12)
-        assert sol.phi == pytest.approx(expected, rel=1e-12)
-        assert sol.n_e == pytest.approx(C, rel=1e-9)
+        assert phi == pytest.approx(expected, rel=1e-12)
+        assert n_e == pytest.approx(C, rel=1e-9)
 
     def test_zero_bias_converges_immediately(self):
         prob = resistor_problem(n=40)
         sol = prob.gummel_solve()
-        assert sol.converged
         assert len(sol.gummel_history) <= 3
         v_t = prob.materials.v_t
         expected = v_t * np.log(C / 9e12)
@@ -87,7 +87,6 @@ class TestEquilibrium:
     def test_history_recorded(self):
         prob = resistor_problem(n=20, v_bias=0.1)
         sol = prob.gummel_solve()
-        assert sol.converged
         assert len(sol.gummel_history) >= 2
         assert sol.gummel_history[-1] < 1e-6
 
@@ -105,8 +104,9 @@ class TestPoisson:
             xf = d.x.reshape(-1, 1)[d.vmapM].reshape(d.K, d.nfp_tot)
             g = np.sin(k * xf)
             rho = eps * k ** 2 * np.sin(k * d.x[:, :, 0])
-            a, c = prob._poisson_operator(g)
-            phi = solve_sparse(a, rho.reshape(-1) - c).reshape(d.K, d.Np)
+            c = prob.poisson_apply(np.zeros((d.K, d.Np)), g).reshape(-1)
+            phi = solve_sparse(prob.poisson_matrix,
+                               rho.reshape(-1) - c).reshape(d.K, d.Np)
             err = d.l2_norm(phi - np.sin(k * d.x[:, :, 0]))
             errs.append(err)
             hs.append(L / n)
@@ -124,6 +124,23 @@ class TestPoisson:
         phi = solve_sparse(a, rho - c)
         resid = np.linalg.norm(a @ phi + c - rho)
         assert resid <= 1e-10 * max(np.linalg.norm(rho), np.linalg.norm(c))
+
+    def test_matrix_probed_once_per_problem(self, monkeypatch):
+        # A depends on eps, the mesh and the penalty, not on the Dirichlet
+        # data: two ramp stages probe it once, on first use, not at set-up
+        calls = []
+        real = stationary.assemble_affine_operator
+
+        def counted(apply_fn, disc, **kw):
+            calls.append(disc)
+            return real(apply_fn, disc, **kw)
+        monkeypatch.setattr(stationary, "assemble_affine_operator", counted)
+        prob = resistor_problem(n=12, v_bias=0.5)
+        assert calls == []
+        sol = prob.gummel_solve()
+        assert sum(d is prob.pdisc for d in calls) == 1
+        assert sum(d is prob.ddisc for d in calls) \
+            == 2 * len(sol.gummel_history)
 
     def test_poisson_is_the_carrier_diffusion_kernel(self):
         # one LDG kernel: -poisson_apply is, bitwise, the carrier rhs with
@@ -170,9 +187,7 @@ def affine_system(prob, name):
     if name == "poisson":
         return (lambda u: prob.poisson_apply(u, g),
                 lambda u: prob.poisson_apply(u, 0.0), prob.pdisc)
-    sol = prob.equilibrium_initial_guess()
-    phi, n_e, n_h = prob._newton_poisson(sol.phi, sol.n_e, sol.n_h,
-                                         dirichlet_vals=g)
+    phi, n_e, n_h = prob._newton_poisson(*prob.equilibrium_initial_guess(), g)
     e_s = tuple(-q for q in prob.poisson.gradient(phi, g))
     prob.dd.set_stationary(prob.e_on_dd(e_s), n_e, n_h)
     n_other = n_h if name == "e" else n_e
@@ -290,25 +305,34 @@ class TestRobustness:
     def test_tolerance_and_flag(self):
         prob = resistor_problem(n=30, v_bias=0.1)
         sol = prob.gummel_solve(tol=1e-7)
-        assert sol.converged
         assert sol.gummel_history[-1] < 1e-7
+
+
+def assert_same_solution(prob, got, want):
+    """Bitwise equal state, field, current and terminal currents."""
+    for name in ("phi", "n_e", "n_h"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for a, b in zip(got.e_s + got.j, want.e_s + want.j, strict=True):
+        assert np.array_equal(a, b)
+    assert prob.stationary_current(got) == prob.stationary_current(want)
 
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        prob = resistor_problem(n=30, v_bias=0.1)
+        # two ramp stages; the loaded solution is the solved one, bitwise
+        prob = resistor_problem(n=30, v_bias=0.5)
         sol = prob.gummel_solve()
         path = tmp_path / "stationary.chk"
         save_checkpoint(path, prob, sol)
         header = path.read_text().splitlines()
-        assert header[0] == "# pcddg stationary checkpoint v2"
+        assert header[0] == "# pcddg stationary checkpoint v3"
+        assert header[1] == f"# mesh_hash {prob.mesh.content_hash()}"
         assert header[2] == f"# state_key {prob.state_key()}"
-        assert "node_id x y phi n_e n_h Ex Ey" in header[3]
+        assert header[3] == "# phi n_e n_h"
+        assert len(header) == 4 + prob.pdisc.K * prob.pdisc.Np
         back = load_checkpoint(path, prob)
-        assert back.phi == pytest.approx(sol.phi, abs=1e-14)
-        assert back.n_e == pytest.approx(sol.n_e, rel=1e-14)
-        assert back.e_s[0] == pytest.approx(sol.e_s[0], abs=1e-8)
-        assert back.mesh_hash == prob.mesh.content_hash()
+        assert_same_solution(prob, back, sol)
+        assert back.gummel_history == []
 
     def test_mesh_hash_mismatch(self, tmp_path):
         prob = resistor_problem(n=30)
@@ -337,19 +361,27 @@ class TestCheckpoint:
             load_checkpoint(path, other)
 
     def test_v1_rejected(self, tmp_path):
+        # earlier formats (v2 stored E and node coordinates) are rejected
         prob = resistor_problem(n=30)
         path = tmp_path / "stationary.chk"
         save_checkpoint(path, prob, prob.gummel_solve())
-        text = path.read_text().replace("checkpoint v2", "checkpoint v1")
-        path.write_text(text)
-        with pytest.raises(PhysicsError, match="v2"):
-            load_checkpoint(path, prob)
+        text = path.read_text()
+        for old in ("v1", "v2"):
+            path.write_text(text.replace("checkpoint v3", f"checkpoint {old}"))
+            with pytest.raises(PhysicsError, match="v3"):
+                load_checkpoint(path, prob)
 
-    def test_loaded_solution_has_no_current(self, tmp_path):
-        prob = resistor_problem(n=30, v_bias=0.1)
+    def test_loaded_solution_carries_current(self, tmp_path):
+        # 2D two-electrode device: the state after one Gummel sweep at full
+        # bias (the coarse device does not converge without a ramp
+        # predictor) goes through the checkpoint bitwise, field and
+        # terminal currents included
+        prob = electrodes_problem(p=1)
+        state = prob._sweep(prob.phi_dirichlet,
+                            *prob.equilibrium_initial_guess())
+        sol = prob._finalize(*state, [])
         path = tmp_path / "stationary.chk"
-        save_checkpoint(path, prob, prob.gummel_solve())
+        save_checkpoint(path, prob, sol)
         back = load_checkpoint(path, prob)
-        assert back.j is None
-        with pytest.raises(PhysicsError, match="no currents"):
-            prob.stationary_current(back)
+        assert_same_solution(prob, back, sol)
+        assert all(v != 0.0 for v in prob.stationary_current(back).values())
