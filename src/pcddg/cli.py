@@ -1,8 +1,10 @@
 """Command-line front end: stationary, transient, convergence, info.
 
 Exit codes: 0 on success, 1 for configuration errors, 2 for solver
-failures.  The default output directory comes from --out, then the
-PCDDG_OUT environment variable, then the current directory.
+failures; a solver failure still writes manifest.json, with status
+"failed", the error and the Gummel history.  The default output directory
+comes from --out, then the PCDDG_OUT environment variable, then the
+current directory.
 """
 
 import argparse
@@ -201,11 +203,10 @@ def run_transient(cfg, out_dir):
 
 
 def run_convergence(cfg, out_dir):
-    conv = cfg.convergence or {}
-    system = conv.get("system", "maxwell")
-    rows = cv.order_table(system, orders=conv.get("orders", [1, 2]),
-                          levels=conv.get("levels", 3))
-    print(f"convergence study: {system}")
+    conv = cfg.convergence
+    rows = cv.order_table(conv["system"], orders=conv["orders"],
+                          levels=conv["levels"])
+    print(f"convergence study: {conv['system']}")
     print(cv.format_table(rows))
     lines = ["p,n,h,error,order"]
     for p, n, h, err, order in rows:
@@ -250,6 +251,7 @@ _RUNNERS = {"stationary": run_stationary, "transient": run_transient,
 
 
 def main(argv=None):
+    t0 = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
@@ -265,6 +267,16 @@ def main(argv=None):
     except (PhysicsError, ConvergenceError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        # the diagnosis: the error and, for a Gummel failure, the update
+        # of every sweep
+        history = getattr(exc, "history", [])
+        manifest = out_mod.RunManifest(
+            command=args.command, config_hash=cfg.config_hash, mesh_hash="",
+            code_version=CODE_VERSION, status="failed",
+            wall_time_s=time.perf_counter() - t0,
+            extra={"error": str(exc),
+                   "gummel_history": [float(h) for h in history]})
+        out_mod.write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
         return 2
 
 

@@ -1,25 +1,30 @@
 """Plain-text device configuration: sectioned key = value decks with unit
 suffixes, normalized to SI on parse.
 
-Sections: [mesh], one [region.<name>] per material region, [material.<name>]
-for parameter overrides, [boundary], one [contact.<name>] per electrode,
-[source], [pml], [run], [probes], [convergence].  Box values use
-``lo -> hi`` with one coordinate per dimension on each side.
+One table, ``_SECTIONS``, names every section kind and its required and
+optional keys (with the defaults of the optional ones): [mesh], one
+[region.<name>] per material region, [material.<name>] for parameter
+overrides, [boundary] (``default`` plus free ``<tag>[.<label>]`` keys), one
+[contact.<name>] per electrode, [source], [pml], [run], [probes] and
+[convergence].  An unknown section or key, a missing required key and a
+malformed or out-of-range value are each a ConfigurationError that names
+``section.key`` (or ``[section]``).  Box values use ``lo -> hi`` with one
+coordinate per dimension on each side.
 """
 
 import configparser
 import dataclasses
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import physics as ph
 from .em_dg import PmlSpec
 from .mesh import BOUNDARY_TAGS, make_spec, generate_structured_mesh
-from .physics import MaterialTable, OpticalSourceSpec
-from .refelem import ConfigurationError
+from .physics import MaterialTable, OpticalSourceSpec, PhysicsError
+from .refelem import MAX_ORDER, ConfigurationError
 from .stationary import Contact
 
 _UNIT_FACTORS = {
@@ -36,18 +41,42 @@ _BASE_MATERIALS = {
     "vacuum": ph.vacuum, "gold": ph.gold,
 }
 
-# material override keys and the unit family they carry
-_MATERIAL_KEYS = {
-    "doping": "density", "n_i": "density", "n_e1": "density",
-    "n_h1": "density", "tau_e": "time", "tau_h": "time",
-    "mu_e0": "plain", "mu_h0": "plain", "v_sat_e": "plain",
-    "v_sat_h": "plain", "beta_e": "plain", "beta_h": "plain",
-    "eps_r": "plain", "mu_r": "plain", "alpha_abs": "plain", "eta": "plain",
+_MATERIAL_KEYS = ("doping", "n_i", "n_e1", "n_h1", "tau_e", "tau_h",
+                  "mu_e0", "mu_h0", "v_sat_e", "v_sat_h", "beta_e", "beta_h",
+                  "eps_r", "mu_r", "alpha_abs", "eta")
+
+# section kind -> (required keys, optional keys with their defaults); a
+# None default means the key is unset unless the deck gives it.  "*" kinds
+# are labelled sections such as [region.air]; [boundary] also takes free
+# "<tag>[.<label>] = box" keys.
+_SECTIONS = {
+    "mesh": (("dim", "domain"), {}),
+    "region.*": (("material", "box", "h"), {}),
+    "material.*": (("base",), dict.fromkeys(_MATERIAL_KEYS)),
+    "boundary": ((), {"default": "PEC"}),
+    "contact.*": (("box", "voltage"), {}),
+    "source": (("f_c", "f_w", "beam_width"),
+               {"power": None, "peak_field": None, "polarization": "x",
+                "t0": None}),
+    "pml": ((), dict.fromkeys(("xlo", "xhi", "ylo", "yhi"))),
+    "run": ((), {"p_em": "2", "p_dd": "2", "t_end": "0", "safety": "0.8",
+                 "m": "auto", "temperature": "300 K",
+                 "wavelength": "800 nm"}),
+    "probes": ((), {"points": None, "cadence": "1"}),
+    "convergence": ((), {"system": "maxwell", "orders": "1, 2",
+                         "levels": "3"}),
 }
+_FREE_KEYS = {"boundary"}
+
+# value rules: (description, predicate)
+_POSITIVE = ("> 0", lambda v: v > 0)
+_COUNT = (">= 1", lambda v: v >= 1)
+_ORDER = (f"in [1, {MAX_ORDER}]", lambda v: 1 <= v <= MAX_ORDER)
+_DIM = ("1 or 2", lambda v: v in (1, 2))
 
 
 def parse_quantity(text, where=""):
-    """'10 V', '800 nm', '1.3e16 cm^-3' or a bare number -> SI float."""
+    """'10 V', '800 nm', '1.3e16 cm^-3' or a bare number -> finite SI float."""
     s = str(text).strip()
     m = re.fullmatch(r"([+-]?[0-9.eE+-]+)\s*([A-Za-z^\-0-9]*)", s)
     if not m:
@@ -60,7 +89,34 @@ def parse_quantity(text, where=""):
     unit = m.group(2)
     if unit not in _UNIT_FACTORS:
         raise ConfigurationError(f"{where}: unknown unit {unit!r} in {text!r}")
-    return val * _UNIT_FACTORS[unit]
+    val *= _UNIT_FACTORS[unit]
+    if not np.isfinite(val):
+        raise ConfigurationError(f"{where}: {text!r} is not finite")
+    return val
+
+
+def _number(where, text, integer=False, rule=None):
+    """A quantity (or, with integer, a plain integer) that obeys rule; a
+    failed parse or a value out of range is an error naming where."""
+    if integer:
+        try:
+            val = int(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"{where}: expected an integer, got {text!r}") from None
+    else:
+        val = parse_quantity(text, where)
+    if rule is not None and not rule[1](val):
+        raise ConfigurationError(f"{where} must be {rule[0]}, got {text}")
+    return val
+
+
+def _build(where, make, *args, **kwargs):
+    """make(*args, **kwargs), its PhysicsError re-raised naming where."""
+    try:
+        return make(*args, **kwargs)
+    except PhysicsError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def parse_point(text, dim, where=""):
@@ -97,7 +153,7 @@ class DeviceConfig:
     dim: int
     lo: np.ndarray
     hi: np.ndarray
-    regions: list                      # (name, material_name, lo, hi, h)
+    regions: list                      # (name, lo, hi, h)
     materials: dict                    # region name -> Material
     default_tag: str
     tag_boxes: list                    # (TAG, lo, hi)
@@ -113,237 +169,181 @@ class DeviceConfig:
     wavelength: float = 800e-9
     probe_points: np.ndarray = None
     cadence: int = 1
-    convergence: dict = field(default_factory=dict)
+    convergence: dict = None           # system, orders, levels
     config_hash: str = ""
 
     def material_table(self):
         return MaterialTable(dict(self.materials), temperature=self.temperature)
 
     def mesh_spec(self):
-        regions = [(name, lo, hi, h) for name, _mat, lo, hi, h in self.regions]
-        return make_spec(self.dim, self.lo, self.hi, regions,
+        return make_spec(self.dim, self.lo, self.hi, self.regions,
                          tag_boxes=self.tag_boxes, default_tag=self.default_tag)
 
     def build_mesh(self):
         return generate_structured_mesh(self.mesh_spec())
 
 
-def _resolve_material(name, parser, where):
-    sec = f"material.{name}"
-    if parser.has_section(sec):
-        items = dict(parser.items(sec))
-        base_name = items.pop("base", None)
-        if base_name is None:
-            raise ConfigurationError(f"{sec}.base: missing required key")
-        if base_name not in _BASE_MATERIALS:
-            raise ConfigurationError(
-                f"{sec}.base: unknown base material {base_name!r}")
-        mat = _BASE_MATERIALS[base_name]()
-        overrides = {}
-        for key, raw in items.items():
-            if key not in _MATERIAL_KEYS:
-                raise ConfigurationError(f"{sec}.{key}: unknown material key")
-            val = parse_quantity(raw, f"{sec}.{key}")
-            overrides[key] = val
-            if key.startswith("tau") and val <= 0:
-                raise ConfigurationError(f"{sec}.{key} must be > 0")
-        return dataclasses.replace(mat, **overrides)
-    if name in _BASE_MATERIALS:
-        return _BASE_MATERIALS[name]()
-    raise ConfigurationError(
-        f"{where}: unknown material {name!r} (no [material.{name}] section)")
-
-
-_KNOWN_RUN_KEYS = {"p_em", "p_dd", "t_end", "safety", "m", "temperature",
-                   "wavelength"}
-_KNOWN_SOURCE_KEYS = {"f_c", "f_w", "beam_width", "power", "peak_field",
-                      "polarization", "t0"}
-
-
-def parse_config(path):
-    """Parse and validate a device deck; errors carry section.key context,
-    and a key that no section reads is an error."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path) as fh:
-        text = fh.read()
+def _read(text):
+    """Deck text -> {section name: {key: raw value}}, every section name
+    and key checked against _SECTIONS; optional keys the deck leaves out
+    take their defaults, after the keys it gives."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"config syntax error: {exc}") from None
+    deck = {}
+    for name in parser.sections():
+        prefix, dot, label = name.partition(".")
+        kind = prefix + ".*" if dot and label else name
+        if kind not in _SECTIONS:
+            raise ConfigurationError(f"[{name}]: unknown section")
+        required, optional = _SECTIONS[kind]
+        items = dict(parser.items(name))
+        for key in items:
+            if key not in required and key not in optional \
+                    and kind not in _FREE_KEYS:
+                raise ConfigurationError(f"{name}.{key}: unknown key")
+        for key in required:
+            if key not in items:
+                raise ConfigurationError(f"{name}.{key}: missing required key")
+        for key, default in optional.items():
+            items.setdefault(key, default)
+        deck[name] = items
+    return deck
 
-    if not parser.has_section("mesh"):
-        raise ConfigurationError("missing required [mesh] section")
-    mesh = dict(parser.items("mesh"))
-    try:
-        dim = int(mesh.pop("dim"))
-    except KeyError:
-        raise ConfigurationError("mesh.dim: missing required key") from None
-    if dim not in (1, 2):
-        raise ConfigurationError(f"mesh.dim must be 1 or 2, got {dim}")
-    lo, hi = parse_box(mesh.pop("domain", None) or _missing("mesh.domain"),
-                       dim, "mesh.domain")
-    if mesh:
-        raise ConfigurationError(f"mesh.{next(iter(mesh))}: unknown key")
+
+def _labelled(deck, kind):
+    """(label, keys) of every [kind.<label>] section, in deck order."""
+    return [(name.split(".", 1)[1], keys) for name, keys in deck.items()
+            if name.startswith(kind + ".")]
+
+
+def _material(name, deck, where):
+    sec = f"material.{name}"
+    if sec not in deck:
+        if name in _BASE_MATERIALS:
+            return _BASE_MATERIALS[name]()
+        raise ConfigurationError(
+            f"{where}: unknown material {name!r} (no [{sec}] section)")
+    keys = deck[sec]
+    if keys["base"] not in _BASE_MATERIALS:
+        raise ConfigurationError(
+            f"{sec}.base: unknown base material {keys['base']!r}")
+    overrides = {key: _number(f"{sec}.{key}", raw)
+                 for key, raw in keys.items()
+                 if key != "base" and raw is not None}
+    return _build(sec, dataclasses.replace,
+                  _BASE_MATERIALS[keys["base"]](), **overrides)
+
+
+def parse_config(path):
+    """Parse and validate a device deck; errors name section.key."""
+    with open(path) as fh:
+        text = fh.read()
+    deck = _read(text)
+
+    def section(name):
+        return deck.get(name, dict(_SECTIONS[name][1]))
+
+    if "mesh" not in deck:
+        raise ConfigurationError("[mesh]: missing required section")
+    dim = _number("mesh.dim", deck["mesh"]["dim"], integer=True, rule=_DIM)
+    lo, hi = parse_box(deck["mesh"]["domain"], dim, "mesh.domain")
 
     regions = []
     materials = {}
-    for sec in parser.sections():
-        if not sec.startswith("region."):
-            continue
-        name = sec[len("region."):]
-        items = dict(parser.items(sec))
-        for req in ("material", "box", "h"):
-            if req not in items:
-                raise ConfigurationError(f"{sec}.{req}: missing required key")
-        rlo, rhi = parse_box(items.pop("box"), dim, f"{sec}.box")
-        h = parse_quantity(items.pop("h"), f"{sec}.h")
-        if h <= 0:
-            raise ConfigurationError(f"{sec}.h must be > 0")
-        mat_name = items.pop("material").strip()
-        if items:
-            raise ConfigurationError(f"{sec}.{next(iter(items))}: unknown key")
-        materials[name] = _resolve_material(mat_name, parser, f"{sec}.material")
-        regions.append((name, mat_name, rlo, rhi, h))
+    for name, keys in _labelled(deck, "region"):
+        sec = f"region.{name}"
+        rlo, rhi = parse_box(keys["box"], dim, f"{sec}.box")
+        h = _number(f"{sec}.h", keys["h"], rule=_POSITIVE)
+        materials[name] = _material(keys["material"], deck, f"{sec}.material")
+        regions.append((name, rlo, rhi, h))
     if not regions:
-        raise ConfigurationError("no [region.*] sections defined")
+        raise ConfigurationError("[region.*]: no region sections defined")
+    used = {keys["material"] for _name, keys in _labelled(deck, "region")}
+    for label, _keys in _labelled(deck, "material"):
+        if label not in used:
+            raise ConfigurationError(
+                f"[material.{label}]: no region uses this material")
 
-    default_tag = "PEC"
+    boundary = section("boundary")
+    default_tag = boundary.pop("default").upper()
+    if default_tag not in BOUNDARY_TAGS:
+        raise ConfigurationError(
+            f"boundary.default: unknown tag {default_tag!r}")
     tag_boxes = []
-    if parser.has_section("boundary"):
-        for key, raw in parser.items("boundary"):
-            if key == "default":
-                default_tag = raw.strip().upper()
-                if default_tag not in BOUNDARY_TAGS:
-                    raise ConfigurationError(
-                        f"boundary.default: unknown tag {raw!r}")
-                continue
-            tag = key.split(".")[0].upper()
-            if tag not in BOUNDARY_TAGS:
-                raise ConfigurationError(f"boundary.{key}: unknown tag")
-            blo, bhi = parse_box(raw, dim, f"boundary.{key}")
-            tag_boxes.append((tag, blo, bhi))
+    for key, raw in boundary.items():
+        tag = key.split(".")[0].upper()
+        if tag not in BOUNDARY_TAGS:
+            raise ConfigurationError(f"boundary.{key}: unknown tag")
+        tag_boxes.append((tag, *parse_box(raw, dim, f"boundary.{key}")))
 
     contacts = []
-    for sec in parser.sections():
-        if not sec.startswith("contact."):
-            continue
-        name = sec[len("contact."):]
-        items = dict(parser.items(sec))
-        for req in ("box", "voltage"):
-            if req not in items:
-                raise ConfigurationError(f"{sec}.{req}: missing required key")
-        clo, chi = parse_box(items.pop("box"), dim, f"{sec}.box")
-        volt = parse_quantity(items.pop("voltage"), f"{sec}.voltage")
-        if items:
-            raise ConfigurationError(f"{sec}.{next(iter(items))}: unknown key")
-        contacts.append(Contact(name, clo, chi, volt))
+    for name, keys in _labelled(deck, "contact"):
+        sec = f"contact.{name}"
+        clo, chi = parse_box(keys["box"], dim, f"{sec}.box")
+        contacts.append(Contact(name, clo, chi,
+                                _number(f"{sec}.voltage", keys["voltage"])))
         tag_boxes.append(("ELECTRODE_D", clo, chi))
 
     source = None
-    if parser.has_section("source"):
-        items = dict(parser.items("source"))
-        unknown = set(items) - _KNOWN_SOURCE_KEYS
-        if unknown:
-            raise ConfigurationError(f"source.{sorted(unknown)[0]}: unknown key")
-        kw = {}
-        for key in ("f_c", "f_w", "beam_width", "power", "peak_field", "t0"):
-            if key in items:
-                kw[key] = parse_quantity(items[key], f"source.{key}")
-        if "polarization" in items:
-            kw["polarization"] = items["polarization"].strip()
-        try:
-            source = OpticalSourceSpec(**kw)
-        except Exception as exc:
-            raise ConfigurationError(f"source: {exc}") from None
+    if "source" in deck:
+        keys = dict(deck["source"])
+        pol = keys.pop("polarization")
+        if pol not in ("x", "y"):
+            raise ConfigurationError(
+                f"source.polarization must be x or y, got {pol!r}")
+        source = _build("source", OpticalSourceSpec, polarization=pol,
+                        **{key: _number(f"source.{key}", raw)
+                           for key, raw in keys.items() if raw is not None})
 
     pml = None
-    if parser.has_section("pml"):
-        thickness = {}
-        for key, raw in parser.items("pml"):
-            if key not in ("xlo", "xhi", "ylo", "yhi"):
-                raise ConfigurationError(f"pml.{key}: unknown side")
-            thickness[key] = parse_quantity(raw, f"pml.{key}")
-        pml = PmlSpec(thickness=thickness)
+    if "pml" in deck:
+        pml = _build("pml", PmlSpec, thickness={
+            key: _number(f"pml.{key}", raw)
+            for key, raw in deck["pml"].items() if raw is not None})
 
-    run = dict(parser.items("run")) if parser.has_section("run") else {}
-    unknown = set(run) - _KNOWN_RUN_KEYS
-    if unknown:
-        raise ConfigurationError(f"run.{sorted(unknown)[0]}: unknown key")
-    p_em = int(run.get("p_em", 2))
-    p_dd = int(run.get("p_dd", 2))
-    for label, p in (("p_em", p_em), ("p_dd", p_dd)):
-        if not 1 <= p <= 6:
-            raise ConfigurationError(f"run.{label} must be in [1, 6], got {p}")
+    run = section("run")
+    p_em = _number("run.p_em", run["p_em"], integer=True, rule=_ORDER)
+    p_dd = _number("run.p_dd", run["p_dd"], integer=True, rule=_ORDER)
     if p_dd != p_em:
         # the transient seeds the DD solver with the stationary state on
         # the nodes of the EM order
         raise ConfigurationError(f"run.p_dd = {p_dd} and run.p_em = {p_em} "
                                  "must be equal")
-    m_override = None
-    if "m" in run and run["m"].strip() != "auto":
-        m_override = int(run["m"])
-        if m_override < 1:
-            raise ConfigurationError("run.m must be >= 1 or 'auto'")
+    m_override = None if run["m"] == "auto" else \
+        _number("run.m", run["m"], integer=True, rule=_COUNT)
 
+    probes = section("probes")
     probe_points = None
-    cadence = 1
-    if parser.has_section("probes"):
-        items = dict(parser.items("probes"))
-        if "points" in items:
-            rows = [p.strip() for p in items.pop("points").split(";")
-                    if p.strip()]
-            probe_points = np.array([parse_point(r, dim, "probes.points")
-                                     for r in rows])
-        if "cadence" in items:
-            cadence = int(items.pop("cadence"))
-            if cadence < 1:
-                raise ConfigurationError("probes.cadence must be >= 1")
-        if items:
-            raise ConfigurationError(
-                f"probes.{next(iter(items))}: unknown key")
+    if probes["points"] is not None:
+        rows = [p.strip() for p in probes["points"].split(";") if p.strip()]
+        probe_points = np.array([parse_point(r, dim, "probes.points")
+                                 for r in rows])
 
-    conv = {}
-    if parser.has_section("convergence"):
-        items = dict(parser.items("convergence"))
-        conv["system"] = items.pop("system", "maxwell").strip()
-        conv["orders"] = [int(x) for x in
-                          items.pop("orders", "1,2").split(",")]
-        conv["levels"] = int(items.pop("levels", "3"))
-        if items:
-            raise ConfigurationError(
-                f"convergence.{next(iter(items))}: unknown key")
+    conv = section("convergence")
+    convergence = {
+        "system": conv["system"],
+        "orders": [_number("convergence.orders", x, integer=True, rule=_ORDER)
+                   for x in conv["orders"].split(",")],
+        "levels": _number("convergence.levels", conv["levels"], integer=True,
+                          rule=_COUNT)}
 
-    cfg = DeviceConfig(
+    return DeviceConfig(
         dim=dim, lo=lo, hi=hi, regions=regions, materials=materials,
         default_tag=default_tag, tag_boxes=tag_boxes, contacts=contacts,
         source=source, pml=pml, p_em=p_em, p_dd=p_dd,
-        t_end=parse_quantity(run["t_end"], "run.t_end") if "t_end" in run else 0.0,
-        safety=float(run.get("safety", 0.8)),
+        t_end=_number("run.t_end", run["t_end"]),
+        safety=_number("run.safety", run["safety"], rule=_POSITIVE),
         m_override=m_override,
-        temperature=parse_quantity(run.get("temperature", "300 K"),
-                                   "run.temperature"),
-        wavelength=parse_quantity(run.get("wavelength", "800 nm"),
-                                  "run.wavelength"),
-        probe_points=probe_points, cadence=cadence,
-        convergence=conv,
+        temperature=_number("run.temperature", run["temperature"],
+                            rule=_POSITIVE),
+        wavelength=_number("run.wavelength", run["wavelength"],
+                           rule=_POSITIVE),
+        probe_points=probe_points,
+        cadence=_number("probes.cadence", probes["cadence"], integer=True,
+                        rule=_COUNT),
+        convergence=convergence,
         config_hash=hashlib.sha256(text.encode()).hexdigest()[:16])
-    _validate(cfg)
-    return cfg
-
-
-def _missing(key):
-    raise ConfigurationError(f"{key}: missing required key")
-
-
-def _validate(cfg):
-    for name, mat in cfg.materials.items():
-        if mat.semiconductor:
-            for key in ("n_i", "tau_e", "tau_h", "mu_e0", "mu_h0"):
-                if getattr(mat, key) <= 0:
-                    raise ConfigurationError(
-                        f"material {name!r}: {key} must be > 0")
-    for tag, _lo, _hi in cfg.tag_boxes:
-        if tag not in BOUNDARY_TAGS:
-            raise ConfigurationError(f"unknown boundary tag {tag!r}")
-    if cfg.source is not None and cfg.wavelength <= 0:
-        raise ConfigurationError("run.wavelength must be > 0")

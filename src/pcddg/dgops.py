@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import BOUNDARY_TAGS, INTERIOR
-from .refelem import MeshError
+from .refelem import MeshError, modal_basis
 
 NODETOL = 1e-9
 
@@ -303,22 +303,14 @@ def locate_points(disc, points):
 def interpolation_rows(disc, points):
     """Element index and interpolation row basis(r) @ inv(V) of each point:
     a nodal field u takes the value rows[i] @ u[elems[i]] at point i."""
-    from .refelem import jacobi_p, _rstoab, _simplex2dp
     locs = locate_points(disc, points)
-    Vinv = np.linalg.inv(disc.ref.vandermonde)
-    p = disc.ref.p
-    rows = np.zeros((len(locs), disc.Np))
-    for i, (k, rc) in enumerate(locs):
-        if disc.ref.dim == 1:
-            basis = np.array([jacobi_p(rc[:1], 0, 0, j)[0] for j in range(p + 1)])
-        else:
-            a, b = _rstoab(rc[:1], rc[1:2])
-            basis = []
-            for ii in range(p + 1):
-                for jj in range(p + 1 - ii):
-                    basis.append(_simplex2dp(a, b, ii, jj)[0])
-            basis = np.array(basis)
-        rows[i] = basis @ Vinv
+    ref = disc.ref
+    modes, _grads = modal_basis(ref.dim, ref.p,
+                                np.array([rc for _, rc in locs]))
+    Vinv = np.linalg.inv(ref.vandermonde)
+    # one vector-matrix product per point, which rounds as the probe rows
+    # always have (one matrix product does not)
+    rows = np.array([m @ Vinv for m in np.ascontiguousarray(modes)])
     return np.array([k for k, _ in locs], dtype=int), rows
 
 

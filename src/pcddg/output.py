@@ -18,6 +18,7 @@ class RunManifest:
     config_hash: str
     mesh_hash: str
     code_version: str
+    status: str = "ok"                 # "ok", or "failed" with extra.error
     wall_time_s: float = 0.0
     em_steps: int = 0
     dd_steps: int = 0

@@ -6,7 +6,8 @@ matrices and the lift, all on the reference element.  Physical elements
 (metric, Jacobians, normals, face maps) live in dgops.Discretization.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -107,9 +108,8 @@ def _warp_factor(p, rout):
     """Warp function mapping equispaced 1D nodes toward Gauss-Lobatto."""
     lgl = gauss_lobatto_nodes(p)
     req = np.linspace(-1, 1, p + 1)
-    veq = np.array([jacobi_p(req, 0, 0, j) for j in range(p + 1)]).T
-    pmat = np.linalg.solve(veq.T, np.array(
-        [jacobi_p(rout, 0, 0, j) for j in range(p + 1)]))
+    veq = _legendre_modes(req, p)
+    pmat = np.linalg.solve(veq.T, _legendre_modes(rout, p).T)
     lmat = pmat.T
     warp = lmat @ (lgl - req)
     zerof = (np.abs(rout) < 1.0 - 1e-10).astype(float)
@@ -154,7 +154,7 @@ def triangle_nodes(p):
     return r, s
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ReferenceElement:
     dim: int
     p: int
@@ -165,89 +165,83 @@ class ReferenceElement:
     vandermonde: np.ndarray      # (Np, Np) modal-to-nodal
     diff: list                   # per direction (Np, Np)
     face_nodes: list             # per face, index arrays of length Nfp
-    mass_ref: np.ndarray = field(default=None)      # reference mass inv(V V^T)
-    lift_ref: np.ndarray = field(default=None)      # Np x (Nfaces*Nfp), unit face Jacobian
+    face_mass: list              # per face (Nfp, Nfp), unit face Jacobian
+    mass_ref: np.ndarray         # reference mass inv(V V^T)
+    lift_ref: np.ndarray         # Np x (Nfaces*Nfp), unit face Jacobian
+
+    def __post_init__(self):
+        # one element is shared by every caller, so its arrays are read-only
+        for a in (self.nodes, self.vandermonde, *self.diff, *self.face_nodes,
+                  *self.face_mass, self.mass_ref, self.lift_ref):
+            a.flags.writeable = False
 
 
+def _legendre_modes(x, p):
+    """Orthonormal Legendre modes 0..p at the points x -> (len(x), p+1)."""
+    return np.array([jacobi_p(x, 0, 0, j) for j in range(p + 1)]).T
+
+
+def modal_basis(dim, p, points):
+    """The orthonormal modes of order <= p (Jacobi on the interval, Dubiner
+    on the triangle) at reference points (n, dim): their values (n, Np)
+    and their gradients, one (n, Np) array per reference direction."""
+    if dim == 1:
+        r = points[:, 0]
+        return (_legendre_modes(r, p),
+                [np.array([grad_jacobi_p(r, 0, 0, j)
+                           for j in range(p + 1)]).T])
+    a, b = _rstoab(points[:, 0], points[:, 1])
+    modes = [(i, j) for i in range(p + 1) for j in range(p + 1 - i)]
+    grads = [_grad_simplex2dp(a, b, i, j) for i, j in modes]
+    return (np.array([_simplex2dp(a, b, i, j) for i, j in modes]).T,
+            [np.array([g[d] for g in grads]).T for d in range(2)])
+
+
+@cache
 def build_reference_element(dim, p):
-    """Nodal reference element of order p on the interval (dim=1) or triangle."""
+    """Nodal reference element of order p on the interval (dim=1) or
+    triangle.  Built once per (dim, p) and shared by every caller."""
     if dim not in (1, 2):
         raise ConfigurationError(f"unsupported dim {dim}")
     if not (1 <= p <= MAX_ORDER):
         raise ConfigurationError(f"order p={p} outside supported range [1, {MAX_ORDER}]")
     if dim == 1:
-        r = gauss_lobatto_nodes(p)
-        Np = p + 1
-        V = np.array([jacobi_p(r, 0, 0, j) for j in range(Np)]).T
-        Vr = np.array([grad_jacobi_p(r, 0, 0, j) for j in range(Np)]).T
-        Dr = Vr @ np.linalg.inv(V)
-        ref = ReferenceElement(
-            dim=1, p=p, Np=Np, Nfp=1, Nfaces=2,
-            nodes=r.reshape(-1, 1), vandermonde=V, diff=[Dr],
-            face_nodes=[np.array([0]), np.array([Np - 1])])
+        nodes = gauss_lobatto_nodes(p).reshape(-1, 1)
+        face_nodes = [np.array([0]), np.array([p])]
+        face_mass = [np.array([[1.0]])] * 2
     else:
         r, s = triangle_nodes(p)
-        Np = (p + 1) * (p + 2) // 2
-        a, b = _rstoab(r, s)
-        cols = []
-        dcols_r = []
-        dcols_s = []
-        for i in range(p + 1):
-            for j in range(p + 1 - i):
-                cols.append(_simplex2dp(a, b, i, j))
-                dr, ds = _grad_simplex2dp(a, b, i, j)
-                dcols_r.append(dr)
-                dcols_s.append(ds)
-        V = np.array(cols).T
-        Vinv = np.linalg.inv(V)
-        Dr = np.array(dcols_r).T @ Vinv
-        Ds = np.array(dcols_s).T @ Vinv
+        nodes = np.column_stack([r, s])
         fn1 = np.flatnonzero(np.abs(s + 1) < NODETOL)
         fn2 = np.flatnonzero(np.abs(r + s) < NODETOL)
         fn3 = np.flatnonzero(np.abs(r + 1) < NODETOL)
-        fn1 = fn1[np.argsort(r[fn1])]
-        fn2 = fn2[np.argsort(s[fn2])]
-        fn3 = fn3[np.argsort(-s[fn3])]
-        ref = ReferenceElement(
-            dim=2, p=p, Np=Np, Nfp=p + 1, Nfaces=3,
-            nodes=np.column_stack([r, s]), vandermonde=V, diff=[Dr, Ds],
-            face_nodes=[fn1, fn2, fn3])
+        face_nodes = [fn1[np.argsort(r[fn1])], fn2[np.argsort(s[fn2])],
+                      fn3[np.argsort(-s[fn3])]]
         # reference face mass from the trace basis on each face
-        fm = []
-        for fn in ref.face_nodes:
-            t = _face_parameter(ref, fn)
-            V1 = np.array([jacobi_p(t, 0, 0, j) for j in range(p + 1)]).T
-            fm.append(np.linalg.inv(V1 @ V1.T))
-        ref._face_mass_all = fm
-    ref.mass_ref = np.linalg.inv(ref.vandermonde @ ref.vandermonde.T)
-    ref.lift_ref = _build_lift(ref)
-    _check_reference(ref)
-    return ref
+        face_mass = []
+        for fn in face_nodes:
+            v1 = _legendre_modes(_face_parameter(nodes[fn]), p)
+            face_mass.append(np.linalg.inv(v1 @ v1.T))
+    V, grads = modal_basis(dim, p, nodes)
+    Vinv = np.linalg.inv(V)
+    # Lagrange property via Vandermonde conditioning
+    if np.max(np.abs(V @ Vinv - np.eye(len(V)))) > 1e-9:
+        raise ConfigurationError(f"ill-conditioned basis at p={p}")
+    Np, Nfp, Nfaces = len(nodes), len(face_nodes[0]), len(face_nodes)
+    # lift: the face mass matrices with unit surface Jacobian, premultiplied
+    # by inv(mass_ref) = V V^T
+    emat = np.zeros((Np, Nfaces * Nfp))
+    for f, (fn, fm) in enumerate(zip(face_nodes, face_mass)):
+        emat[np.ix_(fn, np.arange(f * Nfp, (f + 1) * Nfp))] = fm
+    return ReferenceElement(
+        dim=dim, p=p, Np=Np, Nfp=Nfp, Nfaces=Nfaces, nodes=nodes,
+        vandermonde=V, diff=[g @ Vinv for g in grads], face_nodes=face_nodes,
+        face_mass=face_mass, mass_ref=np.linalg.inv(V @ V.T),
+        lift_ref=V @ (V.T @ emat))
 
 
-def _face_parameter(ref, fn):
-    """Arclength-like parameter in [-1,1] along a triangle face."""
-    pts = ref.nodes[fn]
+def _face_parameter(pts):
+    """Arclength-like parameter in [-1,1] along the points of a triangle face."""
     d = pts[-1] - pts[0]
     t = (pts - pts[0]) @ d / (d @ d)
     return 2.0 * t - 1.0
-
-
-def _build_lift(ref):
-    """Emat with unit surface Jacobian, premultiplied by inv(mass_ref)."""
-    emat = np.zeros((ref.Np, ref.Nfaces * ref.Nfp))
-    for f in range(ref.Nfaces):
-        fn = ref.face_nodes[f]
-        if ref.dim == 1:
-            fm = np.array([[1.0]])
-        else:
-            fm = ref._face_mass_all[f]
-        emat[np.ix_(fn, np.arange(f * ref.Nfp, (f + 1) * ref.Nfp))] = fm
-    return ref.vandermonde @ (ref.vandermonde.T @ emat)
-
-
-def _check_reference(ref):
-    # Lagrange property via Vandermonde conditioning
-    ident = ref.vandermonde @ np.linalg.inv(ref.vandermonde)
-    if np.max(np.abs(ident - np.eye(ref.Np))) > 1e-9:
-        raise ConfigurationError(f"ill-conditioned basis at p={ref.p}")

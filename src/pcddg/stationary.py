@@ -487,14 +487,8 @@ def contact_currents(disc, j, contact_idx, contacts):
 
 def _face_integral(disc, face_vals, mask):
     ref = disc.ref
-    if ref.dim == 1:
-        w = np.ones(ref.Nfaces * ref.Nfp)
-        sj = disc.sjac * 0 + 1.0
-    else:
-        w = np.concatenate([ref._face_mass_all[f].sum(axis=0)
-                            for f in range(ref.Nfaces)])
-        sj = disc.sjac
-    wfull = np.repeat(sj, ref.Nfp, axis=1) * w[None, :]
+    w = np.concatenate([fm.sum(axis=0) for fm in ref.face_mass])
+    wfull = np.repeat(disc.sjac, ref.Nfp, axis=1) * w[None, :]
     return float(np.sum(face_vals * wfull * mask))
 
 

@@ -12,10 +12,11 @@ import pcddg
 from pcddg import cli
 from pcddg import output as out_mod
 from pcddg.cli import main
-from pcddg.config import parse_box, parse_config, parse_quantity
+from pcddg.config import _SECTIONS, parse_box, parse_config, parse_quantity
 from pcddg.dgops import build_discretization
 from pcddg.mesh import unit_interval_mesh
 from pcddg.refelem import ConfigurationError, build_reference_element
+from pcddg.stationary import ConvergenceError, StationaryProblem
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = os.path.join(REPO, "configs", "conventional_pcd.cfg")
@@ -132,6 +133,36 @@ def test_readme_has_a_deck():
     assert _readme_decks()
 
 
+def _add(after, line):
+    return lambda deck: deck.replace(after, after + line)
+
+
+def _override(key):
+    return lambda deck: deck.replace("material = lt_gaas", "material = ltg") \
+        + f"\n[material.ltg]\nbase = lt_gaas\n{key}\n"
+
+
+# (deck edit, the section or section.key its error names)
+MALFORMED_DECKS = [
+    (lambda deck: deck.replace("[source]", "[Source]"), "[Source]"),
+    (lambda deck: deck.replace("[source]", "[sources]"), "[sources]"),
+    (lambda deck: deck + "\n[region]\nmaterial = vacuum\n", "[region]"),
+    (lambda deck: deck + "\n[material.spare]\nbase = gold\n",
+     "[material.spare]"),
+    (lambda deck: deck.replace("dim = 1", "dim = one"), "mesh.dim"),
+    (lambda deck: deck.replace("p_em = 2", "p_em = two"), "run.p_em"),
+    (lambda deck: deck.replace("\nm = 2", "\nm = 1.5"), "run.m"),
+    (_add("t_end = 0.5 fs\n", "safety = fast\n"), "run.safety"),
+    (_add("points = 0.75 um\n", "cadence = x\n"), "probes.cadence"),
+    (lambda deck: deck + "\n[convergence]\nlevels = x\n",
+     "convergence.levels"),
+    (_override("n_i = 0"), "material.ltg: ltgaas: n_i"),
+    (_override("mu_r = -1"), "material.ltg: ltgaas: eps_r/mu_r"),
+    (_add("beam_width = 1 um\n", "polarization = z\n"),
+     "source.polarization"),
+]
+
+
 class TestConfigValidation:
     def test_unknown_key_strict(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -192,6 +223,34 @@ class TestConfigValidation:
         path.write_text(DEVICE_CFG.replace("source_aperture =", "slippery ="))
         with pytest.raises(ConfigurationError, match="unknown tag"):
             parse_config(str(path))
+
+    @pytest.mark.parametrize("edit,where", MALFORMED_DECKS,
+                             ids=[where for _edit, where in MALFORMED_DECKS])
+    def test_malformed_deck_exit_1(self, edit, where, tmp_path, capsys):
+        # every malformed deck ends in one line naming where it went wrong
+        path = tmp_path / "bad.cfg"
+        path.write_text(edit(DEVICE_CFG))
+        assert main(["info", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {where}")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_sections_table_documented(self):
+        # the README table lists every section kind and key of _SECTIONS,
+        # with the defaults of the optional keys
+        with open(os.path.join(REPO, "README.md")) as fh:
+            rows = re.findall(r"^\| `\[(\S+)\]` \| (.*?) \| (.*?) \|",
+                              fh.read(), flags=re.M)
+        documented = {}
+        for kind, keys, default in rows:
+            sec = documented.setdefault(kind.replace("<name>", "*"), ({}, {}))
+            for key in re.findall(r"`([a-z_0-9]+)`", keys):
+                if default == "required":
+                    sec[0][key] = None
+                else:
+                    sec[1][key] = re.fullmatch(r"`(.*)`|", default).group(1)
+        assert documented == {kind: (dict.fromkeys(req), opt)
+                              for kind, (req, opt) in _SECTIONS.items()}
 
 
 class TestOutputs:
@@ -286,7 +345,29 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["stationary", "--config", str(path),
                      "--out", str(out)]) == 2
-        assert "solver failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failure" in err
+        # a failed run leaves its diagnosis
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "failed"
+        assert man["command"] == "stationary"
+        assert man["extra"]["error"] in err
+        assert man["extra"]["gummel_history"] == []
+
+    def test_gummel_failure_manifest_has_history(self, device_cfg, tmp_path,
+                                                 capsys, monkeypatch):
+        def fail(self, **_kwargs):
+            raise ConvergenceError("Gummel iteration did not converge",
+                                   [3.5, 1.25, 0.5])
+        monkeypatch.setattr(StationaryProblem, "gummel_solve", fail)
+        out = tmp_path / "out"
+        assert main(["transient", "--config", device_cfg,
+                     "--out", str(out)]) == 2
+        assert "did not converge" in capsys.readouterr().err
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "failed"
+        assert man["command"] == "transient"
+        assert man["extra"]["gummel_history"] == [3.5, 1.25, 0.5]
 
     def test_stationary_outputs(self, device_cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -297,6 +378,7 @@ class TestCli:
             assert (out / fname).exists()
         man = json.loads((out / "manifest.json").read_text())
         assert man["command"] == "stationary"
+        assert man["status"] == "ok"
         assert man["extra"]["gummel_iterations"] > 0
 
     def test_transient_runs_stationary_first(self, device_cfg, tmp_path,

@@ -15,6 +15,7 @@ from pcddg.refelem import (
     gauss_lobatto_nodes,
     grad_jacobi_p,
     jacobi_p,
+    modal_basis,
     triangle_nodes,
 )
 
@@ -229,3 +230,28 @@ def test_bad_order_raises():
         build_reference_element(2, 7)
     with pytest.raises(ConfigurationError):
         build_reference_element(3, 2)
+
+
+def test_built_once_per_order():
+    assert build_reference_element(2, 3) is build_reference_element(2, 3)
+    assert build_reference_element(2, 3) is not build_reference_element(2, 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_modal_basis_at_nodes_is_the_vandermonde(dim):
+    ref = build_reference_element(dim, 3)
+    modes, grads = modal_basis(dim, 3, ref.nodes)
+    assert np.array_equal(modes, ref.vandermonde)
+    vinv = np.linalg.inv(ref.vandermonde)
+    for grad, diff in zip(grads, ref.diff):
+        assert np.array_equal(grad @ vinv, diff)
+
+
+@pytest.mark.parametrize("dim,face_length", [(1, 1.0), (2, 2.0)])
+def test_face_mass_integrates_constants(dim, face_length):
+    # unit face Jacobian: a point face in 1D, the parameter [-1, 1] in 2D
+    ref = build_reference_element(dim, 3)
+    assert len(ref.face_mass) == ref.Nfaces
+    for fm in ref.face_mass:
+        assert fm.shape == (ref.Nfp, ref.Nfp)
+        assert fm.sum() == pytest.approx(face_length, abs=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from pcddg import stationary
 from pcddg.dgops import interpolate, interpolation_rows
 from pcddg.mesh import make_spec, generate_structured_mesh, unit_interval_mesh
+from pcddg.refelem import build_reference_element
 from pcddg.physics import (MaterialTable, PhysicsError, gold, lt_gaas, vacuum,
                            EPS0, Q)
 from pcddg.stationary import (StationaryProblem, assemble_affine_operator,
@@ -89,6 +90,12 @@ class TestEquilibrium:
         sol = prob.gummel_solve()
         assert len(sol.gummel_history) >= 2
         assert sol.gummel_history[-1] < 1e-6
+
+    def test_problems_share_one_reference_element(self):
+        # the reference element is built once per (dim, p)
+        a, b = resistor_problem(n=8), resistor_problem(n=12, v_bias=0.1)
+        assert a.pdisc.ref is b.pdisc.ref is b.ddisc.ref \
+            is build_reference_element(1, 2)
 
 
 class TestPoisson:
