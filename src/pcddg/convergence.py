@@ -142,12 +142,3 @@ def format_table(rows):
         o = "  --" if np.isnan(order) else f"{order:7.2f}"
         lines.append(f"{p:>3} {n:>5} {h:10.3e} {err:12.4e} {o}")
     return "\n".join(lines)
-
-
-def observed_orders(rows):
-    """Final-level observed order per polynomial degree -> {p: order}."""
-    out = {}
-    for p, _n, _h, _err, order in rows:
-        if not np.isnan(order):
-            out[p] = order
-    return out

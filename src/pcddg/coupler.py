@@ -272,9 +272,11 @@ def multirate_advance(cs, em_state, dd_state, t, schedule, g_last=None,
     g_tilde = 0.5 * ((g_now if g_last is None else g_last) + g_now)
     _log(log, t, "gen_avg")
 
-    e_t_sync = cs.e_t_on_dd(em_state)
-    dd_rhs = lambda s, tt: cs.dd.carrier_rhs(s, g=g_tilde, e_t=e_t_sync)
-    dd_state = tvd_rk3_step(dd_state, dd_rhs, schedule.dt_dd, t)
+    # G and E^t are frozen over the DD step: its terms are built once
+    terms = cs.dd.step_terms(g=g_tilde, e_t=cs.e_t_on_dd(em_state))
+    dd_state = tvd_rk3_step(dd_state,
+                            lambda s, tt: cs.dd.carrier_rhs(s, terms),
+                            schedule.dt_dd, t)
     _log(log, t, "dd_step")
 
     em_rhs = cs._em_rhs_with_carriers(dd_state)

@@ -11,14 +11,17 @@ drift velocity v_c (electrons v = -mu_e E, holes v = +mu_h E):
 with mobilities and diffusivities frozen at the stationary field E^s.
 """
 
+from typing import NamedTuple
+
 import numpy as np
+import scipy.sparse as sp
 
 from . import physics as ph
-from .dgops import LDGDiffusion
+from .dgops import LDGDiffusion, assemble_affine_operator
 from .physics import PhysicsError
 
-_COLUMN_ATTRS = ("n_i", "tau_e", "tau_h", "n_e1", "n_h1",
-                 "mu_e0", "mu_h0", "v_sat_e", "v_sat_h", "beta_e", "beta_h")
+_SRH_ATTRS = ("n_i", "tau_e", "tau_h", "n_e1", "n_h1")
+_MOBILITY_ATTRS = ("mu_e0", "mu_h0", "v_sat_e", "v_sat_h", "beta_e", "beta_h")
 
 
 def lax_friedrichs_flux(v_minus_n, v_plus_n, n_minus, n_plus):
@@ -32,6 +35,24 @@ def lax_friedrichs_flux(v_minus_n, v_plus_n, n_minus, n_plus):
         + alpha * (n_minus - n_plus)
 
 
+class StepTerms(NamedTuple):
+    """What DDSolver.step_terms freezes for one DD macro step."""
+    v: tuple            # drift velocity components, each (2, K, Np)
+    v_traces: tuple     # (n.v^-, n.v^+), each (2, K, Nfaces*Nfp)
+    source: object      # -div(v^t n^s), (2, K, Np); 0.0 without E^t
+    gain: np.ndarray    # G + R(n^s), (K, Np)
+
+
+class _Background(NamedTuple):
+    """What DDSolver._transient_background builds per stationary state."""
+    matrix: object      # sparse block-diagonal diffusion of (n_e, n_h)
+    mu: np.ndarray      # (-mu_e, mu_h), (2, K, Np)
+    v: tuple            # E^s drift velocity components, each (2, K, Np)
+    v_traces: tuple     # their (n.v^-, n.v^+)
+    n_s: np.ndarray     # (n_e^s, n_h^s)
+    n_s_traces: tuple   # their (n^-, n^+)
+
+
 class DDSolver(LDGDiffusion):
     """Drift-diffusion rhs evaluation on a (semiconductor) Discretization.
 
@@ -42,6 +63,12 @@ class DDSolver(LDGDiffusion):
     transient density at a contact), and so is the Dirichlet penalty of the
     diffusion flux: the stationary continuity solves pass one, the
     transient passes none.
+
+    The transient rhs is evaluated at the cadence of its inputs: the
+    diffusion matrix and the stacked stationary terms once per stationary
+    state (on first use), the drift velocities, the advective source and
+    G + R(n^s) once per macro step (step_terms), and both carriers at once
+    per stage (carrier_rhs).
     """
 
     def __init__(self, disc, materials):
@@ -56,11 +83,13 @@ class DDSolver(LDGDiffusion):
             raise PhysicsError(
                 f"element {disc.elems[k]} ({self.mats[self.mat_idx[k]].name}) "
                 "is not a semiconductor; restrict the DD subdomain")
-        # per-element (K, 1) columns of the SRH and mobility parameters,
-        # named as on Material so that the physics functions take self
-        for attr in _COLUMN_ATTRS:
-            setattr(self, attr, np.array([getattr(m, attr) for m in self.mats])
-                    [self.mat_idx][:, None])
+        # the SRH and mobility parameters, named as on Material so that the
+        # physics functions take self: per-element (K, 1) columns, and the
+        # SRH ones, which every rhs stage reads, repeated per node (K, Np)
+        for attr in _SRH_ATTRS + _MOBILITY_ATTRS:
+            col = np.array([getattr(m, attr) for m in self.mats])[self.mat_idx]
+            setattr(self, attr, np.repeat(col[:, None], disc.Np, axis=1)
+                    if attr in _SRH_ATTRS else col[:, None])
 
         # stationary background (zero until set_stationary)
         dim = disc.ref.dim
@@ -82,10 +111,12 @@ class DDSolver(LDGDiffusion):
         self.v_e = tuple(-self.mu_e * c for c in self.e_s)
         self.v_h = tuple(self.mu_h * c for c in self.e_s)
         self._r_s = ph.srh_recombination(self.n_e_s, self.n_h_s, self)
+        self._background = None
 
     def set_stationary(self, e_s, n_e_s, n_h_s):
         """Freeze the stationary field and densities; recompute mu_c, d_c,
-        the drift velocities v_c = -+mu_c E^s and R(n^s)."""
+        the drift velocities v_c = -+mu_c E^s and R(n^s), and drop what the
+        transient built from the previous state."""
         self.e_s = tuple(np.asarray(c, dtype=float) for c in e_s)
         self.n_e_s = np.asarray(n_e_s, dtype=float)
         self.n_h_s = np.asarray(n_h_s, dtype=float)
@@ -94,59 +125,83 @@ class DDSolver(LDGDiffusion):
         self._freeze_background()
 
     # -- kernels ---------------------------------------------------------
-    def scalar_rhs(self, n, v, d_nod, *, f_d=0.0, penalty=None, v_src=None,
-                   n_src=None):
-        """rhs of dn/dt = -div(vn) + div(d grad n) - div(v_src n_src), with
-        Dirichlet face values f_d and the diffusion-flux penalty on
-        Dirichlet faces (None: none)."""
+    def drift(self, n, v, v_traces, f_d=0.0, traces=None):
+        """-div(v n) with the local Lax-Friedrichs flux on interior faces,
+        (n.v) f_d on Dirichlet faces and no flux through Robin walls, for
+        given normal traces (n.v^-, n.v^+) of v; n is one carrier (K, Np) or
+        both stacked (2, K, Np), with v and f_d to match."""
         d = self.disc
-        nm, np_ = traces = self.traces(n)
-        div_d, lift_d = self.diffusion(n, d_nod, f_d, penalty, traces)
-
-        # advection of the unknown
-        vm, vp = self.normal_traces(v)
+        vm, vp = v_traces
+        nm, np_ = self.traces(n) if traces is None else traces
         f_adv = lax_friedrichs_flux(vm, vp, nm, np_)
         f_adv = np.where(self.dir_mask, vm * f_d, f_adv)
         # Robin walls: the *total* transient flux vanishes
         f_adv = np.where(self.neu_mask, 0.0, f_adv)
         div_v = sum(d.ddx(c * n, nu) for nu, c in enumerate(v))
-        rhs = -div_v - d.lift(f_adv - vm * nm) + div_d + lift_d
-        if v_src is None:
-            return rhs
+        return -div_v - d.lift(f_adv - vm * nm)
 
-        # advective source with the known density
-        sm, sp = self.normal_traces(v_src)
-        nsm, nsp = self.traces(n_src)
-        f_src = lax_friedrichs_flux(sm, sp, nsm, nsp)
-        f_src = np.where(self.dir_mask, sm * nsm, f_src)
-        f_src = np.where(self.neu_mask, 0.0, f_src)
-        div_s = sum(d.ddx(c * n_src, nu) for nu, c in enumerate(v_src))
-        return rhs - div_s - d.lift(f_src - sm * nsm)
+    def scalar_rhs(self, n, v, d_nod, *, f_d=0.0, penalty=None):
+        """rhs of dn/dt = -div(vn) + div(d grad n), with Dirichlet face
+        values f_d and the diffusion-flux penalty on Dirichlet faces (None:
+        none)."""
+        traces = self.traces(n)
+        div_d, lift_d = self.diffusion(n, d_nod, f_d, penalty, traces)
+        return self.drift(n, v, self.normal_traces(v), f_d, traces) \
+            + div_d + lift_d
 
-    def transient_recombination(self, n_e_t, n_h_t):
-        """R^t = R(n^s + n^t) - R(n^s) with the SRH form; R(n^s) is
-        computed once per stationary state."""
-        return ph.srh_recombination(self.n_e_s + n_e_t, self.n_h_s + n_h_t,
-                                    self) - self._r_s
+    def _transient_background(self):
+        """What the transient rhs takes from the stationary state, stacked
+        over (e, h) and built on first use after set_stationary: the
+        block-diagonal diffusion matrix, probed from the diffusion kernel
+        (Dirichlet data 0 and no penalty make it linear and constant), the
+        signed mobilities (-mu_e, mu_h), the E^s drift velocities with
+        their normal traces, and n^s with its traces."""
+        if self._background is None:
+            blocks = []
+            for dc in (self.d_e, self.d_h):
+                def apply_fn(n, dc=dc):
+                    volume, surface = self.diffusion(n, dc)
+                    return volume + surface
+                a, _ = assemble_affine_operator(apply_fn, self.disc,
+                                                homogeneous_fn=apply_fn)
+                blocks.append(a)
+            v = tuple(np.stack(c) for c in zip(self.v_e, self.v_h))
+            n_s = np.stack([self.n_e_s, self.n_h_s])
+            self._background = _Background(
+                sp.block_diag(blocks, format="csr"),
+                np.stack([-self.mu_e, self.mu_h]), v, self.normal_traces(v),
+                n_s, self.traces(n_s))
+        return self._background
 
-    def carrier_rhs(self, state, g=None, e_t=None):
-        """Full rhs for state = (n_e^t, n_h^t), shape (2, K, Np).  The drift
-        velocity is v_c + v_c^t, v_c^t = -+mu_c E^t, and the advective
-        source -div(v_c^t n_c^s) is present when E^t is given."""
-        r_t = self.transient_recombination(state[0], state[1])
-        if g is not None:
-            r_t = r_t - g
-        out = np.empty_like(state)
-        for i, (sgn, mu, dc, v_s, ns) in enumerate(
-                ((-1.0, self.mu_e, self.d_e, self.v_e, self.n_e_s),
-                 (1.0, self.mu_h, self.d_h, self.v_h, self.n_h_s))):
-            v, v_src = v_s, None
-            if e_t is not None:
-                v_src = tuple(sgn * mu * c for c in e_t)
-                v = tuple(a + b for a, b in zip(v_s, v_src))
-            out[i] = self.scalar_rhs(state[i], v, dc, v_src=v_src,
-                                     n_src=ns) - r_t
-        return out
+    def step_terms(self, g=None, e_t=None):
+        """The terms of carrier_rhs that stay fixed over a DD macro step of
+        generation g and transient field E^t (None: zero): the stacked drift
+        velocities v_c + v_c^t, v_c^t = -+mu_c E^t, with their normal
+        traces; the advective source -div(v_c^t n_c^s); and G + R(n^s)."""
+        bg = self._transient_background()
+        v, v_traces, source = bg.v, bg.v_traces, 0.0
+        if e_t is not None:
+            v_t = tuple(bg.mu * c for c in e_t)
+            t_traces = self.normal_traces(v_t)
+            v = tuple(a + b for a, b in zip(v, v_t))
+            v_traces = tuple(a + b for a, b in zip(v_traces, t_traces))
+            # the known density's flux on a contact is its own trace
+            source = self.drift(bg.n_s, v_t, t_traces, bg.n_s_traces[0],
+                                bg.n_s_traces)
+        gain = self._r_s if g is None else g + self._r_s
+        return StepTerms(v, v_traces, source, gain)
+
+    def carrier_rhs(self, state, terms):
+        """Full rhs of both carriers, state = (n_e^t, n_h^t) of shape
+        (2, K, Np), in the macro step's terms (step_terms): drift in
+        v_c + v_c^t, the diffusion matrix, the advective source and
+        R^t - G = R(n^s + n^t) - (G + R(n^s)), all in one pass."""
+        bg = self._transient_background()
+        diff = bg.matrix @ state.reshape(-1)
+        n = bg.n_s + state
+        r = ph.srh_recombination(n[0], n[1], self)
+        return self.drift(state, terms.v, terms.v_traces) \
+            + diff.reshape(state.shape) + terms.source - (r - terms.gain)
 
     def conduction_current(self, n_e, n_h, e, f_e=0.0, f_h=0.0):
         """J = q(mu_e n_e E + d_e grad n_e) + q(mu_h n_h E - d_h grad n_h)

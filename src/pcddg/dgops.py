@@ -1,6 +1,9 @@
 """Mesh-level nodal DG data: physical nodes, metric factors, face node maps,
 lift operators, and boundary classification, optionally restricted to an
-element subset (the DD/Poisson subdomains).
+element subset (the DD/Poisson subdomains); the shared LDG diffusion
+kernel; and the sparse assembly of a matrix-free kernel by probing it
+with colored unit vectors (Curtis-Powell-Reid), which the stationary
+operators and the transient carrier diffusion matrix are built with.
 
 Set-up is array-based: the plus-side face node of every interior face node
 is found by one batched nearest-coordinate match over all interior face
@@ -10,6 +13,7 @@ the coordinate size, at least 1)."""
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import BOUNDARY_TAGS, INTERIOR
 from .refelem import MeshError, modal_basis
@@ -57,10 +61,13 @@ class Discretization:
         return out
 
     def face_minus(self, u):
-        return u.reshape(-1)[self.vmapM]
+        """Interior traces (..., K, Nfaces*Nfp) of nodal u (..., K, Np); a
+        leading axis stacks fields."""
+        return np.take(u.reshape(u.shape[:-2] + (-1,)), self.vmapM, axis=-1)
 
     def face_plus(self, u):
-        return u.reshape(-1)[self.vmapP]
+        """Exterior traces, as face_minus."""
+        return np.take(u.reshape(u.shape[:-2] + (-1,)), self.vmapP, axis=-1)
 
     def lift(self, face_flux):
         """M^-1 times the surface integral of face_flux (K, Nfaces*Nfp)."""
@@ -144,6 +151,60 @@ class LDGDiffusion:
         h = np.repeat(d.h_elem[:, None], d.nfp_tot, axis=1)
         c = d.face_minus(np.broadcast_to(coef, (d.K, d.Np)))
         return scale * c * (d.ref.p + 1) ** 2 / h
+
+
+# ---------------------------------------------------------------------------
+# sparse assembly of matrix-free kernels
+
+def assemble_affine_operator(apply_fn, disc, *, homogeneous_fn):
+    """Assemble apply_fn(u) = A u + c by probing the matrix-free kernel.
+
+    homogeneous_fn is the same operator with zero boundary data: A is probed
+    through it so that the unit probes are not lost to cancellation against
+    large boundary data.  With E the element adjacency of the subdomain,
+    column block k of A lives on the rows of reach = (I + E)^2, the elements
+    within two faces of k (LDG: gradient, then divergence).  Elements more
+    than four faces apart, outside the pattern of reach^2, have disjoint
+    reaches and are probed together; the greedy coloring takes the smallest
+    free color in element order.
+    """
+    K, Np = disc.K, disc.Np
+    c = apply_fn(np.zeros((K, Np)))
+    ch = homogeneous_fn(np.zeros((K, Np)))
+    glob2sub = -np.ones(disc.mesh.K, dtype=int)
+    glob2sub[disc.elems] = np.arange(K)
+    nbr = glob2sub[disc.mesh.etoe[disc.elems]]
+    own = np.broadcast_to(np.arange(K)[:, None], nbr.shape)
+    inner = (nbr >= 0) & (nbr != own)
+    step = sp.identity(K, format="csr") + sp.csr_matrix(
+        (np.ones(inner.sum()), (own[inner], nbr[inner])), shape=(K, K))
+    reach = step @ step
+    conflict = reach @ reach
+    colors = -np.ones(K, dtype=int)
+    for k in range(K):
+        taken = set(colors[conflict.indices[
+            conflict.indptr[k]:conflict.indptr[k + 1]]].tolist())
+        color = 0
+        while color in taken:
+            color += 1
+        colors[k] = color
+    rows, cols, vals = [], [], []
+    for color in range(colors.max() + 1):
+        ks = np.flatnonzero(colors == color)
+        blocks = reach[ks].tocoo()      # (probe, element it reaches) pairs
+        hit = blocks.col
+        for j in range(Np):
+            u = np.zeros((K, Np))
+            u[ks, j] = 1.0
+            r = homogeneous_fn(u) - ch
+            rows.append((hit[:, None] * Np + np.arange(Np)).ravel())
+            cols.append(np.repeat(ks[blocks.row] * Np + j, Np))
+            vals.append(r[hit].ravel())
+    a = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(K * Np, K * Np))
+    a.eliminate_zeros()
+    return a, c.reshape(-1)
 
 
 def build_discretization(mesh, ref, element_mask=None, cut_face_tag=None):
@@ -262,12 +323,6 @@ def build_discretization(mesh, ref, element_mask=None, cut_face_tag=None):
         normals=normals, sjac=sjac, fscale=fscale, nhat=nhat,
         vmapM=vmapM, vmapP=vmapP, face_tag=face_tag, beta_sign=beta_sign,
         h_elem=h_min)
-
-
-def nodal_field(disc, fn):
-    """Sample fn(x[, y]) at the discretization nodes -> (K, Np)."""
-    coords = [disc.x[:, :, d] for d in range(disc.ref.dim)]
-    return np.asarray(fn(*coords), dtype=float)
 
 
 def locate_points(disc, points):

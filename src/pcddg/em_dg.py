@@ -17,7 +17,7 @@ _ROWS = {1: (("ex", "hz"), ("dx", "bz"), ("jpx",)),
          2: (("ex", "ey", "hz"), ("dx", "dy", "bz"), ("jpx", "jpy"))}
 
 _PEC_LIKE = {"PEC", "ELECTRODE_D", "SOURCE_APERTURE"}
-_ABC_LIKE = {"ABC", "PML_interface"}
+_ABC_LIKE = {"ABC", "PML_INTERFACE"}
 
 
 @dataclass
@@ -276,12 +276,6 @@ class MaxwellSolver:
 
     def _src_scale(self, t):
         return self._src_amp * self._src_spec.envelope(t)
-
-    def optical_source(self, t):
-        """Nodal source current density at time t (component along polarization)."""
-        if self._src_profile is None:
-            return None
-        return self._src_scale(t) * self._src_profile
 
     # -- state helpers ---------------------------------------------------
     def zero_state(self):

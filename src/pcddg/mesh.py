@@ -13,7 +13,7 @@ import numpy as np
 
 from .refelem import MeshError
 
-BOUNDARY_TAGS = ("PEC", "ABC", "PML_interface", "ELECTRODE_D",
+BOUNDARY_TAGS = ("PEC", "ABC", "PML_INTERFACE", "ELECTRODE_D",
                  "INSULATOR_R", "SOURCE_APERTURE")
 INTERIOR = -1
 

@@ -57,13 +57,6 @@ def write_probe_csv(path, times, columns):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_probe_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return header, data
-
-
 def write_spectrum_csv(path, times, current):
     """DFT magnitude of a uniformly sampled current trace -> f,|I|,Re,Im."""
     t = np.asarray(times, dtype=float)
@@ -116,31 +109,6 @@ def write_vtk(path, disc, point_data):
             out.append("LOOKUP_TABLE default")
             out.extend(format(v, ".17g") for v in arr)
     _atomic_write(path, "\n".join(out) + "\n")
-
-
-def read_vtk(path):
-    """Round-trip reader for write_vtk files -> (points, {name: array})."""
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    it = iter(tokens)
-    for line in it:
-        if line.startswith("POINTS"):
-            npts = int(line.split()[1])
-            break
-    else:
-        raise ConfigurationError(f"{path}: no POINTS block")
-    pts = np.array([[float(v) for v in next(it).split()] for _ in range(npts)])
-    data = {}
-    for line in it:
-        if line.startswith("SCALARS"):
-            name = line.split()[1]
-            next(it)                      # LOOKUP_TABLE line
-            data[name] = np.array([float(next(it)) for _ in range(npts)])
-        elif line.startswith("VECTORS"):
-            name = line.split()[1]
-            data[name] = np.array([[float(v) for v in next(it).split()]
-                                   for _ in range(npts)])
-    return pts, data
 
 
 def write_svg_lineplot(path, x, ys, title="", width=640, height=400):

@@ -51,16 +51,16 @@ class Material:
 
     def __post_init__(self):
         if self.eps_r <= 0 or self.mu_r <= 0:
-            raise PhysicsError(f"{self.name}: eps_r/mu_r must be positive")
+            raise PhysicsError("eps_r/mu_r must be positive")
         if self.semiconductor:
             for key in ("n_i", "tau_e", "tau_h", "mu_e0", "mu_h0",
                         "v_sat_e", "v_sat_h"):
                 if getattr(self, key) <= 0:
-                    raise PhysicsError(f"{self.name}: {key} must be > 0")
+                    raise PhysicsError(f"{key} must be > 0")
             for key in ("beta_e", "beta_h"):
                 b = getattr(self, key)
                 if not 1.0 <= b <= 3.0:
-                    raise PhysicsError(f"{self.name}: {key}={b} outside [1, 3]")
+                    raise PhysicsError(f"{key}={b} outside [1, 3]")
 
 
 @dataclass
@@ -102,9 +102,9 @@ def srh_recombination(n_e, n_h, mat, lagged=None):
     """Trap-assisted recombination rate; sign follows n_e*n_h - n_i^2.
 
     mat supplies n_i, tau_e, tau_h, n_e1 and n_h1: a Material, or an object
-    holding them as per-element (K, 1) columns (DDSolver).  lagged=(n_e0,
-    n_h0) takes the denominator there instead, which makes the rate affine
-    in each density (the stationary continuity solves)."""
+    holding them as arrays that broadcast with the densities (DDSolver).
+    lagged=(n_e0, n_h0) takes the denominator there instead, which makes
+    the rate affine in each density (the stationary continuity solves)."""
     n_e = np.asarray(n_e, dtype=float)
     n_h = np.asarray(n_h, dtype=float)
     if not (np.all(np.isfinite(n_e)) and np.all(np.isfinite(n_h))):

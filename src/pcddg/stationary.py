@@ -7,12 +7,11 @@ carrier solver's LDG convection-diffusion rhs with the opposite carrier
 lagged.  Dirichlet face values and the Dirichlet penalty are arguments of
 each call: the stationary solves pass a penalty, the transient never does.
 Sparse operators are assembled by probing these matrix-free kernels with
-colored unit vectors (Curtis-Powell-Reid), so the assembled systems are
-exactly the kernels the transient solver runs.  The probing stencil is one
-sparse adjacency product, the elements within two faces: the width of the
-LDG kernel, not a parameter.  The Poisson matrix depends on eps, the mesh
-and the penalty only: each problem probes it once, on first use, and a
-Newton-Poisson step forms only the offset of its Dirichlet data.
+colored unit vectors (dgops.assemble_affine_operator), so the assembled
+systems are exactly the kernels the transient solver runs.  The Poisson
+matrix depends on eps, the mesh and the penalty only: each problem probes
+it once, on first use, and a Newton-Poisson step forms only the offset of
+its Dirichlet data.
 
 The stationary state is (phi, n_e, n_h).  StationaryProblem._finalize is
 the one place a StationarySolution is built: it derives E = -grad phi at
@@ -34,7 +33,8 @@ import scipy.sparse.linalg as spla
 from . import physics as ph
 from .physics import PhysicsError, Q
 from .dd_dg import DDSolver
-from .dgops import LDGDiffusion, build_discretization
+from .dgops import (LDGDiffusion, assemble_affine_operator,
+                    build_discretization)
 from .mesh import BOUNDARY_TAGS
 from .refelem import build_reference_element
 
@@ -58,12 +58,6 @@ class Contact:
     lo: np.ndarray
     hi: np.ndarray
     voltage: float
-
-
-def make_contacts(specs):
-    return [Contact(name, np.atleast_1d(np.asarray(lo, dtype=float)),
-                    np.atleast_1d(np.asarray(hi, dtype=float)), float(v))
-            for name, lo, hi, v in specs]
 
 
 def face_centroids(disc):
@@ -103,60 +97,6 @@ class StationarySolution:
     n_h: np.ndarray
     j: tuple                         # conduction-current components (Kd, Np)
     gummel_history: list             # max|dphi|/V_T per sweep; [] if loaded
-
-
-# ---------------------------------------------------------------------------
-# sparse assembly of matrix-free kernels
-
-def assemble_affine_operator(apply_fn, disc, *, homogeneous_fn):
-    """Assemble apply_fn(u) = A u + c by probing the matrix-free kernel.
-
-    homogeneous_fn is the same operator with zero boundary data: A is probed
-    through it so that the unit probes are not lost to cancellation against
-    large boundary data.  With E the element adjacency of the subdomain,
-    column block k of A lives on the rows of reach = (I + E)^2, the elements
-    within two faces of k (LDG: gradient, then divergence).  Elements more
-    than four faces apart, outside the pattern of reach^2, have disjoint
-    reaches and are probed together; the greedy coloring takes the smallest
-    free color in element order.
-    """
-    K, Np = disc.K, disc.Np
-    c = apply_fn(np.zeros((K, Np)))
-    ch = homogeneous_fn(np.zeros((K, Np)))
-    glob2sub = -np.ones(disc.mesh.K, dtype=int)
-    glob2sub[disc.elems] = np.arange(K)
-    nbr = glob2sub[disc.mesh.etoe[disc.elems]]
-    own = np.broadcast_to(np.arange(K)[:, None], nbr.shape)
-    inner = (nbr >= 0) & (nbr != own)
-    step = sp.identity(K, format="csr") + sp.csr_matrix(
-        (np.ones(inner.sum()), (own[inner], nbr[inner])), shape=(K, K))
-    reach = step @ step
-    conflict = reach @ reach
-    colors = -np.ones(K, dtype=int)
-    for k in range(K):
-        taken = set(colors[conflict.indices[
-            conflict.indptr[k]:conflict.indptr[k + 1]]].tolist())
-        color = 0
-        while color in taken:
-            color += 1
-        colors[k] = color
-    rows, cols, vals = [], [], []
-    for color in range(colors.max() + 1):
-        ks = np.flatnonzero(colors == color)
-        blocks = reach[ks].tocoo()      # (probe, element it reaches) pairs
-        hit = blocks.col
-        for j in range(Np):
-            u = np.zeros((K, Np))
-            u[ks, j] = 1.0
-            r = homogeneous_fn(u) - ch
-            rows.append((hit[:, None] * Np + np.arange(Np)).ravel())
-            cols.append(np.repeat(ks[blocks.row] * Np + j, Np))
-            vals.append(r[hit].ravel())
-    a = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(K * Np, K * Np))
-    a.eliminate_zeros()
-    return a, c.reshape(-1)
 
 
 def solve_sparse(a, b):

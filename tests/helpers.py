@@ -1,0 +1,72 @@
+"""Small test-side helpers: building inputs the way a deck would, sampling
+fields and reading the files the CLI writes.  No solver calls them."""
+
+import numpy as np
+
+from pcddg.refelem import ConfigurationError
+from pcddg.stationary import Contact
+
+
+def make_contacts(specs):
+    """Contacts from (name, lo, hi, voltage) tuples."""
+    return [Contact(name, np.atleast_1d(np.asarray(lo, dtype=float)),
+                    np.atleast_1d(np.asarray(hi, dtype=float)), float(v))
+            for name, lo, hi, v in specs]
+
+
+def nodal_field(disc, fn):
+    """Sample fn(x[, y]) at the discretization nodes -> (K, Np)."""
+    coords = [disc.x[:, :, d] for d in range(disc.ref.dim)]
+    return np.asarray(fn(*coords), dtype=float)
+
+
+def observed_orders(rows):
+    """Final-level observed order per polynomial degree of a
+    convergence.order_table -> {p: order}."""
+    out = {}
+    for p, _n, _h, _err, order in rows:
+        if not np.isnan(order):
+            out[p] = order
+    return out
+
+
+def optical_source(solver, t):
+    """Nodal source current density of a MaxwellSolver at time t (the
+    component along the polarization); None without a source."""
+    if solver._src_profile is None:
+        return None
+    return solver._src_scale(t) * solver._src_profile
+
+
+def read_probe_csv(path):
+    """Header and data rows of a probes.csv."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return header, data
+
+
+def read_vtk(path):
+    """Round-trip reader for output.write_vtk files -> (points,
+    {name: array})."""
+    with open(path) as fh:
+        tokens = fh.read().split("\n")
+    it = iter(tokens)
+    for line in it:
+        if line.startswith("POINTS"):
+            npts = int(line.split()[1])
+            break
+    else:
+        raise ConfigurationError(f"{path}: no POINTS block")
+    pts = np.array([[float(v) for v in next(it).split()] for _ in range(npts)])
+    data = {}
+    for line in it:
+        if line.startswith("SCALARS"):
+            name = line.split()[1]
+            next(it)                      # LOOKUP_TABLE line
+            data[name] = np.array([float(next(it)) for _ in range(npts)])
+        elif line.startswith("VECTORS"):
+            name = line.split()[1]
+            data[name] = np.array([[float(v) for v in next(it).split()]
+                                   for _ in range(npts)])
+    return pts, data

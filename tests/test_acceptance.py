@@ -18,6 +18,8 @@ from pcddg.physics import MaterialTable, OpticalSourceSpec
 from pcddg.refelem import build_reference_element
 from pcddg.stationary import Contact, StationaryProblem
 
+from helpers import observed_orders
+
 from sg_oracle import SGProblem, lt_gaas_params
 
 C0, EPS0, MU0 = ph.C0, ph.EPS0, ph.MU0
@@ -34,7 +36,7 @@ class TestMaxwell2DOrders:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_orders(self, p):
         rows = cv.order_table("maxwell2d", orders=(p,), levels=4)
-        order = cv.observed_orders(rows)[p]
+        order = observed_orders(rows)[p]
         assert order >= p + 0.5, cv.format_table(rows)
 
 
@@ -44,13 +46,13 @@ class TestDDOrders:
     @pytest.mark.parametrize("p", [1, 2])
     def test_diffusion(self, p):
         rows = cv.order_table("dd_diffusion", orders=(p,), levels=3)
-        order = cv.observed_orders(rows)[p]
+        order = observed_orders(rows)[p]
         assert order >= p + 0.5, cv.format_table(rows)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_advection(self, p):
         rows = cv.order_table("dd_advection", orders=(p,), levels=3)
-        order = cv.observed_orders(rows)[p]
+        order = observed_orders(rows)[p]
         assert order >= p + 0.5, cv.format_table(rows)
 
 

@@ -18,6 +18,8 @@ from pcddg.mesh import unit_interval_mesh
 from pcddg.refelem import ConfigurationError, build_reference_element
 from pcddg.stationary import ConvergenceError, StationaryProblem
 
+from helpers import read_probe_csv, read_vtk
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = os.path.join(REPO, "configs", "conventional_pcd.cfg")
 
@@ -156,8 +158,8 @@ MALFORMED_DECKS = [
     (_add("points = 0.75 um\n", "cadence = x\n"), "probes.cadence"),
     (lambda deck: deck + "\n[convergence]\nlevels = x\n",
      "convergence.levels"),
-    (_override("n_i = 0"), "material.ltg: ltgaas: n_i"),
-    (_override("mu_r = -1"), "material.ltg: ltgaas: eps_r/mu_r"),
+    (_override("n_i = 0"), "material.ltg: n_i"),
+    (_override("mu_r = -1"), "material.ltg: eps_r/mu_r"),
     (_add("beam_width = 1 um\n", "polarization = z\n"),
      "source.polarization"),
 ]
@@ -187,6 +189,24 @@ class TestConfigValidation:
             "tau_e = -0.3 ps\n")
         with pytest.raises(ConfigurationError, match=r"tau_e must be > 0"):
             parse_config(str(path))
+
+    def test_override_error_names_the_section_only(self, tmp_path):
+        # the error names the deck's section, not the base material; the
+        # material keeps the base's name, which the checkpoint key hashes,
+        # so the low-bias deck's stationary key is the one its checkpoints
+        # were written under
+        path = tmp_path / "bad.cfg"
+        path.write_text(_override("n_i = 0")(DEVICE_CFG))
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(str(path))
+        assert str(exc.value) == "material.ltg: n_i must be > 0"
+        cfg = parse_config(os.path.join(REPO, "perfbench", "decks",
+                                        "pcd1d_lowbias.cfg"))
+        table = cfg.material_table()
+        assert table.region("pcd").name == "ltgaas"
+        prob = StationaryProblem(cfg.build_mesh(), table, cfg.contacts,
+                                 p=cfg.p_dd)
+        assert prob.state_key() == "01920db0963d3621"
 
     def test_missing_mesh_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -260,7 +280,7 @@ class TestOutputs:
         cols = {"I_a": np.array([0.1, -0.25, 1.0 / 3.0]),
                 "W": np.array([1e-30, 2e-30, 3e-30])}
         out_mod.write_probe_csv(str(path), t, cols)
-        header, data = out_mod.read_probe_csv(str(path))
+        header, data = read_probe_csv(str(path))
         assert header == ["t", "I_a", "W"]
         assert np.array_equal(data[:, 0], t)     # full double precision
         assert np.array_equal(data[:, 1], cols["I_a"])
@@ -273,7 +293,7 @@ class TestOutputs:
         ex = rng.normal(size=(disc.K, disc.Np))
         path = tmp_path / "f.vtk"
         out_mod.write_vtk(str(path), disc, {"n_e": n_e, "E": (ex,)})
-        pts, data = out_mod.read_vtk(str(path))
+        pts, data = read_vtk(str(path))
         assert pts.shape == (disc.K * disc.Np, 3)
         assert np.array_equal(data["n_e"], n_e.reshape(-1))
         assert np.array_equal(data["E"][:, 0], ex.reshape(-1))
@@ -387,12 +407,12 @@ class TestCli:
         assert main(["transient", "--config", device_cfg,
                      "--out", str(out)]) == 0
         assert (out / "stationary.chk").exists()
-        header, data = out_mod.read_probe_csv(str(out / "probes.csv"))
+        header, data = read_probe_csv(str(out / "probes.csv"))
         assert header[0] == "t" and "I_anode" in header
         assert data.shape[0] > 2
         man = json.loads((out / "manifest.json").read_text())
         assert man["em_steps"] == man["dd_steps"] * man["cfl"]["m"]
-        _pts, fields = out_mod.read_vtk(str(out / "fields.vtk"))
+        _pts, fields = read_vtk(str(out / "fields.vtk"))
         assert {"E", "H", "n_e", "n_h"} <= set(fields)
 
     def test_transient_reuses_checkpoint(self, device_cfg, tmp_path, capsys):
@@ -458,7 +478,7 @@ class TestCli:
         assert main(["transient", "--config", str(cfg),
                      "--out", str(loaded)]) == 0
         assert "loaded stationary checkpoint" in capsys.readouterr().out
-        header, data = out_mod.read_probe_csv(str(solved / "probes.csv"))
+        header, data = read_probe_csv(str(solved / "probes.csv"))
         assert np.all(data[-1, header.index("I_anode")] != 0.0)
         assert (solved / "probes.csv").read_bytes() \
             == (loaded / "probes.csv").read_bytes()
@@ -482,6 +502,15 @@ class TestCli:
         assert main(["info", "--config", SHIPPED]) == 0
         text = capsys.readouterr().out
         assert "l_D" in text and "dt_em" in text and "dt_dd" in text
+
+    def test_pml_interface_tag_nameable(self, tmp_path, capsys):
+        # every boundary tag is upper case, so a deck can name each one
+        with open(SHIPPED) as fh:
+            deck = fh.read()
+        path = tmp_path / "pml.cfg"
+        path.write_text(deck.replace("default = PEC", "default = PML_INTERFACE"))
+        assert main(["info", "--config", str(path)]) == 0
+        assert "dt_em" in capsys.readouterr().out
 
     def test_convergence_subcommand(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"

@@ -14,7 +14,7 @@ from pcddg.mesh import make_spec, generate_structured_mesh, unit_interval_mesh
 from pcddg.physics import (MaterialTable, OpticalSourceSpec, PhysicsError,
                            lt_gaas, vacuum, C0)
 from pcddg.refelem import build_reference_element
-from pcddg.stationary import Contact
+from pcddg.stationary import Contact, StationaryProblem
 
 
 class TestSteppers:
@@ -204,10 +204,10 @@ class TestMultirate:
         dd = np.zeros((2, cs.dd.disc.K, cs.dd.disc.Np))
         _, dd_out, _ = multirate_advance(cs, em, dd, 0.0, sched)
         # reference: direct DD step driven by exactly g0
-        dd_ref = tvd_rk3_step(
-            dd, lambda s, t: cs.dd.carrier_rhs(
-                s, g=g0, e_t=(np.zeros((cs.dd.disc.K, cs.dd.disc.Np)),)),
-            sched.dt_dd)
+        terms = cs.dd.step_terms(
+            g=g0, e_t=(np.zeros((cs.dd.disc.K, cs.dd.disc.Np)),))
+        dd_ref = tvd_rk3_step(dd, lambda s, t: cs.dd.carrier_rhs(s, terms),
+                              sched.dt_dd)
         assert dd_out == pytest.approx(dd_ref, abs=0.0)
 
     def test_m1_lockstep_runs(self):
@@ -258,6 +258,28 @@ class TestCoupledSystem:
         with pytest.raises(PhysicsError, match="'ghost' matches no electrode"):
             CoupledSystem(cs.em, cs.dd, wavelength=800e-9,
                           contacts=cs.contacts + (ghost,))
+
+    def test_setup_probes_nothing(self, monkeypatch):
+        # constructing the solvers and setting a stationary state build no
+        # matrix; the march probes the two carrier diffusion blocks once, in
+        # its first DD stage, and never through the stationary assembly
+        from pcddg import dd_dg, dgops, stationary
+        calls = []
+        for module in (dgops, dd_dg, stationary):
+            def counted(apply_fn, disc, *, _real=module.assemble_affine_operator,
+                        _name=module.__name__, **kw):
+                calls.append(_name)
+                return _real(apply_fn, disc, **kw)
+            monkeypatch.setattr(module, "assemble_affine_operator", counted)
+        cs, sched = toy_pcd(n_macro=3)
+        prob = StationaryProblem(cs.em.disc.mesh, cs.dd.materials,
+                                 cs.contacts, p=2)
+        prob.dd.set_stationary((np.zeros_like(cs.dd.n_e_s),), cs.dd.n_e_s,
+                               cs.dd.n_h_s)
+        CoupledSystem(cs.em, prob.dd, wavelength=800e-9, contacts=cs.contacts)
+        assert calls == []
+        run_coupled(cs, sched)
+        assert calls == ["pcddg.dd_dg"] * 2
 
     def test_em_rhs_carries_transient_current(self):
         # the closure's in-place carrier current equals transient_current

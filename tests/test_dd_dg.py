@@ -4,9 +4,11 @@ import pytest
 from pcddg import physics as ph
 from pcddg.coupler import tvd_rk3_step
 from pcddg.dd_dg import DDSolver, lax_friedrichs_flux
-from pcddg.dgops import LDGDiffusion, build_discretization, nodal_field
+from pcddg.dgops import LDGDiffusion, build_discretization
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import MeshError, build_reference_element
+
+from helpers import nodal_field
 
 
 def semi_table(**over):
@@ -20,6 +22,43 @@ def interval_dd(n, p, left="ELECTRODE_D", right="ELECTRODE_D"):
     mesh = unit_interval_mesh(n, left=left, right=right, region="semi")
     disc = build_discretization(mesh, build_reference_element(1, p))
     return DDSolver(disc, semi_table()), disc
+
+
+def contact_and_walls_dd(dim, p):
+    """A DD solver with an ELECTRODE_D contact on the left and Robin walls
+    on every other boundary face."""
+    if dim == 1:
+        return interval_dd(5, p, right="INSULATOR_R")
+    spec = make_spec(2, [0, 0], [1, 1], [("semi", [0, 0], [1, 1], 0.25)],
+                     tag_boxes=[("ELECTRODE_D", [0, 0], [0, 1])],
+                     default_tag="INSULATOR_R")
+    disc = build_discretization(generate_structured_mesh(spec),
+                                build_reference_element(2, p))
+    return DDSolver(disc, semi_table()), disc
+
+
+def scalar_rhs_composition(solver, state, e_t=None, g=None):
+    """The transient rhs of each carrier composed from the one-carrier
+    kernel: drift in v_c + v_c^t with diffusion, plus the drift of n_c^s in
+    v_c^t (its contact flux is its own trace), minus R^t - G."""
+    r_t = ph.srh_recombination(solver.n_e_s + state[0],
+                               solver.n_h_s + state[1], solver) \
+        - ph.srh_recombination(solver.n_e_s, solver.n_h_s, solver)
+    if g is not None:
+        r_t = r_t - g
+    out = np.empty_like(state)
+    for i, (sgn, mu, dc, v_s, ns) in enumerate(
+            ((-1.0, solver.mu_e, solver.d_e, solver.v_e, solver.n_e_s),
+             (1.0, solver.mu_h, solver.d_h, solver.v_h, solver.n_h_s))):
+        if e_t is None:
+            out[i] = solver.scalar_rhs(state[i], v_s, dc) - r_t
+            continue
+        v_t = tuple(sgn * mu * c for c in e_t)
+        v = tuple(a + b for a, b in zip(v_s, v_t))
+        source = solver.scalar_rhs(ns, v_t, 0.0,
+                                   f_d=solver.disc.face_minus(ns))
+        out[i] = solver.scalar_rhs(state[i], v, dc) + source - r_t
+    return out
 
 
 def element_integrals(disc, u):
@@ -88,7 +127,7 @@ class TestFluxFunctions:
 
 class TestDriftVelocity:
     """The drift velocities of DDSolver: v_c = -+mu_c E^s is built by
-    set_stationary, and carrier_rhs adds only the E^t part."""
+    set_stationary, and step_terms adds only the E^t part."""
 
     def test_et_zero(self):
         solver, disc = interval_dd(4, 2)
@@ -97,8 +136,9 @@ class TestDriftVelocity:
         solver.set_stationary((e_s,), ns, ns)
         assert np.array_equal(solver.v_e[0], -solver.mu_e * e_s)
         state = np.stack([1e18 * np.sin(np.pi * disc.x[:, :, 0])] * 2)
-        assert np.array_equal(solver.carrier_rhs(state, e_t=(0.0 * e_s,)),
-                              solver.carrier_rhs(state))
+        assert np.array_equal(
+            solver.carrier_rhs(state, solver.step_terms(e_t=(0.0 * e_s,))),
+            solver.carrier_rhs(state, solver.step_terms()))
 
     def test_carrier_signs_opposite(self):
         solver, disc = interval_dd(4, 2)
@@ -115,7 +155,8 @@ class TestDriftVelocity:
         ns = 1e20 * (1.0 + x)
         solver.set_stationary((np.full_like(x, 1e5),), ns, ns)
         e_t = (np.full_like(x, 2e3),)
-        r = solver.carrier_rhs(np.zeros((2,) + x.shape), e_t=e_t)
+        r = solver.carrier_rhs(np.zeros((2,) + x.shape),
+                               solver.step_terms(e_t=e_t))
         assert np.allclose(r[0], solver.mu_e * 2e3 * 1e20, rtol=1e-10, atol=0)
         assert np.allclose(r[1], -solver.mu_h * 2e3 * 1e20, rtol=1e-10, atol=0)
 
@@ -128,16 +169,37 @@ class TestDriftVelocity:
         ns = 1e20 * (1.0 + x ** 2)
         solver.set_stationary((e_s,), ns, 0.5 * ns)
         state = np.stack([1e19 * np.exp(-x), 1e19 * x])
-        got = solver.carrier_rhs(state, e_t=(e_t,))
-        r_t = solver.transient_recombination(state[0], state[1])
-        for i, (sgn, mu, dc, n_s) in enumerate(
-                ((-1.0, solver.mu_e, solver.d_e, ns),
-                 (1.0, solver.mu_h, solver.d_h, 0.5 * ns))):
-            want = solver.scalar_rhs(
-                state[i], (sgn * mu * (e_s + e_t),), dc,
-                v_src=(sgn * mu * e_t,), n_src=n_s) - r_t
-            assert np.allclose(got[i], want, rtol=0,
-                               atol=1e-13 * np.abs(want).max())
+        got = solver.carrier_rhs(state, solver.step_terms(e_t=(e_t,)))
+        want = scalar_rhs_composition(solver, state, (e_t,))
+        for i in range(2):
+            assert np.allclose(got[i], want[i], rtol=0,
+                               atol=1e-13 * np.abs(want[i]).max())
+
+    @pytest.mark.parametrize("with_et", [False, True])
+    @pytest.mark.parametrize("with_g", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stage_rhs_is_scalar_rhs_composition(self, dim, p, with_g,
+                                                 with_et):
+        # both carriers in one pass, with the diffusion matrix and the step's
+        # frozen terms, equal the per-carrier kernels within round-off, on
+        # a mesh with a Dirichlet contact and Robin walls
+        rng = np.random.default_rng(10 * dim + p)
+        solver, disc = contact_and_walls_dd(dim, p)
+        x = disc.x[:, :, 0]
+        y = disc.x[:, :, dim - 1]
+        e_s = tuple(1e5 * np.cos(3 * x + nu * y) for nu in range(dim))
+        ns = 1e20 * (1.0 + x ** 2 + 0.5 * y)
+        solver.set_stationary(e_s, ns, 0.5 * ns)
+        state = 1e19 * rng.uniform(size=(2,) + x.shape)
+        g = 1e30 * rng.uniform(size=x.shape) if with_g else None
+        e_t = tuple(4e4 * np.sin(5 * x - nu * y)
+                    for nu in range(dim)) if with_et else None
+        got = solver.carrier_rhs(state, solver.step_terms(g=g, e_t=e_t))
+        want = scalar_rhs_composition(solver, state, e_t, g)
+        for i in range(2):
+            assert np.allclose(got[i], want[i], rtol=0,
+                               atol=1e-13 * np.abs(want[i]).max())
 
     def test_bad_carrier(self):
         # the mobility of the solver's columns names the carrier
@@ -294,8 +356,8 @@ class TestInvariants:
         s1.set_stationary((e_field,), ns, ns)
         s2.set_stationary((-e_field,), ns, ns)
         state = np.stack([1e16 * np.exp(-((x - 0.5) / 0.2) ** 2)] * 2)
-        r1 = s1.carrier_rhs(state)
-        r2 = s2.carrier_rhs(state)
+        r1 = s1.carrier_rhs(state, s1.step_terms())
+        r2 = s2.carrier_rhs(state, s2.step_terms())
         assert np.allclose(r1[0], r2[1], rtol=1e-12, atol=1e-3)
         assert np.allclose(r1[1], r2[0], rtol=1e-12, atol=1e-3)
 
@@ -307,26 +369,30 @@ class TestCarrierRhs:
         solver.set_stationary((1e5 * np.ones_like(x),),
                               np.full_like(x, 1e20), np.full_like(x, 1e12))
         state = np.zeros((2, disc.K, disc.Np))
-        r = solver.carrier_rhs(state)
+        r = solver.carrier_rhs(state, solver.step_terms())
         assert np.max(np.abs(r)) < 1e-20
 
     def test_generation_enters_positively(self):
         solver, disc = interval_dd(6, 2)
         state = np.zeros((2, disc.K, disc.Np))
         g = np.full((disc.K, disc.Np), 1e30)
-        r = solver.carrier_rhs(state, g=g)
+        r = solver.carrier_rhs(state, solver.step_terms(g=g))
         assert np.allclose(r[0], 1e30)
         assert np.allclose(r[1], 1e30)
 
     def test_transient_recombination_decomposition(self):
-        solver, disc = interval_dd(4, 1)
+        # R^t = R(n^s + n^t) - R(n^s): with no field, a uniform state and
+        # Robin walls nothing moves the carriers, so the rhs is -R^t
+        solver, disc = interval_dd(4, 1, left="INSULATOR_R",
+                                   right="INSULATOR_R")
         ns = np.full((disc.K, disc.Np), 1e20)
         solver.set_stationary((np.zeros_like(ns),), ns, ns)
         nt = np.full_like(ns, 1e19)
         mat = solver.mats[0]
         expect = ph.srh_recombination(1.1e20, 1.1e20, mat) \
             - ph.srh_recombination(1e20, 1e20, mat)
-        assert np.allclose(solver.transient_recombination(nt, nt), expect, rtol=1e-12)
+        r = solver.carrier_rhs(np.stack([nt, nt]), solver.step_terms())
+        assert np.allclose(-r, expect, rtol=1e-12)
 
     def test_background_rate_follows_set_stationary(self):
         # R(n^s) is stored per stationary state: a second set_stationary
@@ -338,12 +404,35 @@ class TestCarrierRhs:
         for level in (1e20, 3e18):
             ns = np.full_like(zero, level)
             solver.set_stationary((zero,), ns, 0.5 * ns)
-            got = solver.transient_recombination(nt, nt)
+            gain = solver.step_terms().gain
+            assert np.array_equal(gain, ph.srh_recombination(ns, 0.5 * ns,
+                                                             solver))
+            got = ph.srh_recombination(ns + nt, 0.5 * ns + nt, solver) - gain
             fresh = ph.srh_recombination(ns + nt, 0.5 * ns + nt, solver) \
                 - ph.srh_recombination(ns, 0.5 * ns, solver)
             assert np.array_equal(got, fresh)
-            rates.append(got)
+            rates.append(solver.carrier_rhs(np.stack([nt, nt]),
+                                            solver.step_terms()))
         assert not np.allclose(rates[0], rates[1], rtol=1e-3)
+
+    def test_second_set_stationary_changes_result(self):
+        # the diffusion matrix is built on first use and dropped by
+        # set_stationary: after a second stationary state the rhs is,
+        # bitwise, that of a solver that only ever saw the second
+        solver, disc = interval_dd(6, 2, right="INSULATOR_R")
+        fresh, _ = interval_dd(6, 2, right="INSULATOR_R")
+        x = disc.x[:, :, 0]
+        state = np.stack([1e19 * np.exp(-x), 1e19 * x])
+        ns = np.full_like(x, 1e20)
+        e_t = (np.full_like(x, 3e3),)
+        first = solver.carrier_rhs(state, solver.step_terms(e_t=e_t))
+        second = (3e6 * np.sin(2 * x),)
+        solver.set_stationary(second, ns, 0.5 * ns)
+        fresh.set_stationary(second, ns, 0.5 * ns)
+        got = solver.carrier_rhs(state, solver.step_terms(e_t=e_t))
+        assert not np.allclose(got, first, rtol=1e-3)
+        assert np.array_equal(
+            got, fresh.carrier_rhs(state, fresh.step_terms(e_t=e_t)))
 
 
 class TestBoundaryFlux:
@@ -394,7 +483,9 @@ class TestBoundaryFlux:
         q = solver.gradient(n)[0]
         assert disc.integrate(q) == pytest.approx(n[-1, -1] - n[0, 0],
                                                   rel=1e-12)
-        rhs = solver.scalar_rhs(n, v, d, v_src=(-v[0],), n_src=2.0 * n)
+        v_src = (-v[0],)
+        rhs = solver.scalar_rhs(n, v, d) \
+            + solver.drift(2.0 * n, v_src, solver.normal_traces(v_src))
         assert abs(disc.integrate(rhs)) < 1e-12 * disc.integrate(np.abs(rhs))
 
     def test_unknown_tag(self):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from pcddg.dgops import (build_discretization, interpolate, interpolation_rows,
-                          nodal_field)
+from pcddg.dgops import build_discretization, interpolate, interpolation_rows
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import MeshError, build_reference_element
+
+from helpers import nodal_field
 
 
 def square_mesh(h, tags=None, lo=(0.0, 0.0), hi=(1.0, 1.0)):

@@ -23,7 +23,9 @@ from pcddg.mesh import (BOUNDARY_TAGS, INTERIOR, Mesh, _axis_breaks,
 from pcddg.physics import PhysicsError
 from pcddg.refelem import MeshError, build_reference_element
 from pcddg.stationary import (StationaryProblem, load_checkpoint,
-                              make_contacts, save_checkpoint)
+                              save_checkpoint)
+
+from helpers import make_contacts
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_DECK = os.path.join(REPO, "configs", "conventional_pcd.cfg")

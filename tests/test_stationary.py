@@ -10,9 +10,9 @@ from pcddg.refelem import build_reference_element
 from pcddg.physics import (MaterialTable, PhysicsError, gold, lt_gaas, vacuum,
                            EPS0, Q)
 from pcddg.stationary import (StationaryProblem, assemble_affine_operator,
-                              make_contacts, solve_sparse,
-                              save_checkpoint, load_checkpoint)
+                              solve_sparse, save_checkpoint, load_checkpoint)
 
+from helpers import make_contacts
 from sg_oracle import SGProblem, lt_gaas_params
 
 L = 1e-6
