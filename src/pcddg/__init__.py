@@ -9,4 +9,4 @@ __version__ = "0.1.0"
 
 from .refelem import ConfigurationError, MeshError, build_reference_element
 from .mesh import Mesh, generate_structured_mesh
-from .physics import Material, MaterialTable, PhysicsError, default_materials
+from .physics import Material, MaterialTable, PhysicsError

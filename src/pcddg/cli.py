@@ -26,7 +26,7 @@ from .dgops import build_discretization
 from .em_dg import MaxwellSolver
 from .mesh import resolution_report
 from .physics import PhysicsError
-from .refelem import ConfigurationError, build_reference_element
+from .refelem import ConfigurationError, MeshError, build_reference_element
 from .stationary import (ConvergenceError, StationaryProblem,
                          load_checkpoint, save_checkpoint)
 
@@ -152,27 +152,15 @@ def run_transient(cfg, out_dir):
                       cadence=cfg.cadence)
     em_state, dd_state, t = run_coupled(cs, sched, probes=probes)
 
-    columns = {}
-    for name, vals in probes.currents.items():
-        columns[f"I_{name}"] = vals
-    if probes.points is not None:
-        px = np.array(probes.point_ex)
-        for i in range(px.shape[1]):
-            columns[f"Ex_p{i}"] = px[:, i]
-    carr = np.array(probes.carriers)
-    columns["N_e"] = carr[:, 0]
-    columns["N_h"] = carr[:, 1]
-    columns["W_em"] = probes.em_energy
     out_mod.write_probe_csv(os.path.join(out_dir, "probes.csv"),
-                            probes.times, columns)
-    if probes.currents:
-        first = next(iter(probes.currents))
+                            probes.times, probes.columns)
+    currents = {k: v for k, v in probes.columns.items() if k.startswith("I_")}
+    if currents:
         out_mod.write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"),
-                                   probes.times, probes.currents[first])
-        out_mod.write_svg_lineplot(
-            os.path.join(out_dir, "currents.svg"), probes.times,
-            {f"I_{k}": v for k, v in probes.currents.items()},
-            title="terminal currents")
+                                   probes.times, next(iter(currents.values())))
+        out_mod.write_svg_lineplot(os.path.join(out_dir, "currents.svg"),
+                                   probes.times, currents,
+                                   title="terminal currents")
 
     fields = {}
     dim = mesh.dim
@@ -261,7 +249,7 @@ def main(argv=None):
         return 1
     try:
         return _RUNNERS[args.command](cfg, out_dir)
-    except ConfigurationError as exc:
+    except (ConfigurationError, MeshError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (PhysicsError, ConvergenceError, FloatingPointError,

@@ -322,6 +322,12 @@ def parse_config(path):
         rows = [p.strip() for p in probes["points"].split(";") if p.strip()]
         probe_points = np.array([parse_point(r, dim, "probes.points")
                                  for r in rows])
+        # the structured mesh covers exactly mesh.domain
+        outside = np.any((probe_points < lo) | (probe_points > hi), axis=1)
+        if np.any(outside):
+            raise ConfigurationError(
+                f"probes.points: {probe_points[np.argmax(outside)]} lies "
+                "outside mesh.domain")
 
     conv = section("convergence")
     convergence = {

@@ -147,15 +147,13 @@ class MultirateSchedule:
 
 @dataclass
 class ProbeSet:
-    """Transient observables recorded at sync points."""
+    """Transient observables recorded at sync points: times, and one ordered
+    column per observable (I_<contact>, Ex_p<i>, N_e, N_h, W_em)."""
     contacts: tuple = ()          # stationary.Contact instances
     points: np.ndarray = None     # (n, dim) field sample locations
     cadence: int = 1
     times: list = field(default_factory=list)
-    currents: dict = field(default_factory=dict)
-    point_ex: list = field(default_factory=list)
-    carriers: list = field(default_factory=list)
-    em_energy: list = field(default_factory=list)
+    columns: dict = field(default_factory=dict)
     # (elements, interpolation rows) of the points, set by validate
     interp: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -167,18 +165,22 @@ class ProbeSet:
         if self.cadence < 1:
             raise PhysicsError("probe cadence must be >= 1")
 
-    def record(self, cs, em_state, dd_state, t):
-        self.times.append(t)
+    def record(self, cs, em_state, dd_state, current, t):
+        """Record the sync point (em_state, dd_state) at time t; current is
+        cs.transient_current(dd_state)."""
+        row = {}
         if self.contacts:
-            cur = terminal_current_probe(cs, em_state, dd_state, t)
-            for name, val in cur.items():
-                self.currents.setdefault(name, []).append(val)
+            cur = terminal_current_probe(cs, em_state, current, t)
+            row.update((f"I_{name}", val) for name, val in cur.items())
         if self.points is not None:
             from .dgops import interpolate
-            self.point_ex.append(
-                interpolate(em_state[cs.em.idx["ex"]], *self.interp))
-        self.carriers.append(cs.dd.total_carriers(dd_state))
-        self.em_energy.append(cs.em.energy(em_state))
+            ex = interpolate(em_state[cs.em.idx["ex"]], *self.interp)
+            row.update((f"Ex_p{i}", v) for i, v in enumerate(ex))
+        row["N_e"], row["N_h"] = cs.dd.total_carriers(dd_state)
+        row["W_em"] = cs.em.energy(em_state)
+        self.times.append(t)
+        for name, val in row.items():
+            self.columns.setdefault(name, []).append(val)
 
 
 class CoupledSystem:
@@ -223,7 +225,7 @@ class CoupledSystem:
         e = self.e_t_on_dd(em_state)
         return self.gcoef * ph.poynting_magnitude(e, (hz,))
 
-    def _carrier_current(self, dd_state):
+    def transient_current(self, dd_state):
         """(sigma, j0) with J_e^t + J_h^t = j0 + sigma E^t on the DD subdomain:
         j0, (dim, K, Np), is the drift of the transient densities in E^s plus
         their diffusion; sigma is the conductivity of the total densities."""
@@ -233,16 +235,10 @@ class CoupledSystem:
                         + dd.mu_h * (dd.n_h_s + n_h_t))
         return sigma, np.array(dd.conduction_current(n_e_t, n_h_t, dd.e_s))
 
-    def transient_current(self, dd_state, e_t_dd, current=None):
-        """J_e^t + J_h^t on the DD subdomain for given transient field;
-        current is _carrier_current(dd_state) when the caller has it."""
-        sigma, j0 = self._carrier_current(dd_state) if current is None else current
-        return tuple(j0[nu] + sigma * e_t_dd[nu] for nu in range(len(j0)))
-
-    def _em_rhs_with_carriers(self, dd_state, current=None):
-        """EM rhs closure with stage-local transient carrier current;
-        current as for transient_current."""
-        sigma, j0 = self._carrier_current(dd_state) if current is None else current
+    def _em_rhs_with_carriers(self, current):
+        """EM rhs closure with the carrier current j0 + sigma E^t of
+        current = (sigma, j0), E^t taken from each stage's state."""
+        sigma, j0 = current
         # carrier current on the EM mesh; rows outside the DD subdomain stay 0
         j_full = np.zeros((len(j0), self.em.disc.K, self.em.disc.Np))
         j_dd = np.empty_like(j0)
@@ -256,55 +252,49 @@ class CoupledSystem:
         return rhs
 
 
-def _log(log, t, action):
-    if log is not None:
-        log.append(f"t={t:.17g} action={action}")
-
-
-def multirate_advance(cs, em_state, dd_state, t, schedule, g_last=None,
-                      log=None):
+def multirate_advance(cs, em_state, dd_state, t, schedule, g_last=None):
     """Advance the coupled system one DD macro step (m Maxwell substeps)
     from time t.  g_last is the generation before the last Maxwell substep
-    of the previous macro step (None at the first); returns the new states
-    and that generation of this step."""
+    of the previous macro step (None at the first); returns the new states,
+    that generation of this step and the carrier current (sigma, j0) of the
+    new DD state, which drove the Maxwell substeps."""
     # averaged generation from the two most recent Maxwell steps
     g_now = cs.generation(em_state)
     g_tilde = 0.5 * ((g_now if g_last is None else g_last) + g_now)
-    _log(log, t, "gen_avg")
 
     # G and E^t are frozen over the DD step: its terms are built once
     terms = cs.dd.step_terms(g=g_tilde, e_t=cs.e_t_on_dd(em_state))
     dd_state = tvd_rk3_step(dd_state,
                             lambda s, tt: cs.dd.carrier_rhs(s, terms),
                             schedule.dt_dd, t)
-    _log(log, t, "dd_step")
 
-    em_rhs = cs._em_rhs_with_carriers(dd_state)
+    current = cs.transient_current(dd_state)
+    em_rhs = cs._em_rhs_with_carriers(current)
     for i in range(schedule.m):
         if i == schedule.m - 1:
             g_last = cs.generation(em_state)
         em_state = lsrk45_step(em_state, em_rhs, schedule.dt_em,
                                t + i * schedule.dt_em)
-        _log(log, t + (i + 1) * schedule.dt_em, "em_step")
-    return em_state, dd_state, g_last
+    return em_state, dd_state, g_last, current
 
 
-def terminal_current_probe(cs, em_state, dd_state, t=0.0):
+def terminal_current_probe(cs, em_state, current, t=0.0):
     """Terminal current per contact: contour integral of the total transient
-    current J_e^t + J_h^t + eps dE^t/dt through the contact faces."""
+    current J_e^t + J_h^t + eps dE^t/dt through the contact faces, with
+    current = (sigma, j0) of the DD state and dE^t/dt from the EM rhs."""
     if not cs.contacts:
         raise PhysicsError("no contacts configured for the current probe")
     from .stationary import contact_currents
-    current = cs._carrier_current(dd_state)
-    j_c = cs.transient_current(dd_state, cs.e_t_on_dd(em_state), current)
-    rhs = cs._em_rhs_with_carriers(dd_state, current)
-    de_dt = cs.e_t_on_dd(rhs(em_state, t))
+    sigma, j0 = current
+    e_t = cs.e_t_on_dd(em_state)
+    de_dt = cs.e_t_on_dd(cs._em_rhs_with_carriers(current)(em_state, t))
     eps_dd = cs.em.eps[cs.dd_in_em]
-    j_tot = tuple(j + eps_dd * d for j, d in zip(j_c, de_dt))
+    j_tot = tuple(j0[nu] + sigma * e_t[nu] + eps_dd * de_dt[nu]
+                  for nu in range(len(j0)))
     return contact_currents(cs.dd.disc, j_tot, cs.contact_idx, cs.contacts)
 
 
-def run_coupled(cs, schedule, probes=None, log=None):
+def run_coupled(cs, schedule, probes=None):
     """March the coupled system to t_end, recording probes at sync points.
     The march owns its clock and the generation carried between macro
     steps, so cs and schedule can run again."""
@@ -315,13 +305,13 @@ def run_coupled(cs, schedule, probes=None, log=None):
     t = 0.0
     g_last = None
     if probes is not None:
-        probes.record(cs, em_state, dd_state, t)
+        probes.record(cs, em_state, dd_state, cs.transient_current(dd_state),
+                      t)
     n_macro = int(round(schedule.t_end / schedule.dt_dd))
     for k in range(n_macro):
-        em_state, dd_state, g_last = multirate_advance(
-            cs, em_state, dd_state, t, schedule, g_last=g_last, log=log)
+        em_state, dd_state, g_last, current = multirate_advance(
+            cs, em_state, dd_state, t, schedule, g_last=g_last)
         t = (k + 1) * schedule.dt_dd
-        _log(log, t, "sync")
         if probes is not None and (k + 1) % probes.cadence == 0:
-            probes.record(cs, em_state, dd_state, t)
+            probes.record(cs, em_state, dd_state, current, t)
     return em_state, dd_state, t

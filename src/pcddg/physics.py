@@ -230,8 +230,3 @@ def gold():
         drude=DrudeParams(eps_inf=1.0,
                           omega_p=ev_to_angular_frequency(9.03),
                           gamma=ev_to_angular_frequency(0.053)))
-
-
-def default_materials(temperature=300.0):
-    mats = {m.name: m for m in (vacuum(), lt_gaas(), si_gaas(), gold())}
-    return MaterialTable(materials=mats, temperature=temperature)

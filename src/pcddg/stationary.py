@@ -242,8 +242,6 @@ class StationaryProblem:
         a, c = assemble_affine_operator(apply_fn, self.ddisc,
                                         homogeneous_fn=homo_fn)
         n = solve_sparse(a, -c).reshape(self.ddisc.K, self.ddisc.Np)
-        if not np.all(np.isfinite(n)):
-            raise ConvergenceError("continuity solve produced non-finite density")
         # transient sweeps may undershoot near contacts; clip and let the
         # iteration self-correct, but abort on a wholesale sign flip
         peak = np.abs(n).max()
@@ -281,8 +279,6 @@ class StationaryProblem:
             dcharge[self.semi_in_p] = Q * (ne + nh) / v_t
             jac = a + sp.diags(dcharge.reshape(-1))
             dphi = solve_sparse(jac.tocsr(), -resid)
-            if not np.all(np.isfinite(dphi)):
-                raise ConvergenceError("Newton-Poisson produced non-finite update")
             step = np.clip(dphi.reshape(phi.shape), -_NEWTON_CLAMP * v_t,
                            _NEWTON_CLAMP * v_t)
             phi = phi + step

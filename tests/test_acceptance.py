@@ -271,7 +271,7 @@ class TestMultirateConsistency:
             probes = ProbeSet(contacts=cs.contacts, cadence=5 // m)
             run_coupled(cs, sched, probes=probes)
             traces[m] = (np.array(probes.times),
-                         np.array(probes.currents["right"]))
+                         np.array(probes.columns["I_right"]))
         t5, i5 = traces[5]
         t1, i1 = traces[1]
         n = min(len(i5), len(i1))
@@ -290,7 +290,7 @@ class TestCarrierLifecycle:
         probes = ProbeSet(cadence=10)
         run_coupled(cs, sched, probes=probes)
         t = np.array(probes.times)
-        n_e = np.array([carr[0] for carr in probes.carriers])
+        n_e = np.array(probes.columns["N_e"])
         assert n_e.max() > 0
 
         # monotone rise while the pulse envelope is above 20 percent of peak

@@ -144,7 +144,8 @@ def _override(key):
         + f"\n[material.ltg]\nbase = lt_gaas\n{key}\n"
 
 
-# (deck edit, the section or section.key its error names)
+# (deck edit, how its error begins: the section or section.key it names,
+# or the mesh fault)
 MALFORMED_DECKS = [
     (lambda deck: deck.replace("[source]", "[Source]"), "[Source]"),
     (lambda deck: deck.replace("[source]", "[sources]"), "[sources]"),
@@ -162,6 +163,10 @@ MALFORMED_DECKS = [
     (_override("mu_r = -1"), "material.ltg: eps_r/mu_r"),
     (_add("beam_width = 1 um\n", "polarization = z\n"),
      "source.polarization"),
+    (lambda deck: deck.replace("0.5 um -> 1 um", "0.4 um -> 1 um"),
+     "overlapping region boxes"),
+    (lambda deck: deck.replace("points = 0.75 um", "points = 10 um"),
+     "probes.points"),
 ]
 
 

@@ -164,17 +164,71 @@ def toy_pcd(p=2, h=5e-8, source=True, m=2, n_macro=10):
 
 
 class TestMultirate:
-    def test_event_log_sequence_m2(self):
+    def test_event_log_sequence_m2(self, monkeypatch):
+        # per macro step: G sampled, one DD step, then the m Maxwell
+        # substeps, G sampled again before the last; each stamped with the
+        # time of the state it acts on
+        from pcddg import coupler
         cs, sched = toy_pcd(m=2, n_macro=3)
-        log = []
-        run_coupled(cs, sched, log=log)
-        actions = [ln.split("action=")[1] for ln in log]
-        per_macro = ["gen_avg", "dd_step", "em_step", "em_step", "sync"]
-        assert actions == per_macro * 3
-        # times: gen_avg/dd_step stamped at the sync point, em_steps after
-        t0 = [float(ln.split()[0][2:]) for ln in log[:5]]
+        events = []
+        clock = {"state": None, "t": 0.0}
+        real_tvd, real_lsrk = coupler.tvd_rk3_step, coupler.lsrk45_step
+        real_gen, real_record = CoupledSystem.generation, ProbeSet.record
+
+        def tvd(state, rhs, dt, t=0.0):
+            events.append(("tvd", t))
+            return real_tvd(state, rhs, dt, t)
+
+        def lsrk(state, rhs, dt, t=0.0):
+            events.append(("lsrk", t))
+            out = real_lsrk(state, rhs, dt, t)
+            clock.update(state=out, t=t + dt)
+            return out
+
+        def generation(self, em_state):
+            # the EM state G samples is the last substep's, or the start
+            fresh = clock["state"] is None
+            assert fresh or em_state is clock["state"]
+            events.append(("generation", 0.0 if fresh else clock["t"]))
+            return real_gen(self, em_state)
+
+        def record(self, cs, em_state, dd_state, current, t):
+            events.append(("record", t))
+            return real_record(self, cs, em_state, dd_state, current, t)
+
+        monkeypatch.setattr(coupler, "tvd_rk3_step", tvd)
+        monkeypatch.setattr(coupler, "lsrk45_step", lsrk)
+        monkeypatch.setattr(CoupledSystem, "generation", generation)
+        monkeypatch.setattr(ProbeSet, "record", record)
+        run_coupled(cs, sched, probes=ProbeSet())
+        per_macro = ["generation", "tvd", "lsrk", "generation", "lsrk",
+                     "record"]
+        assert [name for name, _t in events] == ["record"] + per_macro * 3
         dt = sched.dt_em
-        assert t0 == pytest.approx([0.0, 0.0, dt, 2 * dt, 2 * dt], abs=1e-25)
+        expected = [0.0]
+        for k in range(3):
+            t = 2 * k * dt
+            expected += [t, t, t, t + dt, t + dt, t + 2 * dt]
+        assert [t for _name, t in events] == pytest.approx(expected,
+                                                           abs=1e-25)
+
+    def test_carrier_current_built_once_per_state(self, monkeypatch):
+        # a probed march builds (sigma, j0) once per DD state: once per
+        # macro step, shared by the Maxwell substeps and the probe, plus
+        # once for the record at t = 0
+        calls = []
+        real = DDSolver.conduction_current
+
+        def counted(self, *args, **kw):
+            calls.append(1)
+            return real(self, *args, **kw)
+
+        monkeypatch.setattr(DDSolver, "conduction_current", counted)
+        cs, sched = toy_pcd(m=2, n_macro=4)
+        probes = ProbeSet(contacts=cs.contacts, points=np.array([[1.5e-6]]))
+        run_coupled(cs, sched, probes=probes)
+        assert len(probes.times) == 5
+        assert len(calls) == 5
 
     def test_second_run_matches_fresh_system(self):
         # the march keeps its clock and the generation it carries between
@@ -184,10 +238,9 @@ class TestMultirate:
             probes = ProbeSet(contacts=cs.contacts,
                               points=np.array([[1.5e-6]]))
             run_coupled(cs, sched, probes=probes)
-            return np.column_stack(
-                [probes.times, probes.currents["right"],
-                 np.array(probes.point_ex)[:, 0], np.array(probes.carriers),
-                 probes.em_energy])
+            assert list(probes.columns) == ["I_right", "Ex_p0", "N_e", "N_h",
+                                            "W_em"]
+            return np.column_stack([probes.times, *probes.columns.values()])
 
         cs, sched = toy_pcd(m=2, n_macro=30)
         record(cs, sched)
@@ -202,7 +255,7 @@ class TestMultirate:
         cs.generation = lambda s: g0.copy()
         em = cs.em.zero_state()
         dd = np.zeros((2, cs.dd.disc.K, cs.dd.disc.Np))
-        _, dd_out, _ = multirate_advance(cs, em, dd, 0.0, sched)
+        _, dd_out, _, _ = multirate_advance(cs, em, dd, 0.0, sched)
         # reference: direct DD step driven by exactly g0
         terms = cs.dd.step_terms(
             g=g0, e_t=(np.zeros((cs.dd.disc.K, cs.dd.disc.Np)),))
@@ -222,7 +275,7 @@ class TestMultirate:
             cs, sched = toy_pcd(m=2, n_macro=8)
             probes = ProbeSet(contacts=cs.contacts)
             run_coupled(cs, sched, probes=probes)
-            traces.append(np.array(probes.currents["right"]))
+            traces.append(np.array(probes.columns["I_right"]))
         assert np.array_equal(traces[0], traces[1])
 
     def test_causality_at_far_contact(self):
@@ -234,14 +287,14 @@ class TestMultirate:
         run_coupled(cs, sched, probes=probes)
         assert sched.t_end < 5e-15      # well inside the light-travel time
         peak_src = 1e7
-        vals = np.array([v[0] for v in probes.point_ex])
+        vals = np.array(probes.columns["Ex_p0"])
         assert np.max(np.abs(vals)) <= 1e-14 * peak_src
 
     def test_zero_state_probe_is_zero(self):
         cs, sched = toy_pcd(m=1, n_macro=1, source=False)
         em = cs.em.zero_state()
         dd = np.zeros((2, cs.dd.disc.K, cs.dd.disc.Np))
-        cur = terminal_current_probe(cs, em, dd)
+        cur = terminal_current_probe(cs, em, cs.transient_current(dd))
         assert cur["right"] == 0.0
 
     def test_probe_point_outside_domain(self):
@@ -288,10 +341,11 @@ class TestCoupledSystem:
         rng = np.random.default_rng(3)
         em_state = rng.normal(size=cs.em.zero_state().shape) * 1e5
         dd_state = rng.uniform(0.0, 1e20, size=(2, cs.dd.disc.K, cs.dd.disc.Np))
+        current = cs.transient_current(dd_state)
+        sigma, j0 = current
         j_full = np.zeros((1, cs.em.disc.K, cs.em.disc.Np))
-        j_full[0][cs.dd_in_em] = cs.transient_current(
-            dd_state, cs.e_t_on_dd(em_state))[0]
-        rhs = cs._em_rhs_with_carriers(dd_state)
+        j_full[0][cs.dd_in_em] = j0[0] + sigma * cs.e_t_on_dd(em_state)[0]
+        rhs = cs._em_rhs_with_carriers(current)
         for t in (0.0, 3e-15):
             assert np.array_equal(rhs(em_state, t),
                                   cs.em.rhs(em_state, t, j_carrier=j_full))

@@ -32,7 +32,7 @@ class TestMaterials:
 
     def test_unknown_region(self):
         with pytest.raises(ph.PhysicsError, match="unknown material region"):
-            ph.default_materials().region("unobtanium")
+            ph.MaterialTable({"vacuum": ph.vacuum()}).region("unobtanium")
 
     def test_thermal_voltage(self):
         assert ph.thermal_voltage(300.0) == pytest.approx(0.02585, rel=1e-3)
