@@ -145,6 +145,11 @@ def run_transient(cfg, out_dir):
     n_macro = max(1, int(np.ceil(cfg.t_end / sched.dt_dd)))
     sched = MultirateSchedule(cfg.t_end / (n_macro * sched.m), sched.m,
                               cfg.t_end)
+    if cfg.m_override is not None and sched.dt_dd > dd_info["dt"]:
+        raise ConfigurationError(
+            f"run.m = {sched.m} gives a DD step of {sched.dt_dd:.3e} s, above "
+            f"the stable bound {dd_info['dt']:.3e} s ({dd_info['bound']}, "
+            f"element {prob.ddisc.elems[dd_info['element']]})")
     print(f"multirate schedule: dt_em={sched.dt_em:.3e} s, m={sched.m}, "
           f"{n_macro} macro steps")
 

@@ -7,7 +7,8 @@ CSV export; the last-column order is computed between successive levels.
 import numpy as np
 
 from . import physics as ph
-from .coupler import lsrk45_step, stable_timestep, tvd_rk3_step
+from .coupler import (diffusion_step_factor, lsrk45_step, stable_timestep,
+                      tvd_rk3_step)
 from .dd_dg import DDSolver
 from .dgops import build_discretization
 from .em_dg import MaxwellSolver
@@ -78,8 +79,8 @@ def dd_diffusion_error(n, p, d_val=1.0, t_end=0.02):
     zero_v = (np.zeros_like(x),)
     u = np.sin(np.pi * x)
     rhs = lambda nn, t: solver.scalar_rhs(nn, zero_v, d_nod)
-    u, t = _integrate(u, rhs, tvd_rk3_step, t_end,
-                      0.2 * (1.0 / n) ** 2 / (d_val * (2 * p + 1) ** 2))
+    dt = 0.2 * (1.0 / n) ** 2 / (d_val * diffusion_step_factor(p, 1))
+    u, t = _integrate(u, rhs, tvd_rk3_step, t_end, dt)
     return disc.l2_norm(u - np.sin(np.pi * x) * np.exp(-d_val * np.pi ** 2 * t))
 
 

@@ -3,6 +3,7 @@ diffusion system: TVD-RK3 and low-storage RK45 steppers, stable-step
 estimation, the multirate advance protocol, and transient observables."""
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,7 @@ def tvd_rk3_step(state, rhs, dt, t=0.0):
 def lsrk45_step(state, rhs, dt, t=0.0):
     """One low-storage five-stage fourth-order RK step.
 
+    The residual is in units of 1/dt: res = a res + F(u), u += (b dt) res.
     The three state-sized registers (the new state, the residual and a
     scratch product) are one allocation per step, updated in place; the
     returned state is the first of them.  Writes neither into state nor
@@ -49,11 +51,20 @@ def lsrk45_step(state, rhs, dt, t=0.0):
     res.fill(0.0)
     for a, b, c in zip(RK4A, RK4B, RK4C):
         res *= a
-        np.multiply(rhs(u, t + c * dt), dt, out=tmp)
-        res += tmp
-        np.multiply(res, b, out=tmp)
+        res += rhs(u, t + c * dt)
+        np.multiply(res, b * dt, out=tmp)
         u += tmp
     return u
+
+
+def diffusion_step_factor(p, dim):
+    """F of the stable TVD-RK3 step dt <= h^2 / (d F) on the transient LDG
+    diffusion (no penalty) of order p: dt = 2.5 / rho, 2.5 within the
+    method's limit 2.51 on the negative real axis, and
+    rho = 1.61 d (dim (p+1) / h)^2 ((p+1)^2 + 1.6 dim) above the matrix's
+    spectral radius (dense eigenvalues: within 2.6 % below rho for p = 1..6
+    in 1D, further below on right-triangle meshes in 2D)."""
+    return 1.61 * (dim * (p + 1)) ** 2 * ((p + 1) ** 2 + 1.6 * dim) / 2.5
 
 
 def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
@@ -85,6 +96,7 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
     elif system == "dd":
         e_mag = 0.0 if state_estimate is None else float(state_estimate.get("e_mag", 0.0))
         v_t = materials.v_t
+        factor = diffusion_step_factor(p, disc.ref.dim)
         for carrier in ("e", "h"):
             # v = d = 0 outside the semiconductors: no bound there
             mu = [ph.parallel_field_mobility(e_mag, carrier, m)
@@ -92,8 +104,8 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
             v = per_elem([u * e_mag for u in mu])
             d = per_elem([ph.einstein_diffusivity(u, v_t) for u in mu])
             bounds.append(bound(f"drift_{carrier}", h, v * (2 * p + 1), v > 0))
-            bounds.append(bound(f"diffusion_{carrier}", h ** 2,
-                                d * (2 * p + 1) ** 2, d > 0))
+            bounds.append(bound(f"diffusion_{carrier}", h ** 2, d * factor,
+                                d > 0))
     else:
         raise PhysicsError(f"unknown system {system!r}")
     # the first smallest bound, elements in order
@@ -205,18 +217,14 @@ class CoupledSystem:
         self.gcoef = np.array(
             [ph.generation_coefficient(m, wavelength) for m in dd.mats]
         )[dd.mat_idx][:, None]
-        # flat indices of the E components on the DD rows of an EM state
-        K, Np = em.disc.K, em.disc.Np
-        rows = np.array([em.idx[c] for c in ("ex", "ey")[:em.disc.ref.dim]])
-        self._e_gather = (rows[:, None, None] * (K * Np)
-                          + self.dd_in_em[None, :, None] * Np + np.arange(Np))
         if self.contacts:
             from .stationary import contact_face_index
             self.contact_idx = contact_face_index(dd.disc, self.contacts)
 
     # -- field plumbing --------------------------------------------------
     def e_t_on_dd(self, em_state):
-        return tuple(np.take(em_state, self._e_gather))
+        """The E components (an EM state's first rows) on the DD subdomain."""
+        return tuple(em_state[:self.em.disc.ref.dim, self.dd_in_em])
 
     def generation(self, em_state):
         """Nodal G on the DD subdomain from the optical (transient) fields."""
@@ -226,30 +234,19 @@ class CoupledSystem:
         return self.gcoef * ph.poynting_magnitude(e, (hz,))
 
     def transient_current(self, dd_state):
-        """(sigma, j0) with J_e^t + J_h^t = j0 + sigma E^t on the DD subdomain:
-        j0, (dim, K, Np), is the drift of the transient densities in E^s plus
-        their diffusion; sigma is the conductivity of the total densities."""
-        dd = self.dd
+        """The carrier current of a DD state as the pair (sigma, j0) on the
+        EM mesh, J_e^t + J_h^t = j0 + sigma E^t, both zero outside the DD
+        subdomain: sigma, (K, Np), is the conductivity of the total
+        densities; j0, (dim, K, Np), is the drift of the transient densities
+        in E^s plus their diffusion.  MaxwellSolver.rhs takes the pair."""
+        dd, disc = self.dd, self.em.disc
         n_e_t, n_h_t = dd_state[0], dd_state[1]
-        sigma = ph.Q * (dd.mu_e * (dd.n_e_s + n_e_t)
-                        + dd.mu_h * (dd.n_h_s + n_h_t))
-        return sigma, np.array(dd.conduction_current(n_e_t, n_h_t, dd.e_s))
-
-    def _em_rhs_with_carriers(self, current):
-        """EM rhs closure with the carrier current j0 + sigma E^t of
-        current = (sigma, j0), E^t taken from each stage's state."""
-        sigma, j0 = current
-        # carrier current on the EM mesh; rows outside the DD subdomain stay 0
-        j_full = np.zeros((len(j0), self.em.disc.K, self.em.disc.Np))
-        j_dd = np.empty_like(j0)
-
-        def rhs(em_state, t):
-            np.take(em_state, self._e_gather, out=j_dd, mode="clip")
-            np.multiply(j_dd, sigma, out=j_dd)
-            np.add(j_dd, j0, out=j_dd)
-            j_full[:, self.dd_in_em] = j_dd
-            return self.em.rhs(em_state, t, j_carrier=j_full)
-        return rhs
+        sigma = np.zeros((disc.K, disc.Np))
+        j0 = np.zeros((disc.ref.dim, disc.K, disc.Np))
+        sigma[self.dd_in_em] = ph.Q * (dd.mu_e * (dd.n_e_s + n_e_t)
+                                       + dd.mu_h * (dd.n_h_s + n_h_t))
+        j0[:, self.dd_in_em] = dd.conduction_current(n_e_t, n_h_t, dd.e_s)
+        return sigma, j0
 
 
 def multirate_advance(cs, em_state, dd_state, t, schedule, g_last=None):
@@ -269,7 +266,7 @@ def multirate_advance(cs, em_state, dd_state, t, schedule, g_last=None):
                             schedule.dt_dd, t)
 
     current = cs.transient_current(dd_state)
-    em_rhs = cs._em_rhs_with_carriers(current)
+    em_rhs = partial(cs.em.rhs, current=current)
     for i in range(schedule.m):
         if i == schedule.m - 1:
             g_last = cs.generation(em_state)
@@ -286,12 +283,11 @@ def terminal_current_probe(cs, em_state, current, t=0.0):
         raise PhysicsError("no contacts configured for the current probe")
     from .stationary import contact_currents
     sigma, j0 = current
-    e_t = cs.e_t_on_dd(em_state)
-    de_dt = cs.e_t_on_dd(cs._em_rhs_with_carriers(current)(em_state, t))
-    eps_dd = cs.em.eps[cs.dd_in_em]
-    j_tot = tuple(j0[nu] + sigma * e_t[nu] + eps_dd * de_dt[nu]
-                  for nu in range(len(j0)))
-    return contact_currents(cs.dd.disc, j_tot, cs.contact_idx, cs.contacts)
+    dim = len(j0)
+    de_dt = cs.em.rhs(em_state, t, current=current)[:dim]
+    j_tot = (j0 + sigma * em_state[:dim] + cs.em.eps * de_dt)[:, cs.dd_in_em]
+    return contact_currents(cs.dd.disc, tuple(j_tot), cs.contact_idx,
+                            cs.contacts)
 
 
 def run_coupled(cs, schedule, probes=None):

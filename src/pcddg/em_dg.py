@@ -73,10 +73,12 @@ class MaxwellSolver:
     the physics needs: the fields (E components, then Hz) always; their PML
     auxiliaries (D components, then Bz) only when some PML rate sigma > 0;
     the Drude currents (one per E component) only when some element is a
-    Drude metal.  rhs(state, t, j_carrier) returns the same shape.  Without
-    PML rows, dE/dt and dH/dt are (lift + curl - currents) / (eps, mu),
-    which is the sigma = 0 arithmetic, so runs without PML and with
-    zero-conductivity PML are bitwise identical.
+    Drude metal.  rhs(state, t, current) returns the same shape, with the
+    carrier current J = sigma E + j0 of current = (sigma, j0), sigma (K, Np)
+    and j0 (dim, K, Np), zero outside the carriers' subdomain.  Without PML
+    rows, dE/dt and dH/dt are (lift + curl - currents) / (eps, mu), which is
+    the sigma = 0 arithmetic, so runs without PML and with zero-conductivity
+    PML are bitwise identical.
 
     Everything the rhs needs besides the state is built here:
 
@@ -291,10 +293,10 @@ class MaxwellSolver:
         return 0.5 * d.integrate(u)
 
     # -- rhs -------------------------------------------------------------
-    def rhs(self, state, t=0.0, j_carrier=None):
-        """d(state)/dt at time t; j_carrier holds the carrier current
-        density per E component ((K, Np) arrays, None to skip one).
-        Returns a fresh array; see the class docstring for workspaces."""
+    def rhs(self, state, t=0.0, current=None):
+        """d(state)/dt at time t, with the carrier current sigma E + j0 of
+        current = (sigma, j0) on this mesh (None: no carriers).  Returns a
+        fresh array; see the class docstring for workspaces."""
         d = self.disc
         dim = d.ref.dim
         nf = dim + 1
@@ -319,19 +321,20 @@ class MaxwellSolver:
             np.multiply(coef, grad[r, comp], out=vol)
             acc[row] += vol
 
-        # Drude, optical source and carrier currents
+        # carrier, Drude and optical source currents
         cur = self._cur
-        if self._jp is None:
+        if current is not None:
+            np.multiply(fields[:dim], current[0], out=cur)
+            cur += current[1]
+            if self._jp is not None:
+                cur += state[self._jp]
+        elif self._jp is None:
             cur.fill(0.0)
         else:
             np.copyto(cur, state[self._jp])
         if self._src_profile is not None:
             cur[self._src_row].reshape(-1)[self._src_nodes] += \
                 self._src_values * self._src_scale(t)
-        if j_carrier is not None:
-            for e, jc in enumerate(j_carrier[:dim]):
-                if jc is not None:
-                    cur[e] += jc
         acc[:dim] -= cur
 
         if self._aux is None:

@@ -43,7 +43,7 @@ class TestMaxwell2DOrders:
 # -- 2: LDG diffusion / advection convergence --------------------------------
 
 class TestDDOrders:
-    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 4])
     def test_diffusion(self, p):
         rows = cv.order_table("dd_diffusion", orders=(p,), levels=3)
         order = observed_orders(rows)[p]

@@ -353,6 +353,24 @@ class TestCli:
         assert proc.returncode == 0
         assert "stationary" in proc.stdout and "transient" in proc.stdout
 
+    def test_multirate_ratio_above_dd_bound_exit_1(self, tmp_path, capsys):
+        # run.m = 72 on the low-bias deck puts the DD step above its stable
+        # bound: rejected before the march, naming the bound and element
+        with open(os.path.join(REPO, "perfbench", "decks",
+                               "pcd1d_lowbias.cfg")) as fh:
+            deck = fh.read()
+        assert "\nm = auto\n" in deck
+        path = tmp_path / "m72.cfg"
+        path.write_text(deck.replace("\nm = auto\n", "\nm = 72\n"))
+        out = tmp_path / "out"
+        assert main(["transient", "--config", str(path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"configuration error: run\.m = 72 gives a DD "
+                            r"step of \S+ s, above the stable bound \S+ s "
+                            r"\(diffusion_e, element \d+\)\n", err)
+        assert not (out / "probes.csv").exists()
+
     def test_config_error_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[mesh]\ndim = 3\ndomain = 0 -> 1\n")

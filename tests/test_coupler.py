@@ -3,18 +3,34 @@
 import numpy as np
 import pytest
 
-from pcddg.coupler import (MultirateSchedule, ProbeSet, CoupledSystem,
-                           tvd_rk3_step, lsrk45_step, stable_timestep,
-                           multirate_advance, terminal_current_probe,
-                           run_coupled)
+from pcddg.coupler import (RK4A, RK4B, RK4C, MultirateSchedule, ProbeSet,
+                           CoupledSystem, tvd_rk3_step, lsrk45_step,
+                           stable_timestep, multirate_advance,
+                           terminal_current_probe, run_coupled)
 from pcddg.dd_dg import DDSolver
 from pcddg.dgops import build_discretization
 from pcddg.em_dg import MaxwellSolver
 from pcddg.mesh import make_spec, generate_structured_mesh, unit_interval_mesh
 from pcddg.physics import (MaterialTable, OpticalSourceSpec, PhysicsError,
-                           lt_gaas, vacuum, C0)
+                           lt_gaas, vacuum, C0, Q)
 from pcddg.refelem import build_reference_element
 from pcddg.stationary import Contact, StationaryProblem
+
+
+def five_pass_lsrk45_step(state, rhs, dt, t=0.0):
+    """The low-storage RK45 step with its residual in state units
+    (res = a res + dt F(u), u += b res): five state-sized passes per
+    stage."""
+    u, res, tmp = np.empty((3,) + np.shape(state))
+    np.copyto(u, state)
+    res.fill(0.0)
+    for a, b, c in zip(RK4A, RK4B, RK4C):
+        res *= a
+        np.multiply(rhs(u, t + c * dt), dt, out=tmp)
+        res += tmp
+        np.multiply(res, b, out=tmp)
+        u += tmp
+    return u
 
 
 class TestSteppers:
@@ -58,6 +74,21 @@ class TestSteppers:
         orders = np.diff(np.log(errs)) / np.log(0.5)
         assert np.all(orders > 3.9)
 
+    def test_lsrk45_matches_five_pass_form(self):
+        # keeping the residual in units of 1/dt changes only round-off
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(40, 40)) - 8.0 * np.eye(40)
+        b = rng.normal(size=40)
+
+        def rhs(s, t):
+            return a @ s + np.cos(3.0 * t) * b
+
+        for dt, t in ((0.05, 0.0), (0.02, 1.7), (1e-3, -0.4)):
+            u = rng.normal(size=40)
+            got = lsrk45_step(u, rhs, dt, t)
+            want = five_pass_lsrk45_step(u, rhs, dt, t)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_nonautonomous_rhs(self):
         # u' = t, u(0)=0 -> u(1) = 1/2; both schemes integrate it exactly
         u = np.array([0.0])
@@ -100,6 +131,34 @@ class TestStableTimestep:
                                detail=True)
         assert set(info) == {"dt", "bound", "element", "safety"}
         assert info["dt"] > 0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_dd_bound_is_stable(self, dim, p):
+        # rho(A) dt within TVD-RK3's 2.51 on the negative real axis at
+        # safety 1, A the transient diffusion matrix (a real spectrum); in
+        # 1D, where the bound is fitted, it gives away little
+        mats = MaterialTable({"semi": lt_gaas()})
+        if dim == 1:
+            mesh = unit_interval_mesh(40, 0.0, 1e-6, right="ELECTRODE_D",
+                                      region="semi")
+        else:
+            mesh = generate_structured_mesh(make_spec(
+                2, [0.0, 0.0], [0.75e-6, 0.5e-6],
+                [("semi", [0.0, 0.0], [0.75e-6, 0.5e-6], 0.25e-6)],
+                tag_boxes=[("ELECTRODE_D", [0.75e-6, 0.0], [0.75e-6, 0.5e-6])],
+                default_tag="INSULATOR_R"))
+        disc = build_discretization(mesh, build_reference_element(dim, p))
+        dd = DDSolver(disc, mats)
+        zeros = np.zeros((disc.K, disc.Np))
+        dd.set_stationary((zeros,) * dim, np.full_like(zeros, 1.3e22),
+                          np.full_like(zeros, 9e12 ** 2 / 1.3e22))
+        a = dd._transient_background().matrix.toarray()
+        rho = np.max(np.abs(np.linalg.eigvals(a)))
+        dt = stable_timestep("dd", disc, mats, safety=1.0)
+        assert rho * dt <= 2.51
+        if dim == 1:
+            assert rho * dt >= 2.4
 
     def test_timescale_ordering(self):
         # desk-scale 1D semiconductor mesh: Maxwell step below the DD step
@@ -335,17 +394,30 @@ class TestCoupledSystem:
         assert calls == ["pcddg.dd_dg"] * 2
 
     def test_em_rhs_carries_transient_current(self):
-        # the closure's in-place carrier current equals transient_current
-        # scattered onto the EM rows, bitwise
+        # transient_current scatters (sigma, j0) of the DD state onto the EM
+        # mesh, zero outside the DD subdomain, and the EM rhs forms
+        # sigma E^t + j0 from the state it is given: bitwise the rhs driven
+        # by that current with sigma = 0
         cs, _ = toy_pcd()
+        dd = cs.dd
         rng = np.random.default_rng(3)
         em_state = rng.normal(size=cs.em.zero_state().shape) * 1e5
-        dd_state = rng.uniform(0.0, 1e20, size=(2, cs.dd.disc.K, cs.dd.disc.Np))
-        current = cs.transient_current(dd_state)
-        sigma, j0 = current
-        j_full = np.zeros((1, cs.em.disc.K, cs.em.disc.Np))
-        j_full[0][cs.dd_in_em] = j0[0] + sigma * cs.e_t_on_dd(em_state)[0]
-        rhs = cs._em_rhs_with_carriers(current)
+        dd_state = rng.uniform(0.0, 1e20, size=(2, dd.disc.K, dd.disc.Np))
+        sigma, j0 = cs.transient_current(dd_state)
+        K, Np = cs.em.disc.K, cs.em.disc.Np
+        assert sigma.shape == (K, Np) and j0.shape == (1, K, Np)
+        outside = np.setdiff1d(np.arange(K), cs.dd_in_em)
+        assert len(outside) > 0
+        assert not np.any(sigma[outside]) and not np.any(j0[:, outside])
+        assert np.array_equal(
+            sigma[cs.dd_in_em],
+            Q * (dd.mu_e * (dd.n_e_s + dd_state[0])
+                 + dd.mu_h * (dd.n_h_s + dd_state[1])))
+        assert np.array_equal(
+            j0[:, cs.dd_in_em],
+            np.array(dd.conduction_current(dd_state[0], dd_state[1], dd.e_s)))
+        j_full = j0 + sigma * em_state[cs.em.idx["ex"]]
         for t in (0.0, 3e-15):
-            assert np.array_equal(rhs(em_state, t),
-                                  cs.em.rhs(em_state, t, j_carrier=j_full))
+            assert np.array_equal(
+                cs.em.rhs(em_state, t, current=(sigma, j0)),
+                cs.em.rhs(em_state, t, current=(np.zeros_like(sigma), j_full)))

@@ -392,17 +392,26 @@ class TestFusedRhs:
                 if name not in solver.idx:
                     u_ref[ref.idx[name]] = 0.0
             u = np.array([u_ref[ref.idx[name]] for name in solver.comp])
-            j = tuple(rng.normal(size=(disc.K, disc.Np)) for _ in range(dim))
+            # carrier current (sigma, j0); the reference takes J = sigma E + j0
+            j0 = rng.normal(size=(dim, disc.K, disc.Np))
+            sigma = rng.uniform(0.0, 2.0, size=(disc.K, disc.Np))
+            zero = np.zeros_like(sigma)
+            x_only = np.concatenate([j0[:1], np.zeros_like(j0[1:])])
+            e = u[:dim]
             spec = solver._src_spec
             t = spec.delay + 0.3 / spec.f_c
             assert np.any(optical_source(solver, t))
-            for args in ((0.0,), (t,), (t, j), (t, j[:1])):
-                got = solver.rhs(u, *args)
-                want = ref.rhs(u_ref, *args)
+            cases = ((0.0, None, None), (t, None, None),
+                     (t, (zero, j0), tuple(j0)),
+                     (t, (zero, x_only), tuple(j0[:1])),
+                     (t, (sigma, j0), tuple(sigma * e + j0)))
+            for case, (t_, current, j) in enumerate(cases):
+                got = solver.rhs(u, t_, current)
+                want = ref.rhs(u_ref, t_, j)
                 for c, name in enumerate(solver.comp):
                     w = want[ref.idx[name]]
                     tol = 1e-13 * np.max(np.abs(w))
-                    assert np.max(np.abs(got[c] - w)) <= tol, (name, args)
+                    assert np.max(np.abs(got[c] - w)) <= tol, (name, case)
 
     def test_results_are_fresh_arrays(self):
         solver, _, _ = layered_case(2, 2, "ABC")
@@ -505,13 +514,14 @@ class TestMaxwellRhs:
         assert np.max(np.abs(r)) < 1e-10 * C0 ** 2 * 3.7
 
     def test_current_sinks_energy(self):
-        # injecting J antiparallel... energy derivative = -int E.J dV
+        # a conduction current J = sigma E: energy derivative = -int E.J dV
         solver, disc = square_solver(4, 2)
         u = solver.zero_state()
         u[solver.idx["ex"]] = nodal_field(disc, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         jx = 2.0 * u[solver.idx["ex"]]
+        sigma = np.full((disc.K, disc.Np), 2.0)
         r0 = solver.rhs(u, 0.0)
-        rj = solver.rhs(u, 0.0, j_carrier=(jx, None))
+        rj = solver.rhs(u, 0.0, current=(sigma, np.zeros((2, disc.K, disc.Np))))
         ex = u[solver.idx["ex"]]
         # dE/dt difference contributes dW/dt = int eps E . (rj-r0)_E = -int E.J
         diff = disc.integrate(solver.eps * ex * (rj[solver.idx["ex"]] - r0[solver.idx["ex"]]))

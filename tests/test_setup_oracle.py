@@ -248,7 +248,7 @@ def reference_stable_timestep(system, disc, materials, state_estimate=None,
     state_estimate for the DD bound is a dict with 'e_mag' (V/m); v = mu|E|
     and d = V_T mu per carrier.  Returns +inf when no term limits the step.
     """
-    p = disc.ref.p
+    p, dim = disc.ref.p, disc.ref.dim
     mesh = disc.mesh
     mats = [materials.region(mesh.region_names[mesh.region_id[k]])
             for k in disc.elems]
@@ -262,6 +262,9 @@ def reference_stable_timestep(system, disc, materials, state_estimate=None,
     elif system == "dd":
         e_mag = 0.0 if state_estimate is None else float(state_estimate.get("e_mag", 0.0))
         v_t = materials.v_t
+        # TVD-RK3 limit 2.5 over the diffusion spectral radius
+        # 1.61 d (dim (p+1) / h)^2 ((p+1)^2 + 1.6 dim)
+        factor = 1.61 * (dim * (p + 1)) ** 2 * ((p + 1) ** 2 + 1.6 * dim) / 2.5
         for k, m in enumerate(mats):
             if not m.semiconductor:
                 continue
@@ -272,7 +275,7 @@ def reference_stable_timestep(system, disc, materials, state_estimate=None,
                 if v > 0:
                     bounds.append((h[k] / (v * (2 * p + 1)), f"drift_{carrier}", k))
                 if d > 0:
-                    bounds.append((h[k] ** 2 / (d * (2 * p + 1) ** 2),
+                    bounds.append((h[k] ** 2 / (d * factor),
                                    f"diffusion_{carrier}", k))
     else:
         raise PhysicsError(f"unknown system {system!r}")
