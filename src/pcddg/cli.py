@@ -102,6 +102,12 @@ def run_stationary(cfg, out_dir):
     return 0
 
 
+def _global_element(disc, info):
+    """The global id of the element whose bound limits the step (None when
+    no bound applies)."""
+    return None if info["element"] < 0 else int(disc.elems[info["element"]])
+
+
 def run_transient(cfg, out_dir):
     t0 = time.perf_counter()
     if cfg.t_end <= 0:
@@ -132,7 +138,7 @@ def run_transient(cfg, out_dir):
 
     e_mag = float(max(np.max(np.abs(c)) for c in sol.e_s))
     em_info = stable_timestep("maxwell", em_disc, table,
-                              safety=cfg.safety, detail=True)
+                              safety=cfg.safety, detail=True, pml=cfg.pml)
     dd_info = stable_timestep("dd", prob.ddisc, table,
                               state_estimate={"e_mag": e_mag},
                               safety=cfg.safety, detail=True)
@@ -145,11 +151,13 @@ def run_transient(cfg, out_dir):
     n_macro = max(1, int(np.ceil(cfg.t_end / sched.dt_dd)))
     sched = MultirateSchedule(cfg.t_end / (n_macro * sched.m), sched.m,
                               cfg.t_end)
+    em_element = _global_element(em_disc, em_info)
+    dd_element = _global_element(prob.ddisc, dd_info)
     if cfg.m_override is not None and sched.dt_dd > dd_info["dt"]:
         raise ConfigurationError(
             f"run.m = {sched.m} gives a DD step of {sched.dt_dd:.3e} s, above "
             f"the stable bound {dd_info['dt']:.3e} s ({dd_info['bound']}, "
-            f"element {prob.ddisc.elems[dd_info['element']]})")
+            f"element {dd_element})")
     print(f"multirate schedule: dt_em={sched.dt_em:.3e} s, m={sched.m}, "
           f"{n_macro} macro steps")
 
@@ -186,7 +194,8 @@ def run_transient(cfg, out_dir):
         wall_time_s=time.perf_counter() - t0,
         em_steps=n_macro * sched.m, dd_steps=n_macro,
         cfl={"dt_em": sched.dt_em, "dt_dd": sched.dt_dd, "m": sched.m,
-             "em_bound": em_info["bound"], "dd_bound": dd_info["bound"],
+             "em_bound": em_info["bound"], "em_element": em_element,
+             "dd_bound": dd_info["bound"], "dd_element": dd_element,
              "safety": cfg.safety},
         extra={"t_end": t, "probe_cadence": cfg.cadence})
     out_mod.write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
@@ -225,7 +234,7 @@ def run_info(cfg, out_dir):
     disc = build_discretization(mesh,
                                 build_reference_element(mesh.dim, cfg.p_em))
     em_info = stable_timestep("maxwell", disc, table, safety=cfg.safety,
-                              detail=True)
+                              detail=True, pml=cfg.pml)
     print(f"dt_em <= {em_info['dt']:.3e} s  (bound: {em_info['bound']})")
     mats, mat_idx = table.element_materials(mesh)
     ddisc = build_discretization(

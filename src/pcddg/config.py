@@ -71,6 +71,8 @@ _FREE_KEYS = {"boundary"}
 # value rules: (description, predicate)
 _POSITIVE = ("> 0", lambda v: v > 0)
 _COUNT = (">= 1", lambda v: v >= 1)
+# the step bounds are stability limits: a safety above 1 asks for more
+_FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
 _ORDER = (f"in [1, {MAX_ORDER}]", lambda v: 1 <= v <= MAX_ORDER)
 _DIM = ("1 or 2", lambda v: v in (1, 2))
 
@@ -342,7 +344,7 @@ def parse_config(path):
         default_tag=default_tag, tag_boxes=tag_boxes, contacts=contacts,
         source=source, pml=pml, p_em=p_em, p_dd=p_dd,
         t_end=_number("run.t_end", run["t_end"]),
-        safety=_number("run.safety", run["safety"], rule=_POSITIVE),
+        safety=_number("run.safety", run["safety"], rule=_FRACTION),
         m_override=m_override,
         temperature=_number("run.temperature", run["temperature"],
                             rule=_POSITIVE),

@@ -8,6 +8,7 @@ from functools import partial
 import numpy as np
 
 from . import physics as ph
+from .em_dg import pml_sigma_profiles
 from .physics import PhysicsError
 
 # five-stage fourth-order low-storage scheme
@@ -57,6 +58,18 @@ def lsrk45_step(state, rhs, dt, t=0.0):
     return u
 
 
+def maxwell_step_factor(p, dim):
+    """F of the stable LSRK45 step dt <= h / (c F) on the upwind DG Maxwell
+    operator of order p.  In 1D, F = (2p+1)(0.42 + 0.081 p) lies 2.0-2.6 %
+    above the factor at the edge of LSRK45's stability region on PEC walls
+    (dense eigenvalues: 1.474, 2.840, 4.545, 6.564, 8.881, 11.483 for
+    p = 1..6, the same to 0.01 % for K = 4..80); ABC walls, material
+    interfaces and graded h allow longer steps, and Drude metals and PMLs
+    add their own bounds in stable_timestep.  In 2D, F = 2p+1 (not
+    fitted)."""
+    return (2 * p + 1) * (0.42 + 0.081 * p) if dim == 1 else 2 * p + 1
+
+
 def diffusion_step_factor(p, dim):
     """F of the stable TVD-RK3 step dt <= h^2 / (d F) on the transient LDG
     diffusion (no penalty) of order p: dt = 2.5 / rho, 2.5 within the
@@ -68,11 +81,13 @@ def diffusion_step_factor(p, dim):
 
 
 def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
-                    detail=False):
+                    detail=False, pml=None):
     """Largest stable explicit step for 'maxwell' or 'dd'.
 
     state_estimate for the DD bound is a dict with 'e_mag' (V/m); v = mu|E|
-    and d = V_T mu per carrier.  Returns +inf when no term limits the step.
+    and d = V_T mu per carrier.  pml (a PmlSpec) adds the Maxwell bound of
+    the elements its damping rate sigma reaches.  Returns +inf when no term
+    limits the step.
     """
     p = disc.ref.p
     mats, mat_idx = materials.element_materials(disc.mesh, disc.elems)
@@ -91,8 +106,28 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
     if system == "maxwell":
         c = per_elem([ph.C0 / np.sqrt((m.drude.eps_inf if m.drude else m.eps_r)
                                       * m.mu_r) for m in mats])
-        bounds.append(bound("maxwell_cfl", h, c * (2 * p + 1),
+        c_f = c * maxwell_step_factor(p, disc.ref.dim)
+        bounds.append(bound("maxwell_cfl", h, c_f,
                             np.ones(len(h), dtype=bool)))
+        # the wave rate c F / h and a second rate added in quadrature,
+        # each second rate within LSRK45's limit on its axis; both are
+        # stable on dense 1D spectra for p = 1..6
+        if disc.ref.dim == 1:
+            # the Drude plasma frequency over 3.3 (limit 3.34 on the
+            # imaginary axis), for gold layers of any thickness at
+            # h = 25-400 nm; the 2D factor 2p+1 is not fitted and has no
+            # Drude term
+            w_p = per_elem([m.drude.omega_p if m.drude else 0.0
+                            for m in mats])
+            bounds.append(bound("drude_plasma", h,
+                                np.hypot(c_f, w_p * h / 3.3), w_p > 0))
+        if pml is not None:
+            # the PML rate sigma over 4 (limit 4.66 on the negative real
+            # axis), for PMLs 1-16 elements deep
+            sx, sy = pml_sigma_profiles(disc, pml)
+            sigma = np.max(sx + sy, axis=1)
+            bounds.append(bound("pml_damping", h,
+                                np.hypot(c_f, 0.25 * sigma * h), sigma > 0))
     elif system == "dd":
         e_mag = 0.0 if state_estimate is None else float(state_estimate.get("e_mag", 0.0))
         v_t = materials.v_t

@@ -35,7 +35,7 @@ class PmlSpec:
                 raise PhysicsError("PML thickness must be nonnegative")
 
 
-def _pml_sigma_profiles(disc, pml):
+def pml_sigma_profiles(disc, pml):
     """Nodal damping rates sigma_x/eps0 and sigma_y/eps0, zero outside layers."""
     dim = disc.ref.dim
     sx = np.zeros((disc.K, disc.Np))
@@ -129,7 +129,7 @@ class MaxwellSolver:
         # state rows, and the slices of the optional ones
         has_pml = False
         if pml is not None:
-            sx, sy = _pml_sigma_profiles(disc, pml)
+            sx, sy = pml_sigma_profiles(disc, pml)
             has_pml = bool(np.any(sx > 0) or np.any(sy > 0))
         has_drude = any(m.drude for m in mats)
         field_rows, aux_rows, drude_rows = _ROWS[dim]

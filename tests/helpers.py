@@ -38,6 +38,27 @@ def optical_source(solver, t):
     return solver._src_scale(t) * solver._src_profile
 
 
+def lsrk45_amplification(z):
+    """|R(z)| of one LSRK45 step on u' = lam u, z = lam dt, from the
+    scheme's own coefficients; the step is stable where |R| <= 1."""
+    from pcddg.coupler import RK4A, RK4B
+    u, res = np.ones_like(z), np.zeros_like(z)
+    for a, b in zip(RK4A, RK4B):
+        res = a * res + z * u
+        u = u + b * res
+    return np.abs(u)
+
+
+def rhs_spectrum(solver):
+    """Dense eigenvalues of the linear map state -> solver.rhs(state) of a
+    MaxwellSolver without a source."""
+    shape = solver.zero_state().shape
+    n = int(np.prod(shape))
+    a = np.stack([solver.rhs(e.reshape(shape)).reshape(-1)
+                  for e in np.eye(n)], axis=1)
+    return np.linalg.eigvals(a)
+
+
 def read_probe_csv(path):
     """Header and data rows of a probes.csv."""
     with open(path) as fh:

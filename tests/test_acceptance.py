@@ -163,7 +163,9 @@ class TestOhmicAlgebra:
 
 # -- 7: Drude-Fresnel reflection ----------------------------------------------
 
-def _reflection_trace(metal):
+def _reflection_trace(metal, nst=None):
+    """Ex at 13 um over nst equal steps to 90 fs (by default, the count the
+    stable step gives)."""
     lam = C0 / 375e12
     mat2 = "au" if metal else "vac2"
     spec = make_spec(1, [0.0], [18e-6],
@@ -180,10 +182,10 @@ def _reflection_trace(metal):
     u = solver.zero_state()
     u[solver.idx["ex"]] = f
     u[solver.idx["hz"]] = -f / Z0             # rightward-moving pulse
-    dt = stable_timestep("maxwell", disc, table)
     kk, jj = np.unravel_index(np.argmin(np.abs(x - 13e-6)), x.shape)
     t_end = 90e-15
-    nst = int(np.ceil(t_end / dt))
+    if nst is None:
+        nst = int(np.ceil(t_end / stable_timestep("maxwell", disc, table)))
     dt = t_end / nst
     trace = np.empty(nst + 1)
     trace[0] = u[solver.idx["ex"]][kk, jj]
@@ -197,8 +199,10 @@ def _reflection_trace(metal):
 
 class TestDrudeReflection:
     def test_fresnel_at_375thz(self):
+        # the gold run's drude_plasma bound sets the step of both runs, so
+        # the traces share one time grid
         t, gold_tr = _reflection_trace(True)
-        _, ref_tr = _reflection_trace(False)
+        _, ref_tr = _reflection_trace(False, nst=len(t) - 1)
         om = 2 * np.pi * 375e12
         dt = t[1] - t[0]
         phase = np.exp(-1j * om * t)
@@ -213,18 +217,7 @@ class TestDrudeReflection:
         assert abs(r_num - r_exact) / r_exact < 0.02
 
 
-# -- 8: time-scale ordering ---------------------------------------------------
-
-class TestTimescaleOrdering:
-    def test_em_dd_step_ratio(self):
-        mesh = unit_interval_mesh(50, hi=1e-6, region="semi")
-        disc = build_discretization(mesh, build_reference_element(1, 3))
-        table = MaterialTable(materials={"semi": ph.lt_gaas()})
-        dt_em = stable_timestep("maxwell", disc, table)
-        dt_dd = stable_timestep("dd", disc, table)
-        assert dt_em < dt_dd
-        assert 3.0 <= dt_dd / dt_em <= 30.0
-
+# -- 8: time-scale ordering: test_coupler.py, TestStableTimestep
 
 # -- 9/10: coupled toy device -------------------------------------------------
 
@@ -261,10 +254,13 @@ def _toy_device(p=2, h=5e-8, right_tag="ELECTRODE_D"):
 
 class TestMultirateConsistency:
     def test_m5_matches_m1_currents(self):
+        # the Maxwell step 0.8 h / (5 c) of the vacuum elements, below the
+        # stable bound, keeps the macro step this 1e-3 gate was set for
         t_end = 150e-15
         traces = {}
+        dt_em = 0.8 * 5e-8 / (5 * C0)
         for m in (5, 1):
-            cs, dt_em, _src = _toy_device()
+            cs, _dt_em, _src = _toy_device()
             n_macro = int(round(t_end / (5 * dt_em)))  # shared sync grid
             sched = MultirateSchedule(dt_em=dt_em, m=m,
                                       t_end=n_macro * 5 * dt_em)

@@ -156,6 +156,8 @@ MALFORMED_DECKS = [
     (lambda deck: deck.replace("p_em = 2", "p_em = two"), "run.p_em"),
     (lambda deck: deck.replace("\nm = 2", "\nm = 1.5"), "run.m"),
     (_add("t_end = 0.5 fs\n", "safety = fast\n"), "run.safety"),
+    (_add("t_end = 0.5 fs\n", "safety = 1.5\n"),
+     "run.safety must be in (0, 1]"),
     (_add("points = 0.75 um\n", "cadence = x\n"), "probes.cadence"),
     (lambda deck: deck + "\n[convergence]\nlevels = x\n",
      "convergence.levels"),
@@ -435,6 +437,14 @@ class TestCli:
         assert data.shape[0] > 2
         man = json.loads((out / "manifest.json").read_text())
         assert man["em_steps"] == man["dd_steps"] * man["cfl"]["m"]
+        # the bounds that limit dt, each with its global element id: the
+        # fastest wave (vacuum) and the semiconductor's electron diffusion
+        cfl = man["cfl"]
+        assert (cfl["em_bound"], cfl["dd_bound"]) == ("maxwell_cfl",
+                                                      "diffusion_e")
+        mesh = parse_config(device_cfg).build_mesh()
+        assert [mesh.region_names[mesh.region_id[cfl[key]]]
+                for key in ("em_element", "dd_element")] == ["air", "semi"]
         _pts, fields = read_vtk(str(out / "fields.vtk"))
         assert {"E", "H", "n_e", "n_h"} <= set(fields)
 

@@ -9,12 +9,14 @@ from pcddg.coupler import (RK4A, RK4B, RK4C, MultirateSchedule, ProbeSet,
                            terminal_current_probe, run_coupled)
 from pcddg.dd_dg import DDSolver
 from pcddg.dgops import build_discretization
-from pcddg.em_dg import MaxwellSolver
+from pcddg.em_dg import MaxwellSolver, PmlSpec
 from pcddg.mesh import make_spec, generate_structured_mesh, unit_interval_mesh
 from pcddg.physics import (MaterialTable, OpticalSourceSpec, PhysicsError,
-                           lt_gaas, vacuum, C0, Q)
+                           gold, lt_gaas, vacuum, C0, Q)
 from pcddg.refelem import build_reference_element
 from pcddg.stationary import Contact, StationaryProblem
+
+from helpers import lsrk45_amplification, rhs_spectrum
 
 
 def five_pass_lsrk45_step(state, rhs, dt, t=0.0):
@@ -97,6 +99,34 @@ class TestSteppers:
         assert u[0] == pytest.approx(0.5, rel=1e-12)
 
 
+def maxwell_case_1d(case, p, pml=None):
+    """A 1 um 1D Maxwell case at h = 50 nm: vacuum between PEC or ABC
+    walls, a vacuum|LT-GaAs interface, a 0.6 um Drude gold layer (also at
+    h = 100 nm), or h graded 10/30/100 nm.  Returns (solver, disc,
+    table)."""
+    mats = {"vac": vacuum(), "semi": lt_gaas(), "au": gold()}
+    regions = {
+        "pec": [("vac", 0.0, 1.0, 50)],
+        "abc": [("vac", 0.0, 1.0, 50)],
+        "interface": [("vac", 0.0, 0.5, 50), ("semi", 0.5, 1.0, 50)],
+        "drude": [("vac", 0.0, 0.2, 50), ("au", 0.2, 0.8, 50),
+                  ("vac", 0.8, 1.0, 50)],
+        "drude_coarse": [("vac", 0.0, 0.2, 100), ("au", 0.2, 0.8, 100),
+                         ("vac", 0.8, 1.0, 100)],
+        "graded": [("vac", 0.0, 0.2, 10), ("vac", 0.2, 0.5, 30),
+                   ("vac", 0.5, 1.0, 100)]}[case]
+    names = [f"{name}{i}" for i, (name, *_rest) in enumerate(regions)]
+    mesh = generate_structured_mesh(make_spec(
+        1, [0.0], [1e-6],
+        [(n, [a * 1e-6], [b * 1e-6], h * 1e-9)
+         for n, (_m, a, b, h) in zip(names, regions)],
+        default_tag="ABC" if case == "abc" else "PEC"))
+    table = MaterialTable({n: mats[name]
+                           for n, (name, *_rest) in zip(names, regions)})
+    disc = build_discretization(mesh, build_reference_element(1, p))
+    return MaxwellSolver(disc, table, pml=pml), disc, table
+
+
 class TestStableTimestep:
     def _disc(self, n=20, p=2, length=1e-6):
         mesh = unit_interval_mesh(n, 0.0, length, region="semi")
@@ -108,15 +138,62 @@ class TestStableTimestep:
         d2 = self._disc(length=3e-6)
         dt1 = stable_timestep("maxwell", d1, mats)
         dt2 = stable_timestep("maxwell", d2, mats)
-        assert dt2 == pytest.approx(3.0 * dt1, rel=1e-12)
+        assert dt2 == pytest.approx(3.0 * dt1, rel=1e-12, abs=0.0)
 
     def test_maxwell_value(self):
+        # 1D: h / (c F), F = (2p+1)(0.42 + 0.081 p) = 5 x 0.582 at p = 2;
+        # abs=0, because approx's default abs of 1e-12 s passes any step
         mats = MaterialTable({"semi": lt_gaas()})
         d = self._disc(n=20, p=2)
         h = 5e-8
         c = C0 / np.sqrt(13.26)
         assert stable_timestep("maxwell", d, mats, safety=1.0) == \
-            pytest.approx(h / (c * 5.0), rel=1e-12)
+            pytest.approx(h / (c * 2.91), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("case", ["pec", "abc", "interface", "drude",
+                                      "drude_coarse", "graded"])
+    def test_maxwell_bound_is_stable_1d(self, case, p):
+        # every eigenvalue z = lam dt of the Maxwell rhs at safety 1 inside
+        # LSRK45's stability region; PEC walls set the limit, and the bound
+        # sits within 5 % of it there.  In thick gold the plasma frequency
+        # adds to the wave rate (drude_plasma bound)
+        solver, disc, table = maxwell_case_1d(case, p)
+        z = rhs_spectrum(solver) * stable_timestep("maxwell", disc, table,
+                                                   safety=1.0)
+        assert np.all(lsrk45_amplification(z) <= 1.0 + 1e-9)
+        if case == "pec":
+            assert np.any(lsrk45_amplification(1.05 * z) > 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("depth", [5e-8, 1e-7, 4e-7])
+    def test_pml_bound_is_stable_1d(self, depth, p):
+        # vacuum, h = 50 nm, ABC walls and a yhi PML 1 to 8 elements deep:
+        # the damping rate sigma, not the wave speed, limits the step.
+        # Without its bound, the 0.1 um PML at p = 1 blows up even at the
+        # default safety 0.8
+        pml = PmlSpec({"yhi": depth})
+        solver, disc, table = maxwell_case_1d("abc", p, pml=pml)
+        info = stable_timestep("maxwell", disc, table, safety=1.0,
+                               detail=True, pml=pml)
+        assert info["bound"] == "pml_damping"
+        assert disc.x[info["element"], :, 0].max() > 1e-6 - depth
+        z = rhs_spectrum(solver) * info["dt"]
+        assert np.all(lsrk45_amplification(z) <= 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("wall", ["PEC", "ABC"])
+    def test_maxwell_bound_is_stable_2d(self, wall, p):
+        # the 2D factor 2p+1 is not fitted: at safety 1 it leaves the
+        # stability region at p = 4, so this pins the default's margin
+        mesh = generate_structured_mesh(make_spec(
+            2, [0.0, 0.0], [0.3e-6, 0.3e-6],
+            [("vac", [0.0, 0.0], [0.3e-6, 0.3e-6], 1e-7)], default_tag=wall))
+        disc = build_discretization(mesh, build_reference_element(2, p))
+        table = MaterialTable({"vac": vacuum()})
+        z = rhs_spectrum(MaxwellSolver(disc, table)) * \
+            stable_timestep("maxwell", disc, table)
+        assert np.all(lsrk45_amplification(z) <= 1.0 + 1e-9)
 
     def test_dd_inf_sentinel_without_semiconductor(self):
         mesh = unit_interval_mesh(10, 0.0, 1e-6, region="vac")
@@ -161,14 +238,14 @@ class TestStableTimestep:
             assert rho * dt >= 2.4
 
     def test_timescale_ordering(self):
-        # desk-scale 1D semiconductor mesh: Maxwell step below the DD step
-        # with a ratio in the practical multirate window
+        # desk-scale 1D semiconductor mesh: Maxwell step below the DD step;
+        # at p = 3 the diffusion bound leaves a ratio of only about 2
         mats = MaterialTable({"semi": lt_gaas()})
         d = self._disc(n=50, p=3)        # h = 20 nm
         dt_em = stable_timestep("maxwell", d, mats)
         dt_dd = stable_timestep("dd", d, mats)
         assert dt_em < dt_dd
-        assert 3.0 <= dt_dd / dt_em <= 30.0
+        assert dt_dd / dt_em == pytest.approx(2.04, rel=2e-3)
 
 
 class TestSchedule:

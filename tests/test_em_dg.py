@@ -235,7 +235,7 @@ class ReferenceMaxwell:
     full state layout (every field, PML and Drude row)."""
 
     def __init__(self, solver, pml=None):
-        from pcddg.em_dg import _ABC_LIKE, _PEC_LIKE, _pml_sigma_profiles
+        from pcddg.em_dg import _ABC_LIKE, _PEC_LIKE, pml_sigma_profiles
         from pcddg.mesh import BOUNDARY_TAGS
         disc = self.disc = solver.disc
         self.comp = FULL_ROWS[disc.ref.dim]
@@ -257,7 +257,7 @@ class ReferenceMaxwell:
                                  for m in mats])[:, None]
         self.drude_g = np.array([m.drude.gamma if m.drude else 0.0
                                  for m in mats])[:, None]
-        self.sx, self.sy = _pml_sigma_profiles(disc, pml)
+        self.sx, self.sy = pml_sigma_profiles(disc, pml)
         tags = np.array([[BOUNDARY_TAGS[t] if t >= 0 else "" for t in row]
                          for row in disc.face_tag], dtype=object)
         self.pec_mask = disc.face_expand(np.isin(tags, list(_PEC_LIKE)))

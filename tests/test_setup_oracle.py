@@ -255,10 +255,18 @@ def reference_stable_timestep(system, disc, materials, state_estimate=None,
     h = disc.h_elem
     bounds = []   # (dt, label, element)
     if system == "maxwell":
+        # LSRK45 on the upwind operator: in 1D F = (2p+1)(0.42 + 0.081 p),
+        # fitted above the PEC limit; in 2D F = 2p+1
+        factor = (2 * p + 1) * (0.42 + 0.081 * p) if dim == 1 else 2 * p + 1
         for k, m in enumerate(mats):
             eps_r = m.drude.eps_inf if m.drude else m.eps_r
             c = ph.C0 / np.sqrt(eps_r * m.mu_r)
-            bounds.append((h[k] / (c * (2 * p + 1)), "maxwell_cfl", k))
+            bounds.append((h[k] / (c * factor), "maxwell_cfl", k))
+            if dim == 1 and m.drude:
+                # the plasma frequency over 3.3, in quadrature
+                bounds.append((h[k] / np.hypot(c * factor,
+                                               m.drude.omega_p * h[k] / 3.3),
+                               "drude_plasma", k))
     elif system == "dd":
         e_mag = 0.0 if state_estimate is None else float(state_estimate.get("e_mag", 0.0))
         v_t = materials.v_t
@@ -457,6 +465,19 @@ class TestStableTimestepOracle:
         want = reference_stable_timestep("maxwell", disc, table, detail=True)
         assert got == want
         assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    def test_gold_layer_1d(self):
+        # 1D gold at h = 50 nm: the plasma frequency limits the step
+        spec = make_spec(1, [0.0], [1e-6],
+                         [("vac", [0.0], [0.2e-6], 5e-8),
+                          ("au", [0.2e-6], [1e-6], 5e-8)])
+        table = ph.MaterialTable({"vac": ph.vacuum(), "au": ph.gold()})
+        disc = build_discretization(generate_structured_mesh(spec),
+                                    build_reference_element(1, 1))
+        got = stable_timestep("maxwell", disc, table, detail=True)
+        assert got == reference_stable_timestep("maxwell", disc, table,
+                                                detail=True)
+        assert got["bound"] == "drude_plasma"
 
     @pytest.mark.parametrize("e_mag", [0.0, 1e5, 3e7])
     def test_lowbias_both_systems(self, e_mag):
