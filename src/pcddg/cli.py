@@ -21,7 +21,7 @@ from . import convergence as cv
 from . import output as out_mod
 from .config import parse_config
 from .coupler import (CoupledSystem, MultirateSchedule, ProbeSet,
-                      run_coupled, stable_timestep)
+                      dd_step_bound, run_coupled, stable_timestep)
 from .dgops import build_discretization
 from .em_dg import MaxwellSolver
 from .mesh import resolution_report
@@ -139,25 +139,21 @@ def run_transient(cfg, out_dir):
     e_mag = float(max(np.max(np.abs(c)) for c in sol.e_s))
     em_info = stable_timestep("maxwell", em_disc, table,
                               safety=cfg.safety, detail=True, pml=cfg.pml)
-    dd_info = stable_timestep("dd", prob.ddisc, table,
-                              state_estimate={"e_mag": e_mag},
-                              safety=cfg.safety, detail=True)
-    if cfg.m_override is not None:
-        sched = MultirateSchedule(em_info["dt"], cfg.m_override, cfg.t_end)
-    else:
-        sched = MultirateSchedule.from_bounds(em_info["dt"], dd_info["dt"],
-                                              cfg.t_end)
-    # shrink dt_em so an integer number of macro steps lands exactly on t_end
-    n_macro = max(1, int(np.ceil(cfg.t_end / sched.dt_dd)))
-    sched = MultirateSchedule(cfg.t_end / (n_macro * sched.m), sched.m,
-                              cfg.t_end)
+    dd_info = dd_step_bound(prob.ddisc, table, cfg.source, e_mag,
+                            safety=cfg.safety)
+    sched = MultirateSchedule.from_bounds(em_info["dt"], dd_info["dt"],
+                                          cfg.t_end, m=cfg.m_override)
+    n_macro = sched.n_macro
     em_element = _global_element(em_disc, em_info)
     dd_element = _global_element(prob.ddisc, dd_info)
-    if cfg.m_override is not None and sched.dt_dd > dd_info["dt"]:
+    # a deck's m may trade accuracy for speed; only the drift bound, the
+    # stability limit of the IMEX DD step, rejects it
+    drift = dd_info["drift"]
+    if cfg.m_override is not None and sched.dt_dd > drift["dt"]:
         raise ConfigurationError(
             f"run.m = {sched.m} gives a DD step of {sched.dt_dd:.3e} s, above "
-            f"the stable bound {dd_info['dt']:.3e} s ({dd_info['bound']}, "
-            f"element {dd_element})")
+            f"the stable bound {drift['dt']:.3e} s ({drift['bound']}, "
+            f"element {_global_element(prob.ddisc, drift)})")
     print(f"multirate schedule: dt_em={sched.dt_em:.3e} s, m={sched.m}, "
           f"{n_macro} macro steps")
 
@@ -194,7 +190,8 @@ def run_transient(cfg, out_dir):
         wall_time_s=time.perf_counter() - t0,
         em_steps=n_macro * sched.m, dd_steps=n_macro,
         cfl={"dt_em": sched.dt_em, "dt_dd": sched.dt_dd, "m": sched.m,
-             "em_bound": em_info["bound"], "em_element": em_element,
+             "dt_em_max": em_info["dt"], "em_bound": em_info["bound"],
+             "em_element": em_element, "dt_dd_max": dd_info["dt"],
              "dd_bound": dd_info["bound"], "dd_element": dd_element,
              "safety": cfg.safety},
         extra={"t_end": t, "probe_cadence": cfg.cadence})
@@ -241,9 +238,8 @@ def run_info(cfg, out_dir):
         mesh, build_reference_element(mesh.dim, cfg.p_dd),
         element_mask=np.array([m.semiconductor for m in mats])[mat_idx],
         cut_face_tag=lambda k, f, nbr: "INSULATOR_R")
-    dd_info = stable_timestep("dd", ddisc, table,
-                              state_estimate={"e_mag": e_est},
-                              safety=cfg.safety, detail=True)
+    dd_info = dd_step_bound(ddisc, table, cfg.source, e_est,
+                            safety=cfg.safety)
     print(f"dt_dd <= {dd_info['dt']:.3e} s  (bound: {dd_info['bound']})")
     return 0
 

@@ -1,6 +1,6 @@
-"""Explicit multirate time integration of the coupled Maxwell / drift-
-diffusion system: TVD-RK3 and low-storage RK45 steppers, stable-step
-estimation, the multirate advance protocol, and transient observables."""
+"""Multirate time integration of the coupled Maxwell / drift-diffusion
+system: TVD-RK3, low-storage RK45 and IMEX ARS(3,4,3) steppers, step
+bounds, the multirate advance protocol, and transient observables."""
 
 from dataclasses import dataclass, field
 from functools import partial
@@ -31,6 +31,26 @@ RK4C = np.array([
     2006345519317.0 / 3224310063776.0,
     2802321613138.0 / 2924317926251.0])
 
+# IMEX ARS(3,4,3) (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 1997):
+# gamma is the root of x^3 - 3x^2 + 3x/2 - 1/6 in (1/6, 1/2); both parts
+# share the weights ARS_B and the nodes ARS_C; the implicit part is
+# L-stable and stiffly accurate (its last row is ARS_B); the explicit part
+# is fixed by b.A^2.c = 1/24, so its stability polynomial is classical
+# RK4's (the imaginary axis up to 2.83, TVD-RK3's up to 1.73)
+ARS_GAMMA = 0.435866521508459
+ARS_B = np.array([0.0, 1.208496649176010, -0.644363170684469, ARS_GAMMA])
+ARS_C = np.array([0.0, ARS_GAMMA, 0.5 * (1.0 + ARS_GAMMA), 1.0])
+ARS_EXPLICIT = np.array([
+    [0.0, 0.0, 0.0, 0.0],
+    [ARS_GAMMA, 0.0, 0.0, 0.0],
+    [0.321278886028628, 0.396654374725602, 0.0, 0.0],
+    [-0.105858296071880, 0.552929148035940, 0.552929148035940, 0.0]])
+ARS_IMPLICIT = np.array([
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, ARS_GAMMA, 0.0, 0.0],
+    [0.0, 0.5 * (1.0 - ARS_GAMMA), ARS_GAMMA, 0.0],
+    ARS_B])
+
 
 def tvd_rk3_step(state, rhs, dt, t=0.0):
     """One Shu-Osher TVD-RK3 step of du/dt = rhs(u, t)."""
@@ -56,6 +76,26 @@ def lsrk45_step(state, rhs, dt, t=0.0):
         np.multiply(res, b * dt, out=tmp)
         u += tmp
     return u
+
+
+def ars343_step(state, rhs, solve, dt, t=0.0):
+    """One IMEX ARS(3,4,3) step of du/dt = rhs(u, t) + A u: rhs explicit
+    (four evaluations), the linear A implicit through
+    solve(b) = (I - ARS_GAMMA dt A)^-1 b (three solves)."""
+    k, a_u = [], []             # the explicit stage rates, and A U_i
+    u = state
+    for i in range(4):
+        if i:
+            b = state + dt * (sum(a * kj for a, kj in zip(ARS_EXPLICIT[i], k))
+                              + sum(a * lj for a, lj
+                                    in zip(ARS_IMPLICIT[i, 1:i], a_u)))
+            u = solve(b)
+            a_u.append((u - b) / (ARS_GAMMA * dt))
+        k.append(rhs(u, t + ARS_C[i] * dt))
+    # stiffly accurate: the new state is the last stage plus the explicit
+    # weights' difference from its row
+    return u + dt * sum((w - a) * kj
+                        for w, a, kj in zip(ARS_B, ARS_EXPLICIT[3], k))
 
 
 def maxwell_step_factor(p, dim):
@@ -84,10 +124,12 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
                     detail=False, pml=None):
     """Largest stable explicit step for 'maxwell' or 'dd'.
 
-    state_estimate for the DD bound is a dict with 'e_mag' (V/m); v = mu|E|
-    and d = V_T mu per carrier.  pml (a PmlSpec) adds the Maxwell bound of
-    the elements its damping rate sigma reaches.  Returns +inf when no term
-    limits the step.
+    state_estimate for the DD bound is a dict with 'e_mag' (V/m); the bound
+    is the drift CFL h / (v (2p+1)), v = mu|E| per carrier, within the
+    imaginary-axis limit of TVD-RK3 and of ARS(3,4,3)'s explicit part
+    (diffusion is implicit in the DD step).  pml (a PmlSpec) adds the
+    Maxwell bound of the elements its damping rate sigma reaches.  Returns
+    +inf when no term limits the step.
     """
     p = disc.ref.p
     mats, mat_idx = materials.element_materials(disc.mesh, disc.elems)
@@ -130,17 +172,11 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
                                 np.hypot(c_f, 0.25 * sigma * h), sigma > 0))
     elif system == "dd":
         e_mag = 0.0 if state_estimate is None else float(state_estimate.get("e_mag", 0.0))
-        v_t = materials.v_t
-        factor = diffusion_step_factor(p, disc.ref.dim)
         for carrier in ("e", "h"):
-            # v = d = 0 outside the semiconductors: no bound there
-            mu = [ph.parallel_field_mobility(e_mag, carrier, m)
-                  if m.semiconductor else 0.0 for m in mats]
-            v = per_elem([u * e_mag for u in mu])
-            d = per_elem([ph.einstein_diffusivity(u, v_t) for u in mu])
+            # v = 0 outside the semiconductors: no bound there
+            v = per_elem([ph.parallel_field_mobility(e_mag, carrier, m)
+                          * e_mag if m.semiconductor else 0.0 for m in mats])
             bounds.append(bound(f"drift_{carrier}", h, v * (2 * p + 1), v > 0))
-            bounds.append(bound(f"diffusion_{carrier}", h ** 2, d * factor,
-                                d > 0))
     else:
         raise PhysicsError(f"unknown system {system!r}")
     # the first smallest bound, elements in order
@@ -159,12 +195,37 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
     return dt
 
 
+def dd_step_bound(disc, materials, source, e_mag, safety=0.8):
+    """The DD macro step of the multirate march, as stable_timestep's detail
+    record: the drift bound at the field e_mag (labels drift_<c>), or,
+    where shorter, a quarter of the carriers' shortest time scale t_c, the
+    source's sigma_t (label timescale_pulse) or an SRH lifetime of a
+    semiconductor on disc (timescale_tau_<c>; element -1).  'drift' keeps
+    the drift bound's own record, the only stability limit of the IMEX DD
+    step."""
+    info = stable_timestep("dd", disc, materials,
+                           state_estimate={"e_mag": e_mag}, safety=safety,
+                           detail=True)
+    info["drift"] = dict(info)
+    mats, mat_idx = materials.element_materials(disc.mesh, disc.elems)
+    scales = [] if source is None else [(source.sigma_t, "pulse")]
+    scales += [(getattr(mats[i], f"tau_{c}"), f"tau_{c}")
+               for i in np.unique(mat_idx) if mats[i].semiconductor
+               for c in ("e", "h")]
+    if scales:
+        t_c, label = min(scales, key=lambda sc: sc[0])
+        if t_c / 4 < info["dt"]:
+            info.update(dt=t_c / 4, bound=f"timescale_{label}", element=-1)
+    return info
+
+
 # ---------------------------------------------------------------------------
 # multirate orchestration
 
 @dataclass
 class MultirateSchedule:
-    """Maxwell substep dt_em, integer ratio m (DD step = m * dt_em)."""
+    """Maxwell substep dt_em, integer ratio m (DD step = m * dt_em), and
+    the horizon t_end, a whole number of DD steps."""
     dt_em: float
     m: int
     t_end: float
@@ -181,15 +242,23 @@ class MultirateSchedule:
     def dt_dd(self):
         return self.m * self.dt_em
 
+    @property
+    def n_macro(self):
+        return int(round(self.t_end / self.dt_dd))
+
     @classmethod
-    def from_bounds(cls, dt_em_max, dt_dd_max, t_end, cap=10):
-        """Pick m = floor(dt_dd_max / dt_em_max), capped."""
-        m = 1
-        if np.isfinite(dt_dd_max):
-            m = max(1, min(cap, int(dt_dd_max / dt_em_max)))
+    def from_bounds(cls, dt_em_max, dt_dd_max, t_end, m=None):
+        """The schedule that lands on t_end with both steps within their
+        bounds: n_macro = ceil(t_end / dt_dd_max) DD steps of
+        m = ceil(N_em / n_macro) substeps, N_em = ceil(t_end / dt_em_max),
+        so the rounding adds fewer than n_macro EM steps.  A given m takes
+        n_macro = ceil(t_end / (m dt_em_max)) instead."""
+        if m is None:
+            n_macro = max(1, int(np.ceil(t_end / dt_dd_max)))
+            m = int(np.ceil(np.ceil(t_end / dt_em_max) / n_macro))
         else:
-            m = cap
-        return cls(dt_em=dt_em_max, m=m, t_end=t_end)
+            n_macro = max(1, int(np.ceil(t_end / (m * dt_em_max))))
+        return cls(dt_em=t_end / (n_macro * m), m=m, t_end=t_end)
 
 
 @dataclass
@@ -257,16 +326,31 @@ class CoupledSystem:
             self.contact_idx = contact_face_index(dd.disc, self.contacts)
 
     # -- field plumbing --------------------------------------------------
-    def e_t_on_dd(self, em_state):
-        """The E components (an EM state's first rows) on the DD subdomain."""
-        return tuple(em_state[:self.em.disc.ref.dim, self.dd_in_em])
-
     def generation(self, em_state):
         """Nodal G on the DD subdomain from the optical (transient) fields."""
-        i = self.em.idx
-        hz = em_state[i["hz"]][self.dd_in_em]
-        e = self.e_t_on_dd(em_state)
-        return self.gcoef * ph.poynting_magnitude(e, (hz,))
+        dd = self.dd_in_em
+        e = tuple(em_state[:self.em.disc.ref.dim, dd])
+        return self.gcoef * ph.poynting_magnitude(
+            e, (em_state[self.em.idx["hz"], dd],))
+
+    def add_fields(self, sums, em_state, weight):
+        """sums += weight (|E x H|, E^t) of em_state, in place on the EM
+        mesh: sums is (1 + dim, K, Np), |E x H| first."""
+        dim = self.em.disc.ref.dim
+        s = ph.poynting_magnitude(em_state[:dim],
+                                  (em_state[self.em.idx["hz"]],))
+        if weight != 1.0:
+            s *= weight
+            sums[1:] += weight * em_state[:dim]
+        else:
+            sums[1:] += em_state[:dim]
+        sums[0] += s
+
+    def step_means(self, sums, m):
+        """The mean generation and mean E^t on the DD subdomain from the
+        trapezoid sums (add_fields) over m substeps."""
+        mean = sums[:, self.dd_in_em] / m
+        return self.gcoef * mean[0], tuple(mean[1:])
 
     def transient_current(self, dd_state):
         """The carrier current of a DD state as the pair (sigma, j0) on the
@@ -284,30 +368,33 @@ class CoupledSystem:
         return sigma, j0
 
 
-def multirate_advance(cs, em_state, dd_state, t, schedule, g_last=None):
-    """Advance the coupled system one DD macro step (m Maxwell substeps)
-    from time t.  g_last is the generation before the last Maxwell substep
-    of the previous macro step (None at the first); returns the new states,
-    that generation of this step and the carrier current (sigma, j0) of the
-    new DD state, which drove the Maxwell substeps."""
-    # averaged generation from the two most recent Maxwell steps
-    g_now = cs.generation(em_state)
-    g_tilde = 0.5 * ((g_now if g_last is None else g_last) + g_now)
-
-    # G and E^t are frozen over the DD step: its terms are built once
-    terms = cs.dd.step_terms(g=g_tilde, e_t=cs.e_t_on_dd(em_state))
-    dd_state = tvd_rk3_step(dd_state,
-                            lambda s, tt: cs.dd.carrier_rhs(s, terms),
-                            schedule.dt_dd, t)
-
-    current = cs.transient_current(dd_state)
+def multirate_advance(cs, em_state, dd_state, t, schedule, current,
+                      last=None):
+    """Advance the coupled system one DD macro step from time t: the m
+    Maxwell substeps in a carrier current (sigma, j0) held over the step,
+    then one IMEX DD step fed with the mean generation and mean E^t of the
+    substeps (trapezoid rule at their boundaries).  The held current is
+    current, cs.transient_current(dd_state), extrapolated to the middle of
+    the step from last, that of the DD state one step earlier (None:
+    current itself).  Returns the new states and the carrier current of
+    the new DD state."""
+    if last is not None:
+        current = tuple(1.5 * a - 0.5 * b for a, b in zip(current, last))
+    m, dt = schedule.m, schedule.dt_em
     em_rhs = partial(cs.em.rhs, current=current)
-    for i in range(schedule.m):
-        if i == schedule.m - 1:
-            g_last = cs.generation(em_state)
-        em_state = lsrk45_step(em_state, em_rhs, schedule.dt_em,
-                               t + i * schedule.dt_em)
-    return em_state, dd_state, g_last, current
+    sums = np.zeros((1 + cs.em.disc.ref.dim,) + em_state.shape[1:])
+    cs.add_fields(sums, em_state, 0.5)
+    for i in range(m):
+        em_state = lsrk45_step(em_state, em_rhs, dt, t + i * dt)
+        cs.add_fields(sums, em_state, 0.5 if i == m - 1 else 1.0)
+
+    g, e_t = cs.step_means(sums, m)
+    terms = cs.dd.step_terms(g=g, e_t=e_t)
+    dt_dd = schedule.dt_dd
+    dd_state = ars343_step(
+        dd_state, lambda s, tt: cs.dd.carrier_rhs(s, terms),
+        cs.dd.diffusion_solve(ARS_GAMMA * dt_dd), dt_dd, t)
+    return em_state, dd_state, cs.transient_current(dd_state)
 
 
 def terminal_current_probe(cs, em_state, current, t=0.0):
@@ -327,21 +414,20 @@ def terminal_current_probe(cs, em_state, current, t=0.0):
 
 def run_coupled(cs, schedule, probes=None):
     """March the coupled system to t_end, recording probes at sync points.
-    The march owns its clock and the generation carried between macro
+    The march owns its clock and the carrier currents carried between macro
     steps, so cs and schedule can run again."""
     if probes is not None:
         probes.validate(cs.em.disc)
     em_state = cs.em.zero_state()
     dd_state = np.zeros((2, cs.dd.disc.K, cs.dd.disc.Np))
     t = 0.0
-    g_last = None
+    current, last = cs.transient_current(dd_state), None
     if probes is not None:
-        probes.record(cs, em_state, dd_state, cs.transient_current(dd_state),
-                      t)
-    n_macro = int(round(schedule.t_end / schedule.dt_dd))
-    for k in range(n_macro):
-        em_state, dd_state, g_last, current = multirate_advance(
-            cs, em_state, dd_state, t, schedule, g_last=g_last)
+        probes.record(cs, em_state, dd_state, current, t)
+    for k in range(schedule.n_macro):
+        em_state, dd_state, new = multirate_advance(
+            cs, em_state, dd_state, t, schedule, current, last)
+        current, last = new, current
         t = (k + 1) * schedule.dt_dd
         if probes is not None and (k + 1) % probes.cadence == 0:
             probes.record(cs, em_state, dd_state, current, t)

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import physics as ph
 from .dgops import LDGDiffusion, assemble_affine_operator
@@ -51,6 +52,7 @@ class _Background(NamedTuple):
     v_traces: tuple     # their (n.v^-, n.v^+)
     n_s: np.ndarray     # (n_e^s, n_h^s)
     n_s_traces: tuple   # their (n^-, n^+)
+    lu: tuple = None    # (c, splu of I - c matrix), set by diffusion_solve
 
 
 class DDSolver(LDGDiffusion):
@@ -68,7 +70,9 @@ class DDSolver(LDGDiffusion):
     diffusion matrix and the stacked stationary terms once per stationary
     state (on first use), the drift velocities, the advective source and
     G + R(n^s) once per macro step (step_terms), and both carriers at once
-    per stage (carrier_rhs).
+    per stage (carrier_rhs).  The IMEX DD step takes the diffusion matrix
+    implicitly, through one factorization per stationary state and step
+    (diffusion_solve), and the rest explicitly (carrier_rhs).
     """
 
     def __init__(self, disc, materials):
@@ -192,16 +196,29 @@ class DDSolver(LDGDiffusion):
         return StepTerms(v, v_traces, source, gain)
 
     def carrier_rhs(self, state, terms):
-        """Full rhs of both carriers, state = (n_e^t, n_h^t) of shape
-        (2, K, Np), in the macro step's terms (step_terms): drift in
-        v_c + v_c^t, the diffusion matrix, the advective source and
-        R^t - G = R(n^s + n^t) - (G + R(n^s)), all in one pass."""
+        """The rhs of both carriers but for diffusion, state = (n_e^t, n_h^t)
+        of shape (2, K, Np), in the macro step's terms (step_terms): drift
+        in v_c + v_c^t, the advective source and
+        R^t - G = R(n^s + n^t) - (G + R(n^s)), all in one pass.  It is the
+        explicit part of the IMEX DD step; the diffusion matrix is its
+        implicit part (diffusion_solve)."""
         bg = self._transient_background()
-        diff = bg.matrix @ state.reshape(-1)
         n = bg.n_s + state
         r = ph.srh_recombination(n[0], n[1], self)
-        return self.drift(state, terms.v, terms.v_traces) \
-            + diff.reshape(state.shape) + terms.source - (r - terms.gain)
+        return self.drift(state, terms.v, terms.v_traces) + terms.source \
+            - (r - terms.gain)
+
+    def diffusion_solve(self, c):
+        """b -> (I - c M)^-1 b for the transient diffusion matrix M, b of
+        shape (2, K, Np).  The sparse LU is built on first use and kept
+        while the stationary state and c stay the same."""
+        bg = self._transient_background()
+        if bg.lu is None or bg.lu[0] != c:
+            eye = sp.identity(bg.matrix.shape[0], format="csc")
+            bg = self._background = bg._replace(
+                lu=(c, spla.splu((eye - c * bg.matrix).tocsc())))
+        lu = bg.lu[1]
+        return lambda b: lu.solve(b.reshape(-1)).reshape(b.shape)
 
     def conduction_current(self, n_e, n_h, e, f_e=0.0, f_h=0.0):
         """J = q(mu_e n_e E + d_e grad n_e) + q(mu_h n_h E - d_h grad n_h)

@@ -1,7 +1,10 @@
+import contextlib
 import glob
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -22,6 +25,7 @@ from helpers import read_probe_csv, read_vtk
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = os.path.join(REPO, "configs", "conventional_pcd.cfg")
+LOWBIAS = os.path.join(REPO, "perfbench", "decks", "pcd1d_lowbias.cfg")
 
 DEVICE_CFG = """\
 [mesh]
@@ -63,6 +67,35 @@ points = 0.75 um
 """
 
 
+# a two-contact LT-GaAs resistor with no source: its field sets a drift
+# bound of about 0.3 ps, and the deck's m asks for a DD step above it
+DRIFT_BOUND_CFG = """\
+[mesh]
+dim = 1
+domain = 0 um -> 6 um
+
+[region.pcd]
+material = lt_gaas
+box = 0 um -> 6 um
+h = 25 nm
+
+[boundary]
+default = PEC
+
+[contact.cathode]
+box = 0 um -> 0 um
+voltage = 0 V
+
+[contact.anode]
+box = 6 um -> 6 um
+voltage = 0.1 V
+
+[run]
+t_end = 1 ps
+m = 40000
+"""
+
+
 @pytest.fixture
 def device_cfg(tmp_path):
     path = tmp_path / "dev.cfg"
@@ -101,7 +134,7 @@ class TestShippedConfig:
         mat = cfg.materials["pcd"]
         assert mat.doping == pytest.approx(1.3e22)
         assert mat.n_i == pytest.approx(9e12)
-        assert mat.tau_e == pytest.approx(0.3e-12)
+        assert mat.tau_e == pytest.approx(0.3e-12, abs=0)
         assert cfg.source.f_c == pytest.approx(375e12)
         assert cfg.source.power == pytest.approx(0.63e-3)
 
@@ -356,21 +389,19 @@ class TestCli:
         assert "stationary" in proc.stdout and "transient" in proc.stdout
 
     def test_multirate_ratio_above_dd_bound_exit_1(self, tmp_path, capsys):
-        # run.m = 72 on the low-bias deck puts the DD step above its stable
-        # bound: rejected before the march, naming the bound and element
-        with open(os.path.join(REPO, "perfbench", "decks",
-                               "pcd1d_lowbias.cfg")) as fh:
-            deck = fh.read()
-        assert "\nm = auto\n" in deck
-        path = tmp_path / "m72.cfg"
-        path.write_text(deck.replace("\nm = auto\n", "\nm = 72\n"))
+        # a 6 um LT-GaAs resistor at 0.1 V, where the drift bound (about
+        # 0.3 ps) is the DD step's stability limit: run.m = 40000 puts the
+        # DD step above it, and the run is rejected before the march,
+        # naming the bound and element
+        path = tmp_path / "m40000.cfg"
+        path.write_text(DRIFT_BOUND_CFG)
         out = tmp_path / "out"
         assert main(["transient", "--config", str(path),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(r"configuration error: run\.m = 72 gives a DD "
-                            r"step of \S+ s, above the stable bound \S+ s "
-                            r"\(diffusion_e, element \d+\)\n", err)
+        assert re.fullmatch(r"configuration error: run\.m = 40000 gives a "
+                            r"DD step of \S+ s, above the stable bound \S+ s "
+                            r"\(drift_e, element \d+\)\n", err)
         assert not (out / "probes.csv").exists()
 
     def test_config_error_exit_1(self, tmp_path, capsys):
@@ -437,14 +468,15 @@ class TestCli:
         assert data.shape[0] > 2
         man = json.loads((out / "manifest.json").read_text())
         assert man["em_steps"] == man["dd_steps"] * man["cfl"]["m"]
-        # the bounds that limit dt, each with its global element id: the
-        # fastest wave (vacuum) and the semiconductor's electron diffusion
+        # the bounds that limit dt: the fastest wave (vacuum), with its
+        # global element id, and a quarter of the pulse's sigma_t, which
+        # belongs to no element
         cfl = man["cfl"]
         assert (cfl["em_bound"], cfl["dd_bound"]) == ("maxwell_cfl",
-                                                      "diffusion_e")
+                                                      "timescale_pulse")
         mesh = parse_config(device_cfg).build_mesh()
-        assert [mesh.region_names[mesh.region_id[cfl[key]]]
-                for key in ("em_element", "dd_element")] == ["air", "semi"]
+        assert mesh.region_names[mesh.region_id[cfl["em_element"]]] == "air"
+        assert cfl["dd_element"] is None
         _pts, fields = read_vtk(str(out / "fields.vtk"))
         assert {"E", "H", "n_e", "n_h"} <= set(fields)
 
@@ -557,6 +589,82 @@ class TestCli:
         lines = (out / "convergence.csv").read_text().strip().splitlines()
         assert lines[0] == "p,n,h,error,order"
         assert len(lines) == 3
+
+
+@pytest.fixture(scope="module")
+def lowbias_runs(tmp_path_factory):
+    """The low-bias deck: one stationary solve, then transients from its
+    checkpoint, by name: 'auto' (the deck), 'auto_20fs' and 'm1_20fs'
+    (t_end = 0.02 ps at m = auto and m = 1); and the deck's `info` text."""
+    with open(LOWBIAS) as fh:
+        deck = fh.read()
+    root = tmp_path_factory.mktemp("lowbias")
+    base = root / "stationary"
+    with contextlib.redirect_stdout(io.StringIO()) as info:
+        assert main(["stationary", "--config", LOWBIAS,
+                     "--out", str(base)]) == 0
+        assert main(["info", "--config", LOWBIAS]) == 0
+    runs = {"info": info.getvalue()}
+    for name, subs in (("auto", ()),
+                       ("auto_20fs", (("t_end = 0.05 ps", "t_end = 0.02 ps"),)),
+                       ("m1_20fs", (("t_end = 0.05 ps", "t_end = 0.02 ps"),
+                                    ("\nm = auto\n", "\nm = 1\n")))):
+        text = deck
+        for old, new in subs:
+            assert old in text
+            text = text.replace(old, new)
+        out = root / name
+        out.mkdir()
+        (out / "deck.cfg").write_text(text)
+        shutil.copy(base / "stationary.chk", out / "stationary.chk")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["transient", "--config", str(out / "deck.cfg"),
+                         "--out", str(out)]) == 0
+        runs[name] = (json.loads((out / "manifest.json").read_text()),
+                      read_probe_csv(str(out / "probes.csv")))
+    return runs
+
+
+class TestLowBiasMultirate:
+    """The low-bias deck at m = auto: one DD step per quarter of the pulse's
+    sigma_t, and carriers that follow the m = 1 march."""
+
+    def test_schedule(self, lowbias_runs):
+        # dt_dd <= t_c / 4 with t_c = sigma_t of the pulse (the shortest
+        # scale), m dt_em = dt_dd, and the rounding adds fewer than n_macro
+        # EM steps
+        man, (_header, data) = lowbias_runs["auto"]
+        cfl, n_macro = man["cfl"], man["dd_steps"]
+        t_end = parse_config(LOWBIAS).t_end
+        sigma_t = parse_config(LOWBIAS).source.sigma_t
+        assert cfl["dt_dd"] <= sigma_t / 4
+        assert cfl["m"] * cfl["dt_em"] == pytest.approx(cfl["dt_dd"],
+                                                        rel=1e-14, abs=0)
+        assert man["em_steps"] == n_macro * cfl["m"]
+        assert 0 <= man["em_steps"] - np.ceil(t_end / cfl["dt_em_max"]) \
+            < n_macro
+        assert cfl["m"] > 10
+        assert data.shape[0] == n_macro + 1
+
+    def test_info_and_transient_share_the_dd_bound(self, lowbias_runs):
+        # both commands take dt_dd from one rule, and on this deck a
+        # quarter of the pulse's sigma_t limits it in both
+        cfl = lowbias_runs["auto"][0]["cfl"]
+        got = re.search(r"^dt_dd <= (\S+) s  \(bound: (\S+)\)$",
+                        lowbias_runs["info"], re.M)
+        assert got.group(2) == cfl["dd_bound"] == "timescale_pulse"
+        assert got.group(1) == f"{cfl['dt_dd_max']:.3e}"
+
+    def test_auto_keeps_carriers_of_m1(self, lowbias_runs):
+        # N_e(t) of the m = auto run within 2e-3 (relative L2) of the m = 1
+        # march, interpolated onto the auto run's sync times
+        (man, (h, d)), (man1, (h1, d1)) = (lowbias_runs["auto_20fs"],
+                                           lowbias_runs["m1_20fs"])
+        assert man["cfl"]["m"] > 10 and man1["cfl"]["m"] == 1
+        n_e = d[:, h.index("N_e")]
+        ref = np.interp(d[:, 0], d1[:, 0], d1[:, h1.index("N_e")])
+        assert np.max(ref) > 0
+        assert np.linalg.norm(n_e - ref) / np.linalg.norm(ref) <= 2e-3
 
 
 def test_benchmark_patch_targets_resolve(monkeypatch):

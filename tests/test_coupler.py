@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from pcddg.coupler import (RK4A, RK4B, RK4C, MultirateSchedule, ProbeSet,
-                           CoupledSystem, tvd_rk3_step, lsrk45_step,
-                           stable_timestep, multirate_advance,
+from pcddg.coupler import (ARS_GAMMA, RK4A, RK4B, RK4C, MultirateSchedule,
+                           ProbeSet, CoupledSystem, ars343_step, tvd_rk3_step,
+                           lsrk45_step, stable_timestep, dd_step_bound,
+                           diffusion_step_factor, multirate_advance,
                            terminal_current_probe, run_coupled)
 from pcddg.dd_dg import DDSolver
 from pcddg.dgops import build_discretization
 from pcddg.em_dg import MaxwellSolver, PmlSpec
 from pcddg.mesh import make_spec, generate_structured_mesh, unit_interval_mesh
 from pcddg.physics import (MaterialTable, OpticalSourceSpec, PhysicsError,
-                           gold, lt_gaas, vacuum, C0, Q)
+                           einstein_diffusivity, gold, lt_gaas,
+                           parallel_field_mobility, vacuum, C0, Q)
 from pcddg.refelem import build_reference_element
 from pcddg.stationary import Contact, StationaryProblem
 
@@ -90,6 +92,66 @@ class TestSteppers:
             got = lsrk45_step(u, rhs, dt, t)
             want = five_pass_lsrk45_step(u, rhs, dt, t)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @staticmethod
+    def _diffusion_reaction(n=12):
+        # u' = -r u + A u: A the periodic second difference (a real
+        # spectrum in [-4 n^2, 0]), r = 0.3 explicit, A implicit
+        a = n * n * (np.roll(np.eye(n), 1, axis=1) - 2 * np.eye(n)
+                     + np.roll(np.eye(n), -1, axis=1))
+        return a, -0.3
+
+    def _ars_solve(self, a, dt):
+        lu = np.linalg.inv(np.eye(len(a)) - ARS_GAMMA * dt * a)
+        return lambda b: lu @ b
+
+    def test_ars343_order_three(self):
+        # third order on a linear diffusion-reaction problem whose stiff
+        # part (|lambda| dt up to 58) is implicit
+        import scipy.linalg as sla
+        a, r = self._diffusion_reaction()
+        u0 = np.sin(2 * np.pi * np.arange(12) / 12) + 0.5
+        exact = sla.expm(a + r * np.eye(12)) @ u0
+        errs = []
+        for nsteps in (10, 20, 40):
+            u, dt = u0.copy(), 1.0 / nsteps
+            solve = self._ars_solve(a, dt)
+            for i in range(nsteps):
+                u = ars343_step(u, lambda s, t: r * s, solve, dt, i * dt)
+            errs.append(np.max(np.abs(u - exact)))
+        orders = np.diff(np.log(errs)) / np.log(0.5)
+        assert np.all(orders >= 2.8)
+
+    def test_ars343_bounded_when_stiff(self):
+        # the implicit part is L-stable: at rho dt = 1e3 a stiff mode is
+        # damped within a few steps, not amplified, while the constant
+        # mode decays at its own rate
+        a, r = self._diffusion_reaction()
+        dt = 1e3 / np.max(np.abs(np.linalg.eigvalsh(a)))
+        u = np.cos(2 * np.pi * np.arange(12) * 5 / 12) + 1.0
+        solve = self._ars_solve(a, dt)
+        for i in range(4):
+            u = ars343_step(u, lambda s, t: r * s, solve, dt, i * dt)
+        mean = np.exp(r * 4 * dt)
+        assert np.max(np.abs(u - u.mean())) <= 1e-4
+        assert u.mean() == pytest.approx(mean, rel=1e-2, abs=0)
+
+    def test_ars343_explicit_part_is_rk4_polynomial(self):
+        # without an implicit part the step is a four-stage explicit RK
+        # whose stability polynomial is classical RK4's: it holds the
+        # imaginary axis up to 2.83, past TVD-RK3's 1.73, so the drift bound
+        # that TVD-RK3 set keeps holding
+        def amplification(z):
+            return ars343_step(np.array([1.0 + 0j]), lambda s, t: z * s,
+                               lambda b: b, 1.0)[0]
+
+        for z in (-0.37, 1.5j, 2.8j, -2.0 + 1.0j):
+            assert amplification(z) == pytest.approx(
+                1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24, rel=1e-12,
+                abs=0)
+        assert abs(amplification(1.8j)) <= 1.0
+        assert abs(amplification(2.8j)) <= 1.0
+        assert abs(amplification(2.9j)) > 1.0
 
     def test_nonautonomous_rhs(self):
         # u' = t, u(0)=0 -> u(1) = 1/2; both schemes integrate it exactly
@@ -212,9 +274,11 @@ class TestStableTimestep:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_dd_bound_is_stable(self, dim, p):
-        # rho(A) dt within TVD-RK3's 2.51 on the negative real axis at
-        # safety 1, A the transient diffusion matrix (a real spectrum); in
-        # 1D, where the bound is fitted, it gives away little
+        # the explicit diffusion step of the convergence study,
+        # h^2 / (d diffusion_step_factor), keeps rho(A) dt within TVD-RK3's
+        # 2.51 on the negative real axis, A the transient diffusion matrix
+        # (a real spectrum); in 1D, where the factor is fitted, it gives
+        # away little
         mats = MaterialTable({"semi": lt_gaas()})
         if dim == 1:
             mesh = unit_interval_mesh(40, 0.0, 1e-6, right="ELECTRODE_D",
@@ -232,20 +296,52 @@ class TestStableTimestep:
                           np.full_like(zeros, 9e12 ** 2 / 1.3e22))
         a = dd._transient_background().matrix.toarray()
         rho = np.max(np.abs(np.linalg.eigvals(a)))
-        dt = stable_timestep("dd", disc, mats, safety=1.0)
+        d = einstein_diffusivity(lt_gaas().mu_e0, mats.v_t)
+        dt = np.min(disc.h_elem) ** 2 / (d * diffusion_step_factor(p, dim))
         assert rho * dt <= 2.51
         if dim == 1:
             assert rho * dt >= 2.4
 
+    def test_dd_bound_is_drift_only(self):
+        # diffusion is implicit in the DD step, so only the drift CFL
+        # h / (v (2p+1)) bounds it: none at zero field
+        mats = MaterialTable({"semi": lt_gaas()})
+        d = self._disc(n=20, p=2)
+        assert stable_timestep("dd", d, mats) == np.inf
+        info = stable_timestep("dd", d, mats, state_estimate={"e_mag": 1e5},
+                               safety=1.0, detail=True)
+        v = parallel_field_mobility(1e5, "e", lt_gaas()) * 1e5
+        assert info["bound"] == "drift_e"
+        assert info["dt"] == pytest.approx(5e-8 / (5 * v), rel=1e-12, abs=0)
+
     def test_timescale_ordering(self):
-        # desk-scale 1D semiconductor mesh: Maxwell step below the DD step;
-        # at p = 3 the diffusion bound leaves a ratio of only about 2
+        # desk-scale 1D semiconductor mesh at zero field: a quarter of the
+        # shorter SRH lifetime (tau_e = 0.3 ps) sets the DD step, about
+        # 1 800 Maxwell steps
         mats = MaterialTable({"semi": lt_gaas()})
         d = self._disc(n=50, p=3)        # h = 20 nm
         dt_em = stable_timestep("maxwell", d, mats)
-        dt_dd = stable_timestep("dd", d, mats)
-        assert dt_em < dt_dd
-        assert dt_dd / dt_em == pytest.approx(2.04, rel=2e-3)
+        info = dd_step_bound(d, mats, None, 0.0)
+        assert (info["bound"], info["element"]) == ("timescale_tau_e", -1)
+        assert info["dt"] == pytest.approx(0.075e-12, rel=1e-12, abs=0)
+        assert info["dt"] / dt_em == pytest.approx(1791.0, rel=1e-3)
+
+    def test_dd_step_bound_takes_the_shortest_scale(self):
+        # the pulse's sigma_t (15 fs here) under the lifetimes; on a 2 nm
+        # mesh a saturating field brings the drift bound under both, and
+        # the drift record is kept whichever term limits the step
+        mats = MaterialTable({"semi": lt_gaas()})
+        d = self._disc(n=500, p=2)
+        src = OpticalSourceSpec(f_c=375e12, f_w=25e12, beam_width=1e-6,
+                                peak_field=1e7)
+        info = dd_step_bound(d, mats, src, 0.0)
+        assert info["bound"] == "timescale_pulse"
+        assert info["dt"] == pytest.approx(src.sigma_t / 4, rel=1e-15, abs=0)
+        assert info["drift"]["dt"] == np.inf
+        strong = dd_step_bound(d, mats, src, 1e7)
+        assert strong["bound"] == "drift_e" and strong["element"] >= 0
+        assert strong["dt"] < src.sigma_t / 4
+        assert strong["drift"] == {k: strong[k] for k in strong["drift"]}
 
 
 class TestSchedule:
@@ -259,13 +355,29 @@ class TestSchedule:
         s = MultirateSchedule(dt_em=1e-17, m=7, t_end=1e-15)
         assert s.dt_dd == 7e-17
 
-    def test_from_bounds_caps_ratio(self):
-        s = MultirateSchedule.from_bounds(1e-17, 1e-14, 1e-13)
-        assert s.m == 10
-        s = MultirateSchedule.from_bounds(1e-17, np.inf, 1e-13)
-        assert s.m == 10
-        s = MultirateSchedule.from_bounds(1e-17, 4.2e-17, 1e-13)
-        assert s.m == 4
+    @pytest.mark.parametrize("dt_dd_max", [1e-14, 3.7e-15, 4.2e-17, np.inf])
+    def test_from_bounds_lands_on_t_end(self, dt_dd_max):
+        # n_macro = ceil(t_end / dt_dd_max) DD steps of m substeps: both
+        # steps within their bounds, and the rounding adds fewer than
+        # n_macro EM steps to ceil(t_end / dt_em_max)
+        dt_em_max, t_end = 2.29e-17, 5e-14
+        s = MultirateSchedule.from_bounds(dt_em_max, dt_dd_max, t_end)
+        assert s.dt_dd <= dt_dd_max
+        assert s.dt_em <= dt_em_max
+        assert s.m * s.dt_em == pytest.approx(s.dt_dd, rel=1e-15, abs=0)
+        assert s.n_macro * s.dt_dd == pytest.approx(t_end, rel=1e-12, abs=0)
+        em_steps = s.n_macro * s.m
+        assert 0 <= em_steps - np.ceil(t_end / dt_em_max) < s.n_macro
+        if np.isfinite(dt_dd_max):
+            assert s.n_macro == int(np.ceil(t_end / dt_dd_max))
+        else:
+            assert s.n_macro == 1
+
+    def test_from_bounds_with_given_ratio(self):
+        # a deck's m keeps its ratio: n_macro = ceil(t_end / (m dt_em_max))
+        s = MultirateSchedule.from_bounds(1e-17, 1e-20, 1e-15, m=7)
+        assert (s.m, s.n_macro) == (7, 15)
+        assert s.dt_em <= 1e-17
 
 
 def toy_pcd(p=2, h=5e-8, source=True, m=2, n_macro=10):
@@ -301,52 +413,113 @@ def toy_pcd(p=2, h=5e-8, source=True, m=2, n_macro=10):
 
 class TestMultirate:
     def test_event_log_sequence_m2(self, monkeypatch):
-        # per macro step: G sampled, one DD step, then the m Maxwell
-        # substeps, G sampled again before the last; each stamped with the
-        # time of the state it acts on
+        # per macro step: the m Maxwell substeps, then one DD step over the
+        # whole macro step, then the record; each stamped with the time of
+        # the state it acts on
         from pcddg import coupler
         cs, sched = toy_pcd(m=2, n_macro=3)
         events = []
-        clock = {"state": None, "t": 0.0}
-        real_tvd, real_lsrk = coupler.tvd_rk3_step, coupler.lsrk45_step
-        real_gen, real_record = CoupledSystem.generation, ProbeSet.record
+        real_ars, real_lsrk = coupler.ars343_step, coupler.lsrk45_step
+        real_record = ProbeSet.record
 
-        def tvd(state, rhs, dt, t=0.0):
-            events.append(("tvd", t))
-            return real_tvd(state, rhs, dt, t)
+        def ars(state, rhs, solve, dt, t=0.0):
+            events.append(("ars", t))
+            assert dt == sched.dt_dd
+            return real_ars(state, rhs, solve, dt, t)
 
         def lsrk(state, rhs, dt, t=0.0):
             events.append(("lsrk", t))
-            out = real_lsrk(state, rhs, dt, t)
-            clock.update(state=out, t=t + dt)
-            return out
-
-        def generation(self, em_state):
-            # the EM state G samples is the last substep's, or the start
-            fresh = clock["state"] is None
-            assert fresh or em_state is clock["state"]
-            events.append(("generation", 0.0 if fresh else clock["t"]))
-            return real_gen(self, em_state)
+            return real_lsrk(state, rhs, dt, t)
 
         def record(self, cs, em_state, dd_state, current, t):
             events.append(("record", t))
             return real_record(self, cs, em_state, dd_state, current, t)
 
-        monkeypatch.setattr(coupler, "tvd_rk3_step", tvd)
+        monkeypatch.setattr(coupler, "ars343_step", ars)
         monkeypatch.setattr(coupler, "lsrk45_step", lsrk)
-        monkeypatch.setattr(CoupledSystem, "generation", generation)
         monkeypatch.setattr(ProbeSet, "record", record)
         run_coupled(cs, sched, probes=ProbeSet())
-        per_macro = ["generation", "tvd", "lsrk", "generation", "lsrk",
-                     "record"]
+        per_macro = ["lsrk", "lsrk", "ars", "record"]
         assert [name for name, _t in events] == ["record"] + per_macro * 3
         dt = sched.dt_em
         expected = [0.0]
         for k in range(3):
             t = 2 * k * dt
-            expected += [t, t, t, t + dt, t + dt, t + 2 * dt]
+            expected += [t, t + dt, t, t + 2 * dt]
         assert [t for _name, t in events] == pytest.approx(expected,
                                                            abs=1e-25)
+
+    def test_substeps_hold_the_midpoint_current(self, monkeypatch):
+        # the Maxwell substeps of a macro step share one carrier current,
+        # 1.5 c_k - 0.5 c_(k-1) from those of the last two DD states, and
+        # the march hands each step the two currents it needs
+        from pcddg import coupler
+        cs, sched = toy_pcd(m=2, n_macro=1)
+        rng = np.random.default_rng(5)
+        shape = (2, cs.dd.disc.K, cs.dd.disc.Np)
+        c0, c1 = (cs.transient_current(rng.uniform(0, 1e20, size=shape))
+                  for _ in range(2))
+        held = []
+        real_lsrk = coupler.lsrk45_step
+
+        def lsrk(state, rhs, dt, t=0.0):
+            held.append(rhs.keywords["current"])
+            return real_lsrk(state, rhs, dt, t)
+
+        monkeypatch.setattr(coupler, "lsrk45_step", lsrk)
+        multirate_advance(cs, cs.em.zero_state(), np.zeros(shape), 0.0,
+                          sched, c1, c0)
+        assert len(held) == 2 and held[0] is held[1]
+        for part in range(2):
+            assert np.array_equal(held[0][part], 1.5 * c1[part] - 0.5 * c0[part])
+
+        calls = []
+        real_advance = coupler.multirate_advance
+
+        def advance(cs, em_state, dd_state, t, schedule, current, last):
+            calls.append((current, last))
+            out = real_advance(cs, em_state, dd_state, t, schedule, current,
+                               last)
+            calls[-1] += (out[2],)
+            return out
+
+        monkeypatch.setattr(coupler, "multirate_advance", advance)
+        run_coupled(*toy_pcd(m=2, n_macro=3))
+        assert calls[0][1] is None
+        for k in (1, 2):
+            assert calls[k][0] is calls[k - 1][2]
+            assert calls[k][1] is calls[k - 1][0]
+
+    def test_dd_step_takes_trapezoid_means(self, monkeypatch):
+        # the DD step is fed (1/m) (G_0/2 + G_1 + ... + G_m/2) of the
+        # substep boundaries, and the same mean of E^t on the DD subdomain
+        from pcddg import coupler
+        cs, sched = toy_pcd(m=4, n_macro=1)
+        em = cs.em.zero_state()
+        em[cs.em.idx["ex"]] = 3e6
+        em[cs.em.idx["hz"]] = 2e3
+        states = [em]
+        real_lsrk = coupler.lsrk45_step
+
+        def lsrk(state, rhs, dt, t=0.0):
+            states.append(real_lsrk(state, rhs, dt, t))
+            return states[-1]
+
+        fed = []
+        real_terms = cs.dd.step_terms
+        monkeypatch.setattr(coupler, "lsrk45_step", lsrk)
+        monkeypatch.setattr(cs.dd, "step_terms",
+                            lambda g, e_t: fed.append((g, e_t))
+                            or real_terms(g=g, e_t=e_t))
+        dd = np.zeros((2, cs.dd.disc.K, cs.dd.disc.Np))
+        multirate_advance(cs, em, dd, 0.0, sched, cs.transient_current(dd))
+        w = np.array([0.5, 1.0, 1.0, 1.0, 0.5]) / 4
+        g_want = sum(wi * cs.generation(s) for wi, s in zip(w, states))
+        e_want = sum(wi * s[0, cs.dd_in_em] for wi, s in zip(w, states))
+        (g, e_t), = fed
+        assert np.allclose(g, g_want, rtol=1e-13, atol=0)
+        assert np.allclose(e_t[0], e_want, rtol=1e-13, atol=0)
+        assert np.ptp(g) > 0.01 * np.max(g)     # the fields moved
 
     def test_carrier_current_built_once_per_state(self, monkeypatch):
         # a probed march builds (sigma, j0) once per DD state: once per
@@ -367,8 +540,8 @@ class TestMultirate:
         assert len(calls) == 5
 
     def test_second_run_matches_fresh_system(self):
-        # the march keeps its clock and the generation it carries between
-        # macro steps to itself: a second run on the same system and
+        # the march keeps its clock and the carrier currents it carries
+        # between macro steps to itself: a second run on the same system and
         # schedule is, bitwise, a run on a fresh one
         def record(cs, sched):
             probes = ProbeSet(contacts=cs.contacts,
@@ -385,24 +558,33 @@ class TestMultirate:
         assert np.all(fresh[-1, 3:5] > 0)      # carriers were generated
         assert np.array_equal(again, fresh)
 
-    def test_static_generation_average_is_identity(self):
+    def test_static_generation_average_is_identity(self, monkeypatch):
+        # fields that do not change over the substeps: the mean generation
+        # and mean E^t fed to the DD step are, bitwise, those of the one
+        # state, and the step is one ARS(3,4,3) step driven by them
+        from pcddg import coupler
         cs, sched = toy_pcd(m=2, n_macro=1, source=False)
-        g0 = np.full((cs.dd.disc.K, cs.dd.disc.Np), 1e30)
-        cs.generation = lambda s: g0.copy()
         em = cs.em.zero_state()
+        em[cs.em.idx["ex"]] = 2e6
+        em[cs.em.idx["hz"]] = 5e3
+        monkeypatch.setattr(coupler, "lsrk45_step",
+                            lambda state, rhs, dt, t=0.0: state)
         dd = np.zeros((2, cs.dd.disc.K, cs.dd.disc.Np))
-        _, dd_out, _, _ = multirate_advance(cs, em, dd, 0.0, sched)
-        # reference: direct DD step driven by exactly g0
-        terms = cs.dd.step_terms(
-            g=g0, e_t=(np.zeros((cs.dd.disc.K, cs.dd.disc.Np)),))
-        dd_ref = tvd_rk3_step(dd, lambda s, t: cs.dd.carrier_rhs(s, terms),
-                              sched.dt_dd)
-        assert dd_out == pytest.approx(dd_ref, abs=0.0)
+        _, dd_out, _ = multirate_advance(cs, em, dd, 0.0, sched,
+                                         cs.transient_current(dd))
+        g0 = cs.generation(em)
+        assert np.all(g0 > 0)
+        terms = cs.dd.step_terms(g=g0, e_t=(em[0, cs.dd_in_em],))
+        dd_ref = ars343_step(
+            dd, lambda s, t: cs.dd.carrier_rhs(s, terms),
+            cs.dd.diffusion_solve(ARS_GAMMA * sched.dt_dd), sched.dt_dd)
+        assert np.any(dd_ref != 0)
+        assert np.array_equal(dd_out, dd_ref)
 
     def test_m1_lockstep_runs(self):
         cs, sched = toy_pcd(m=1, n_macro=5)
         em, dd, t = run_coupled(cs, sched)
-        assert t == pytest.approx(sched.t_end)
+        assert t == pytest.approx(sched.t_end, rel=1e-12, abs=0)
         assert np.all(np.isfinite(em)) and np.all(np.isfinite(dd))
 
     def test_determinism(self):

@@ -61,6 +61,12 @@ def scalar_rhs_composition(solver, state, e_t=None, g=None):
     return out
 
 
+def full_rhs(solver, state, terms):
+    """carrier_rhs plus the diffusion matrix: the whole transient rhs."""
+    diff = solver._transient_background().matrix @ state.reshape(-1)
+    return solver.carrier_rhs(state, terms) + diff.reshape(state.shape)
+
+
 def element_integrals(disc, u):
     return disc.jac * (u @ disc.ref.mass_ref.sum(axis=0))
 
@@ -169,7 +175,7 @@ class TestDriftVelocity:
         ns = 1e20 * (1.0 + x ** 2)
         solver.set_stationary((e_s,), ns, 0.5 * ns)
         state = np.stack([1e19 * np.exp(-x), 1e19 * x])
-        got = solver.carrier_rhs(state, solver.step_terms(e_t=(e_t,)))
+        got = full_rhs(solver, state, solver.step_terms(e_t=(e_t,)))
         want = scalar_rhs_composition(solver, state, (e_t,))
         for i in range(2):
             assert np.allclose(got[i], want[i], rtol=0,
@@ -195,7 +201,7 @@ class TestDriftVelocity:
         g = 1e30 * rng.uniform(size=x.shape) if with_g else None
         e_t = tuple(4e4 * np.sin(5 * x - nu * y)
                     for nu in range(dim)) if with_et else None
-        got = solver.carrier_rhs(state, solver.step_terms(g=g, e_t=e_t))
+        got = full_rhs(solver, state, solver.step_terms(g=g, e_t=e_t))
         want = scalar_rhs_composition(solver, state, e_t, g)
         for i in range(2):
             assert np.allclose(got[i], want[i], rtol=0,

@@ -72,7 +72,7 @@ class TestGeneration2D:
     def test_counts_and_areas(self):
         m = generate_structured_mesh(two_region_2d())
         assert np.all(m.volumes() > 0)
-        assert m.volumes().sum() == pytest.approx(0.5e-12, rel=1e-12)
+        assert m.volumes().sum() == pytest.approx(0.5e-12, rel=1e-12, abs=0)
 
     def test_connectivity_reciprocal(self):
         m = generate_structured_mesh(two_region_2d())

@@ -19,7 +19,7 @@ class TestMaterials:
         assert m.n_i == pytest.approx(9e12)            # 9e6 cm^-3
         assert m.mu_e0 == pytest.approx(0.8)           # 8000 cm^2/V/s
         assert m.mu_h0 == pytest.approx(0.04)
-        assert m.tau_e + m.tau_h == pytest.approx(0.7e-12)
+        assert m.tau_e + m.tau_h == pytest.approx(0.7e-12, abs=0)
         assert m.alpha_abs == pytest.approx(1e6)       # 1/um
 
     def test_validation(self):

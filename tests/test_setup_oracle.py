@@ -246,7 +246,8 @@ def reference_stable_timestep(system, disc, materials, state_estimate=None,
     """Largest stable explicit step for 'maxwell' or 'dd'.
 
     state_estimate for the DD bound is a dict with 'e_mag' (V/m); v = mu|E|
-    and d = V_T mu per carrier.  Returns +inf when no term limits the step.
+    per carrier (the DD step takes diffusion implicitly).  Returns +inf
+    when no term limits the step.
     """
     p, dim = disc.ref.p, disc.ref.dim
     mesh = disc.mesh
@@ -269,22 +270,13 @@ def reference_stable_timestep(system, disc, materials, state_estimate=None,
                                "drude_plasma", k))
     elif system == "dd":
         e_mag = 0.0 if state_estimate is None else float(state_estimate.get("e_mag", 0.0))
-        v_t = materials.v_t
-        # TVD-RK3 limit 2.5 over the diffusion spectral radius
-        # 1.61 d (dim (p+1) / h)^2 ((p+1)^2 + 1.6 dim)
-        factor = 1.61 * (dim * (p + 1)) ** 2 * ((p + 1) ** 2 + 1.6 * dim) / 2.5
         for k, m in enumerate(mats):
             if not m.semiconductor:
                 continue
             for carrier in ("e", "h"):
-                mu = ph.parallel_field_mobility(e_mag, carrier, m)
-                v = mu * e_mag
-                d = ph.einstein_diffusivity(mu, v_t)
+                v = ph.parallel_field_mobility(e_mag, carrier, m) * e_mag
                 if v > 0:
                     bounds.append((h[k] / (v * (2 * p + 1)), f"drift_{carrier}", k))
-                if d > 0:
-                    bounds.append((h[k] ** 2 / (d * factor),
-                                   f"diffusion_{carrier}", k))
     else:
         raise PhysicsError(f"unknown system {system!r}")
     if not bounds:
