@@ -8,6 +8,7 @@ current directory.
 """
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -64,19 +65,31 @@ def _out_dir(args):
     return d
 
 
-def _stationary_problem(cfg, mesh):
-    """The stationary problem at run.p_dd, which parse_config makes equal
-    to run.p_em: the transient's DD solver shares the EM nodes."""
-    return StationaryProblem(mesh, cfg.material_table(), cfg.contacts,
+def _stationary(cfg, out_dir, reuse):
+    """The mesh, the stationary problem at run.p_dd (equal to run.p_em: the
+    transient's DD solver shares the EM nodes) and its solution: with
+    reuse, out_dir's stationary.chk if it matches the deck, else solved
+    and checkpointed."""
+    mesh = cfg.build_mesh()
+    prob = StationaryProblem(mesh, cfg.material_table(), cfg.contacts,
                              p=cfg.p_dd)
+    chk = os.path.join(out_dir, "stationary.chk")
+    if reuse and os.path.exists(chk):
+        try:
+            sol = load_checkpoint(chk, prob)
+        except (PhysicsError, ValueError, IndexError):
+            print(f"checkpoint {chk} incompatible; recomputing stationary state")
+        else:
+            print(f"loaded stationary checkpoint {chk}")
+            return mesh, prob, sol
+    sol = prob.gummel_solve(verbose=True)
+    save_checkpoint(chk, prob, sol)
+    return mesh, prob, sol
 
 
 def run_stationary(cfg, out_dir):
     t0 = time.perf_counter()
-    mesh = cfg.build_mesh()
-    prob = _stationary_problem(cfg, mesh)
-    sol = prob.gummel_solve(verbose=True)
-    save_checkpoint(os.path.join(out_dir, "stationary.chk"), prob, sol)
+    mesh, prob, sol = _stationary(cfg, out_dir, reuse=False)
 
     currents = prob.stationary_current(sol)
     lines = ["contact,I"]
@@ -102,50 +115,27 @@ def run_stationary(cfg, out_dir):
     return 0
 
 
-def _global_element(disc, info):
-    """The global id of the element whose bound limits the step (None when
-    no bound applies)."""
-    return None if info["element"] < 0 else int(disc.elems[info["element"]])
+def _schedule(cfg, disc, table, e_mag):
+    """The deck's MultirateSchedule on the EM discretization disc at the
+    field e_mag (V/m), and the manifest's cfl record: both steps and m,
+    then the bound of each step, the term that sets it and its global
+    element.  With no horizon (run.t_end = 0) the schedule is None and
+    the record holds the bounds alone."""
+    def element(info):      # global id of the limiting element, if any
+        k = info["element"]
+        return None if k < 0 else int(disc.elems[k])
 
-
-def run_transient(cfg, out_dir):
-    t0 = time.perf_counter()
+    em_info = stable_timestep("maxwell", disc, table, safety=cfg.safety,
+                              detail=True, pml=cfg.pml)
+    dd_info = dd_step_bound(disc, table, cfg.source, e_mag, safety=cfg.safety)
+    cfl = {"dt_em_max": em_info["dt"], "em_bound": em_info["bound"],
+           "em_element": element(em_info),
+           "dt_dd_max": dd_info["dt"], "dd_bound": dd_info["bound"],
+           "dd_element": element(dd_info), "safety": cfg.safety}
     if cfg.t_end <= 0:
-        raise ConfigurationError("run.t_end must be > 0 for a transient run")
-    mesh = cfg.build_mesh()
-    table = cfg.material_table()
-
-    # stationary seed from the checkpoint; a fresh solve when no compatible
-    # checkpoint exists
-    prob = _stationary_problem(cfg, mesh)
-    chk = os.path.join(out_dir, "stationary.chk")
-    sol = None
-    if os.path.exists(chk):
-        try:
-            sol = load_checkpoint(chk, prob)
-            print(f"loaded stationary checkpoint {chk}")
-        except (PhysicsError, ValueError, IndexError):
-            print(f"checkpoint {chk} incompatible; recomputing stationary state")
-    if sol is None:
-        sol = prob.gummel_solve(verbose=True)
-        save_checkpoint(chk, prob, sol)
-
-    em_disc = build_discretization(mesh,
-                                   build_reference_element(mesh.dim, cfg.p_em))
-    em = MaxwellSolver(em_disc, table, source=cfg.source, pml=cfg.pml)
-    cs = CoupledSystem(em, prob.dd, wavelength=cfg.wavelength,
-                       contacts=tuple(cfg.contacts))
-
-    e_mag = float(max(np.max(np.abs(c)) for c in sol.e_s))
-    em_info = stable_timestep("maxwell", em_disc, table,
-                              safety=cfg.safety, detail=True, pml=cfg.pml)
-    dd_info = dd_step_bound(prob.ddisc, table, cfg.source, e_mag,
-                            safety=cfg.safety)
+        return None, cfl
     sched = MultirateSchedule.from_bounds(em_info["dt"], dd_info["dt"],
                                           cfg.t_end, m=cfg.m_override)
-    n_macro = sched.n_macro
-    em_element = _global_element(em_disc, em_info)
-    dd_element = _global_element(prob.ddisc, dd_info)
     # a deck's m may trade accuracy for speed; only the drift bound, the
     # stability limit of the IMEX DD step, rejects it
     drift = dd_info["drift"]
@@ -153,7 +143,25 @@ def run_transient(cfg, out_dir):
         raise ConfigurationError(
             f"run.m = {sched.m} gives a DD step of {sched.dt_dd:.3e} s, above "
             f"the stable bound {drift['dt']:.3e} s ({drift['bound']}, "
-            f"element {_global_element(prob.ddisc, drift)})")
+            f"element {element(drift)})")
+    return sched, {"dt_em": sched.dt_em, "dt_dd": sched.dt_dd, "m": sched.m,
+                   **cfl}
+
+
+def run_transient(cfg, out_dir):
+    t0 = time.perf_counter()
+    if cfg.t_end <= 0:
+        raise ConfigurationError("run.t_end must be > 0 for a transient run")
+    mesh, prob, sol = _stationary(cfg, out_dir, reuse=True)
+    em_disc = build_discretization(mesh,
+                                   build_reference_element(mesh.dim, cfg.p_em))
+    em = MaxwellSolver(em_disc, prob.materials, source=cfg.source, pml=cfg.pml)
+    cs = CoupledSystem(em, prob.dd, wavelength=cfg.wavelength,
+                       contacts=tuple(cfg.contacts))
+
+    e_mag = float(max(np.max(np.abs(c)) for c in sol.e_s))
+    sched, cfl = _schedule(cfg, em_disc, prob.materials, e_mag)
+    n_macro = sched.n_macro
     print(f"multirate schedule: dt_em={sched.dt_em:.3e} s, m={sched.m}, "
           f"{n_macro} macro steps")
 
@@ -171,13 +179,8 @@ def run_transient(cfg, out_dir):
                                    probes.times, currents,
                                    title="terminal currents")
 
-    fields = {}
-    dim = mesh.dim
-    e_comp = [em_state[em.idx["ex"]]]
-    if dim == 2:
-        e_comp.append(em_state[em.idx["ey"]])
-    fields["E"] = tuple(e_comp)
-    fields["H"] = em_state[em.idx["hz"]]
+    # the state's first rows are ex (and ey), then hz
+    fields = {"E": tuple(em_state[:mesh.dim]), "H": em_state[em.idx["hz"]]}
     for label, row in (("n_e", 0), ("n_h", 1)):
         full = np.zeros((em_disc.K, em_disc.Np))
         full[cs.dd_in_em] = dd_state[row]
@@ -188,12 +191,7 @@ def run_transient(cfg, out_dir):
         command="transient", config_hash=cfg.config_hash,
         mesh_hash=mesh.content_hash(), code_version=CODE_VERSION,
         wall_time_s=time.perf_counter() - t0,
-        em_steps=n_macro * sched.m, dd_steps=n_macro,
-        cfl={"dt_em": sched.dt_em, "dt_dd": sched.dt_dd, "m": sched.m,
-             "dt_em_max": em_info["dt"], "em_bound": em_info["bound"],
-             "em_element": em_element, "dt_dd_max": dd_info["dt"],
-             "dd_bound": dd_info["bound"], "dd_element": dd_element,
-             "safety": cfg.safety},
+        em_steps=n_macro * sched.m, dd_steps=n_macro, cfl=cfl,
         extra={"t_end": t, "probe_cadence": cfg.cadence})
     out_mod.write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"transient complete: t = {t:.3e} s, "
@@ -230,17 +228,13 @@ def run_info(cfg, out_dir):
     print(rep)
     disc = build_discretization(mesh,
                                 build_reference_element(mesh.dim, cfg.p_em))
-    em_info = stable_timestep("maxwell", disc, table, safety=cfg.safety,
-                              detail=True, pml=cfg.pml)
-    print(f"dt_em <= {em_info['dt']:.3e} s  (bound: {em_info['bound']})")
-    mats, mat_idx = table.element_materials(mesh)
-    ddisc = build_discretization(
-        mesh, build_reference_element(mesh.dim, cfg.p_dd),
-        element_mask=np.array([m.semiconductor for m in mats])[mat_idx],
-        cut_face_tag=lambda k, f, nbr: "INSULATOR_R")
-    dd_info = dd_step_bound(ddisc, table, cfg.source, e_est,
-                            safety=cfg.safety)
-    print(f"dt_dd <= {dd_info['dt']:.3e} s  (bound: {dd_info['bound']})")
+    sched, cfl = _schedule(cfg, disc, table, e_est)
+    print(f"step bounds at |E| = {e_est:.3e} V/m (max|V| / extent), as "
+          "manifest.json's cfl:")
+    for key, val in cfl.items():
+        print(f"cfl.{key} = {json.dumps(val)}")
+    if sched is not None:
+        print(f"n_macro = {sched.n_macro}")
     return 0
 
 

@@ -1,5 +1,8 @@
 """Small test-side helpers: building inputs the way a deck would, sampling
-fields and reading the files the CLI writes.  No solver calls them."""
+fields and reading what the CLI writes.  No solver calls them."""
+
+import json
+import re
 
 import numpy as np
 
@@ -65,6 +68,15 @@ def read_probe_csv(path):
         header = fh.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return header, data
+
+
+def read_info(text):
+    """The cfl record and n_macro (None without a schedule) that
+    `pcd-dg info` prints, one `cfl.<key> = <json>` line per key."""
+    cfl = {key: json.loads(val) for key, val
+           in re.findall(r"^cfl\.(\w+) = (.*)$", text, re.M)}
+    n_macro = re.search(r"^n_macro = (\d+)$", text, re.M)
+    return cfl, None if n_macro is None else int(n_macro.group(1))
 
 
 def read_vtk(path):
