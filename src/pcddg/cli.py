@@ -110,8 +110,10 @@ def run_stationary(cfg, out_dir):
                "contact_voltages": {c.name: c.voltage for c in cfg.contacts}})
     out_mod.write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"stationary solve converged in {len(sol.gummel_history)} sweeps")
+    # a contact integral over points in 1D, over lines in 2D
+    unit = "A/m^2" if mesh.dim == 1 else "A/m"
     for name, val in currents.items():
-        print(f"  I[{name}] = {val:.6e} A")
+        print(f"  I[{name}] = {val:.6e} {unit}")
     return 0
 
 

@@ -3,7 +3,6 @@ system: TVD-RK3, low-storage RK45 and IMEX ARS(3,4,3) steppers, step
 bounds, the multirate advance protocol, and transient observables."""
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -381,7 +380,7 @@ def multirate_advance(cs, em_state, dd_state, t, schedule, current,
     if last is not None:
         current = tuple(1.5 * a - 0.5 * b for a, b in zip(current, last))
     m, dt = schedule.m, schedule.dt_em
-    em_rhs = partial(cs.em.rhs, current=current)
+    em_rhs = cs.em.held_rhs(current)
     sums = np.zeros((1 + cs.em.disc.ref.dim,) + em_state.shape[1:])
     cs.add_fields(sums, em_state, 0.5)
     for i in range(m):

@@ -156,21 +156,26 @@ class LDGDiffusion:
 # ---------------------------------------------------------------------------
 # sparse assembly of matrix-free kernels
 
-def assemble_affine_operator(apply_fn, disc, *, homogeneous_fn):
+def assemble_affine_operator(apply_fn, disc, *, homogeneous_fn, ncomp=None,
+                             hops=2):
     """Assemble apply_fn(u) = A u + c by probing the matrix-free kernel.
 
     homogeneous_fn is the same operator with zero boundary data: A is probed
     through it so that the unit probes are not lost to cancellation against
-    large boundary data.  With E the element adjacency of the subdomain,
-    column block k of A lives on the rows of reach = (I + E)^2, the elements
-    within two faces of k (LDG: gradient, then divergence).  Elements more
-    than four faces apart, outside the pattern of reach^2, have disjoint
+    large boundary data.  u is (K, Np), or (ncomp, K, Np) with A over the
+    flat state.  With E the element adjacency of the subdomain, column
+    block k of A lives on the rows of reach = (I + E)^hops, the elements
+    within hops faces of k (LDG: two, gradient then divergence; an upwind
+    flux: one).  Elements outside the pattern of reach^2 have disjoint
     reaches and are probed together; the greedy coloring takes the smallest
     free color in element order.
     """
     K, Np = disc.K, disc.Np
-    c = apply_fn(np.zeros((K, Np)))
-    ch = homogeneous_fn(np.zeros((K, Np)))
+    nc = 1 if ncomp is None else ncomp
+    shape = (K, Np) if ncomp is None else (nc, K, Np)
+    n = K * Np
+    c = apply_fn(np.zeros(shape))
+    ch = homogeneous_fn(np.zeros(shape))
     glob2sub = -np.ones(disc.mesh.K, dtype=int)
     glob2sub[disc.elems] = np.arange(K)
     nbr = glob2sub[disc.mesh.etoe[disc.elems]]
@@ -178,7 +183,9 @@ def assemble_affine_operator(apply_fn, disc, *, homogeneous_fn):
     inner = (nbr >= 0) & (nbr != own)
     step = sp.identity(K, format="csr") + sp.csr_matrix(
         (np.ones(inner.sum()), (own[inner], nbr[inner])), shape=(K, K))
-    reach = step @ step
+    reach = step
+    for _ in range(hops - 1):
+        reach = reach @ step
     conflict = reach @ reach
     colors = -np.ones(K, dtype=int)
     for k in range(K):
@@ -193,16 +200,20 @@ def assemble_affine_operator(apply_fn, disc, *, homogeneous_fn):
         ks = np.flatnonzero(colors == color)
         blocks = reach[ks].tocoo()      # (probe, element it reaches) pairs
         hit = blocks.col
-        for j in range(Np):
-            u = np.zeros((K, Np))
-            u[ks, j] = 1.0
-            r = homogeneous_fn(u) - ch
-            rows.append((hit[:, None] * Np + np.arange(Np)).ravel())
-            cols.append(np.repeat(ks[blocks.row] * Np + j, Np))
-            vals.append(r[hit].ravel())
+        hit_rows = (np.arange(nc)[:, None] * n
+                    + (hit[:, None] * Np + np.arange(Np)).ravel()).ravel()
+        for comp in range(nc):
+            for j in range(Np):
+                u = np.zeros((nc, K, Np))
+                u[comp, ks, j] = 1.0
+                r = (homogeneous_fn(u.reshape(shape)) - ch).reshape(nc, K, Np)
+                rows.append(hit_rows)
+                cols.append(np.tile(np.repeat(ks[blocks.row] * Np + j, Np),
+                                    nc) + comp * n)
+                vals.append(r[:, hit].ravel())
     a = sp.csr_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(K * Np, K * Np))
+                      shape=(nc * n, nc * n))
     a.eliminate_zeros()
     return a, c.reshape(-1)
 

@@ -4,11 +4,14 @@ D/B fields, Drude metals via an auxiliary current ODE, and the optical
 aperture source."""
 
 from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import physics as ph
+from .dgops import assemble_affine_operator
 from .mesh import BOUNDARY_TAGS, INTERIOR
 from .physics import EPS0, MU0, PhysicsError
 
@@ -18,6 +21,18 @@ _ROWS = {1: (("ex", "hz"), ("dx", "bz"), ("jpx",)),
 
 _PEC_LIKE = {"PEC", "ELECTRODE_D", "SOURCE_APERTURE"}
 _ABC_LIKE = {"ABC", "PML_INTERFACE"}
+
+
+class _Held(NamedTuple):
+    """What MaxwellSolver.held_rhs builds once per solver."""
+    data: np.ndarray        # operator values on the widened CSR pattern
+    indices: np.ndarray     # its column indices
+    indptr: np.ndarray      # its row pointers
+    fold: np.ndarray        # pattern positions (row of rows, E column)
+    resp: np.ndarray        # the rhs per unit current density, per row
+    rows: np.ndarray        # flat state indices where J enters
+    comp: np.ndarray        # the E component of each of those rows
+    source: tuple           # (flat indices, values) of q, or None
 
 
 @dataclass
@@ -95,6 +110,9 @@ class MaxwellSolver:
     - the curl terms (metric factor per reference direction), 1/eps, 1/mu,
       the PML rates and the Drude coefficients, each (K, Np) or stacked
       per component, the last two only when their rows exist.
+
+    The assembled operator (operator) and the pattern held_rhs folds the
+    conductivity into are built on first use, not here.
 
     Workspace ownership: the derivative, current and PML buffers belong to
     the solver and are overwritten by every rhs call, so one solver
@@ -297,6 +315,12 @@ class MaxwellSolver:
         """d(state)/dt at time t, with the carrier current sigma E + j0 of
         current = (sigma, j0) on this mesh (None: no carriers).  Returns a
         fresh array; see the class docstring for workspaces."""
+        return self._kernel(state, current, None if self._src_profile is None
+                            else self._src_scale(t))
+
+    def _kernel(self, state, current=None, src=None):
+        """rhs with the optical source current src times the source profile
+        (None: no source)."""
         d = self.disc
         dim = d.ref.dim
         nf = dim + 1
@@ -332,9 +356,9 @@ class MaxwellSolver:
             cur.fill(0.0)
         else:
             np.copyto(cur, state[self._jp])
-        if self._src_profile is not None:
+        if src is not None:
             cur[self._src_row].reshape(-1)[self._src_nodes] += \
-                self._src_values * self._src_scale(t)
+                self._src_values * src
         acc[:dim] -= cur
 
         if self._aux is None:
@@ -356,3 +380,77 @@ class MaxwellSolver:
             np.multiply(self._drude_g, state[self._jp], out=cur)
             r_drude -= cur
         return out
+
+    # -- assembled operator and the held-current rhs ---------------------
+    @cached_property
+    def operator(self):
+        """The state-linear part of rhs, without carrier current or source,
+        as a CSR matrix over the flat state (field, PML and Drude rows):
+        rhs(u) = operator @ u for a solver without a source.  Probed from
+        the kernel on first use, with element coloring at one face of
+        reach (the upwind flux couples face neighbours only)."""
+        a, _ = assemble_affine_operator(self._kernel, self.disc,
+                                        homogeneous_fn=self._kernel,
+                                        ncomp=len(self.comp), hops=1)
+        return a
+
+    @cached_property
+    def _held(self):
+        """The operator's pattern widened by the nodes where a current
+        density J enters: -J/eps on the E rows and, with PML rows, -J on
+        the D rows (rows), both at the E column of the same node (fold)."""
+        dim = self.disc.ref.dim
+        nf, n = dim + 1, self.disc.K * self.disc.Np
+        resp = [-self._inv_em[d].reshape(-1) for d in range(dim)]
+        rows = [d * n + np.arange(n) for d in range(dim)]
+        if self._aux is not None:
+            resp += [np.full(n, -1.0)] * dim
+            rows += [(nf + d) * n + np.arange(n) for d in range(dim)]
+        comp = np.arange(len(rows)) % dim
+        rows = np.array(rows)
+        cols = comp[:, None] * n + np.arange(n)
+        a = self.operator.tocoo()
+        size = a.shape[0]
+        keys, inv = np.unique(np.concatenate(
+            [a.row.astype(np.int64) * size + a.col,
+             (rows * size + cols).ravel()]), return_inverse=True)
+        data = np.zeros(len(keys))
+        data[inv[:a.nnz]] = a.data
+        indptr = np.searchsorted(keys // size, np.arange(size + 1))
+        source = None
+        if self._src_profile is not None:
+            on = comp == self._src_row
+            source = ((rows[on][:, self._src_nodes]).ravel(),
+                      (np.array(resp)[on][:, self._src_nodes]
+                       * self._src_values).ravel())
+        return _Held(data, (keys % size).astype(np.int32),
+                     indptr.astype(np.int32), inv[a.nnz:].reshape(rows.shape),
+                     np.array(resp), rows, comp, source)
+
+    def held_rhs(self, current):
+        """rhs(state, t) in the carrier current current = (sigma, j0) held
+        over a macro step.  In 1D, u -> A_sigma u + c + s(t) q: A_sigma is
+        the operator with sigma folded into the nodes where J enters, c the
+        entry of j0 and q that of the source profile, so a call is one
+        sparse product and two small updates.  In 2D, rhs with the current
+        bound: there the operator has more than twice the entries per row,
+        and its product is slower than the kernel (measured in the README's
+        package layout)."""
+        if self.disc.ref.dim != 1:
+            return partial(self.rhs, current=current)
+        held = self._held
+        sigma, j0 = current
+        data = held.data.copy()
+        data[held.fold] += held.resp * sigma.reshape(-1)
+        a_sigma = sp.csr_matrix((data, held.indices, held.indptr),
+                                shape=self.operator.shape)
+        c = np.zeros(a_sigma.shape[0])
+        c[held.rows] = held.resp * j0.reshape(len(j0), -1)[held.comp]
+
+        def rhs(state, t=0.0):
+            out = a_sigma @ state.reshape(-1)
+            out += c
+            if held.source is not None:
+                out[held.source[0]] += self._src_scale(t) * held.source[1]
+            return out.reshape(state.shape)
+        return rhs

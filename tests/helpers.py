@@ -53,13 +53,9 @@ def lsrk45_amplification(z):
 
 
 def rhs_spectrum(solver):
-    """Dense eigenvalues of the linear map state -> solver.rhs(state) of a
-    MaxwellSolver without a source."""
-    shape = solver.zero_state().shape
-    n = int(np.prod(shape))
-    a = np.stack([solver.rhs(e.reshape(shape)).reshape(-1)
-                  for e in np.eye(n)], axis=1)
-    return np.linalg.eigvals(a)
+    """Dense eigenvalues of a MaxwellSolver's assembled operator, the
+    source-free, current-free part of its rhs that the 1D march applies."""
+    return np.linalg.eigvals(solver.operator.toarray())
 
 
 def read_probe_csv(path):

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pcddg import output as out_mod
 from pcddg.cli import main
 from pcddg.config import _SECTIONS, parse_box, parse_config, parse_quantity
 from pcddg.dgops import build_discretization
+from pcddg.em_dg import MaxwellSolver
 from pcddg.mesh import unit_interval_mesh
 from pcddg.physics import C0, EPS0, Q, thermal_voltage
 from pcddg.refelem import ConfigurationError, build_reference_element
@@ -28,6 +30,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = os.path.join(REPO, "configs", "conventional_pcd.cfg")
 LOWBIAS = os.path.join(REPO, "perfbench", "decks", "pcd1d_lowbias.cfg")
 DEVICE2D = os.path.join(REPO, "tests", "decks", "device2d.cfg")
+PML_DRUDE1D = os.path.join(REPO, "tests", "decks", "pml_drude1d.cfg")
 
 DEVICE_CFG = """\
 [mesh]
@@ -635,16 +638,18 @@ class TestCli:
 def lowbias_runs(tmp_path_factory):
     """The low-bias deck: one stationary solve, then transients from its
     checkpoint, by name: 'auto' (the deck), 'auto_20fs' and 'm1_20fs'
-    (t_end = 0.02 ps at m = auto and m = 1); and the deck's `info` text."""
+    (t_end = 0.02 ps at m = auto and m = 1); and the stdout of the
+    deck's `stationary` and `info`."""
     with open(LOWBIAS) as fh:
         deck = fh.read()
     root = tmp_path_factory.mktemp("lowbias")
     base = root / "stationary"
-    with contextlib.redirect_stdout(io.StringIO()) as info:
+    with contextlib.redirect_stdout(io.StringIO()) as stationary:
         assert main(["stationary", "--config", LOWBIAS,
                      "--out", str(base)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as info:
         assert main(["info", "--config", LOWBIAS]) == 0
-    runs = {"info": info.getvalue()}
+    runs = {"stationary": stationary.getvalue(), "info": info.getvalue()}
     for name, subs in (("auto", ()),
                        ("auto_20fs", (("t_end = 0.05 ps", "t_end = 0.02 ps"),)),
                        ("m1_20fs", (("t_end = 0.05 ps", "t_end = 0.02 ps"),
@@ -696,6 +701,11 @@ class TestLowBiasMultirate:
         assert n_macro == man["dd_steps"]
         assert cfl["dd_bound"] == "timescale_pulse"
 
+    def test_stationary_prints_current_density(self, lowbias_runs):
+        # a 1D contact current is a density: A/m^2, not A
+        assert printed_currents(lowbias_runs["stationary"]) == \
+            [("anode", "A/m^2")]
+
     def test_auto_keeps_carriers_of_m1(self, lowbias_runs):
         # N_e(t) of the m = auto run within 2e-3 (relative L2) of the m = 1
         # march, interpolated onto the auto run's sync times
@@ -706,6 +716,12 @@ class TestLowBiasMultirate:
         ref = np.interp(d[:, 0], d1[:, 0], d1[:, h1.index("N_e")])
         assert np.max(ref) > 0
         assert np.linalg.norm(n_e - ref) / np.linalg.norm(ref) <= 2e-3
+
+
+def printed_currents(text):
+    """(contact, unit) of each `I[<contact>] = <value> <unit>` line that
+    `pcd-dg stationary` prints."""
+    return re.findall(r"^  I\[(\w+)\] = \S+ (\S+)$", text, re.M)
 
 
 @pytest.fixture(scope="module")
@@ -755,6 +771,69 @@ class TestDevice2D:
         assert cfl == man["cfl"]
         assert n_macro == man["dd_steps"]
         assert cfl["dd_bound"] == "timescale_pulse"
+
+    def test_stationary_prints_current_per_depth(self, device2d_runs):
+        # a 2D contact current is per unit depth: A/m, not A
+        runs, _out = device2d_runs
+        assert printed_currents(runs["stationary"][1]) == \
+            [("anode", "A/m"), ("cathode", "A/m")]
+
+
+@pytest.fixture(scope="module")
+def pml_drude_runs(tmp_path_factory):
+    """The 1D deck with PML and Drude rows: stationary, then the transient
+    from its checkpoint twice, by name: 'held' (the march as it runs, with
+    the solver state rows of each held_rhs call) and 'matrix_free' (every
+    substep through MaxwellSolver.rhs)."""
+    root = tmp_path_factory.mktemp("pml_drude1d")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["stationary", "--config", PML_DRUDE1D,
+                     "--out", str(root / "stationary")]) == 0
+    real_held = MaxwellSolver.held_rhs
+    comps = []
+
+    def held(solver, current):
+        comps.append(solver.comp)
+        return real_held(solver, current)
+
+    def matrix_free(solver, current):
+        return partial(solver.rhs, current=current)
+
+    runs = {}
+    for name, held_rhs in (("held", held), ("matrix_free", matrix_free)):
+        out = root / name
+        out.mkdir()
+        shutil.copy(root / "stationary" / "stationary.chk", out)
+        with pytest.MonkeyPatch.context() as patch, \
+                contextlib.redirect_stdout(io.StringIO()):
+            patch.setattr(MaxwellSolver, "held_rhs", held_rhs)
+            assert main(["transient", "--config", PML_DRUDE1D,
+                         "--out", str(out)]) == 0
+        runs[name] = (json.loads((out / "manifest.json").read_text()),
+                      read_probe_csv(str(out / "probes.csv")))
+    runs["comps"] = comps
+    return runs
+
+
+class TestPmlDrude1D:
+    """The assembled 1D Maxwell path on a state with PML and Drude rows."""
+
+    def test_march_takes_the_assembled_path(self, pml_drude_runs):
+        man = pml_drude_runs["held"][0]
+        assert pml_drude_runs["comps"] == \
+            [("ex", "hz", "dx", "bz", "jpx")] * man["dd_steps"]
+
+    def test_probes_match_the_matrix_free_march(self, pml_drude_runs):
+        # every probes.csv column within 1e-12 of its largest value
+        (h, d), (h0, d0) = (pml_drude_runs[name][1]
+                            for name in ("held", "matrix_free"))
+        assert h == h0 and d.shape == d0.shape
+        assert d.shape[0] == pml_drude_runs["held"][0]["dd_steps"] + 1
+        assert np.all(np.isfinite(d))
+        for j, name in enumerate(h):
+            scale = np.max(np.abs(d0[:, j]))
+            assert scale > 0
+            assert np.max(np.abs(d[:, j] - d0[:, j])) <= 1e-12 * scale, name
 
 
 def test_benchmark_patch_targets_resolve(monkeypatch):

@@ -451,25 +451,33 @@ class TestMultirate:
 
     def test_substeps_hold_the_midpoint_current(self, monkeypatch):
         # the Maxwell substeps of a macro step share one carrier current,
-        # 1.5 c_k - 0.5 c_(k-1) from those of the last two DD states, and
-        # the march hands each step the two currents it needs
+        # 1.5 c_k - 0.5 c_(k-1) from those of the last two DD states: the
+        # march binds it once (held_rhs) and passes that one rhs to every
+        # substep; and the march hands each step the two currents it needs
         from pcddg import coupler
         cs, sched = toy_pcd(m=2, n_macro=1)
         rng = np.random.default_rng(5)
         shape = (2, cs.dd.disc.K, cs.dd.disc.Np)
         c0, c1 = (cs.transient_current(rng.uniform(0, 1e20, size=shape))
                   for _ in range(2))
-        held = []
-        real_lsrk = coupler.lsrk45_step
+        held, rhs_of = [], {}
+        real_held, real_lsrk = cs.em.held_rhs, coupler.lsrk45_step
+
+        def held_rhs(current):
+            rhs = real_held(current)
+            rhs_of[id(rhs)] = current
+            return rhs
 
         def lsrk(state, rhs, dt, t=0.0):
-            held.append(rhs.keywords["current"])
+            held.append(rhs_of[id(rhs)])
             return real_lsrk(state, rhs, dt, t)
 
-        monkeypatch.setattr(coupler, "lsrk45_step", lsrk)
-        multirate_advance(cs, cs.em.zero_state(), np.zeros(shape), 0.0,
-                          sched, c1, c0)
-        assert len(held) == 2 and held[0] is held[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(cs.em, "held_rhs", held_rhs)
+            patch.setattr(coupler, "lsrk45_step", lsrk)
+            multirate_advance(cs, cs.em.zero_state(), np.zeros(shape), 0.0,
+                              sched, c1, c0)
+        assert len(rhs_of) == 1 and len(held) == 2 and held[0] is held[1]
         for part in range(2):
             assert np.array_equal(held[0][part], 1.5 * c1[part] - 0.5 * c0[part])
 

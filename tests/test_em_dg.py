@@ -401,12 +401,24 @@ class TestFusedRhs:
             spec = solver._src_spec
             t = spec.delay + 0.3 / spec.f_c
             assert np.any(optical_source(solver, t))
+            # the march's path, (sigma, j0) held over a macro step (the
+            # assembled operator in 1D); and the assembled operator alone,
+            # at a time where the source envelope is exactly 0
+            t_off = spec.delay + 40 * spec.sigma_t
+            assert spec.envelope(t_off) == 0.0
             cases = ((0.0, None, None), (t, None, None),
                      (t, (zero, j0), tuple(j0)),
                      (t, (zero, x_only), tuple(j0[:1])),
-                     (t, (sigma, j0), tuple(sigma * e + j0)))
+                     (t, (sigma, j0), tuple(sigma * e + j0)),
+                     (t, "held", tuple(sigma * e + j0)),
+                     (t_off, "operator", None))
             for case, (t_, current, j) in enumerate(cases):
-                got = solver.rhs(u, t_, current)
+                if current == "held":
+                    got = solver.held_rhs((sigma, j0))(u, t_)
+                elif current == "operator":
+                    got = (solver.operator @ u.reshape(-1)).reshape(u.shape)
+                else:
+                    got = solver.rhs(u, t_, current)
                 want = ref.rhs(u_ref, t_, j)
                 for c, name in enumerate(solver.comp):
                     w = want[ref.idx[name]]
