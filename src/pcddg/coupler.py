@@ -309,7 +309,6 @@ class CoupledSystem:
     def __init__(self, em, dd, wavelength, contacts=()):
         self.em = em
         self.dd = dd
-        self.wavelength = wavelength
         self.contacts = tuple(contacts)
         e2i = {g: i for i, g in enumerate(em.disc.elems)}
         try:

@@ -5,7 +5,6 @@ aperture source."""
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,18 +20,6 @@ _ROWS = {1: (("ex", "hz"), ("dx", "bz"), ("jpx",)),
 
 _PEC_LIKE = {"PEC", "ELECTRODE_D", "SOURCE_APERTURE"}
 _ABC_LIKE = {"ABC", "PML_INTERFACE"}
-
-
-class _Held(NamedTuple):
-    """What MaxwellSolver.held_rhs builds once per solver."""
-    data: np.ndarray        # operator values on the widened CSR pattern
-    indices: np.ndarray     # its column indices
-    indptr: np.ndarray      # its row pointers
-    fold: np.ndarray        # pattern positions (row of rows, E column)
-    resp: np.ndarray        # the rhs per unit current density, per row
-    rows: np.ndarray        # flat state indices where J enters
-    comp: np.ndarray        # the E component of each of those rows
-    source: tuple           # (flat indices, values) of q, or None
 
 
 @dataclass
@@ -111,8 +98,9 @@ class MaxwellSolver:
       the PML rates and the Drude coefficients, each (K, Np) or stacked
       per component, the last two only when their rows exist.
 
-    The assembled operator (operator) and the pattern held_rhs folds the
-    conductivity into are built on first use, not here.
+    The assembled operator (operator) and the responses held_rhs adds the
+    carrier current and the source through are probed from the kernel on
+    first use, not here.
 
     Workspace ownership: the derivative, current and PML buffers belong to
     the solver and are overwritten by every rhs call, so one solver
@@ -290,12 +278,10 @@ class MaxwellSolver:
             p_lin = spec.power / spec.beam_width
             sheet = np.sqrt(4.0 * p_lin / (z_ap * spec.beam_width * np.sqrt(np.pi / 2.0)))
         self._src_amp = sheet
-        self._src_spec = spec
-        pol = getattr(spec, "polarization", "x")
-        self._src_row = 1 if pol == "y" and disc.ref.dim == 2 else 0
+        self._src_row = int(spec.polarization == "y" and disc.ref.dim == 2)
 
     def _src_scale(self, t):
-        return self._src_amp * self._src_spec.envelope(t)
+        return self._src_amp * self.source.envelope(t)
 
     # -- state helpers ---------------------------------------------------
     def zero_state(self):
@@ -395,62 +381,46 @@ class MaxwellSolver:
         return a
 
     @cached_property
-    def _held(self):
-        """The operator's pattern widened by the nodes where a current
-        density J enters: -J/eps on the E rows and, with PML rows, -J on
-        the D rows (rows), both at the E column of the same node (fold)."""
-        dim = self.disc.ref.dim
-        nf, n = dim + 1, self.disc.K * self.disc.Np
-        resp = [-self._inv_em[d].reshape(-1) for d in range(dim)]
-        rows = [d * n + np.arange(n) for d in range(dim)]
-        if self._aux is not None:
-            resp += [np.full(n, -1.0)] * dim
-            rows += [(nf + d) * n + np.arange(n) for d in range(dim)]
-        comp = np.arange(len(rows)) % dim
-        rows = np.array(rows)
-        cols = comp[:, None] * n + np.arange(n)
-        a = self.operator.tocoo()
-        size = a.shape[0]
-        keys, inv = np.unique(np.concatenate(
-            [a.row.astype(np.int64) * size + a.col,
-             (rows * size + cols).ravel()]), return_inverse=True)
-        data = np.zeros(len(keys))
-        data[inv[:a.nnz]] = a.data
-        indptr = np.searchsorted(keys // size, np.arange(size + 1))
-        source = None
-        if self._src_profile is not None:
-            on = comp == self._src_row
-            source = ((rows[on][:, self._src_nodes]).ravel(),
-                      (np.array(resp)[on][:, self._src_nodes]
-                       * self._src_values).ravel())
-        return _Held(data, (keys % size).astype(np.int32),
-                     indptr.astype(np.int32), inv[a.nnz:].reshape(rows.shape),
-                     np.array(resp), rows, comp, source)
+    def _current_entry(self):
+        """Where a current density J enters the 1D rhs: the kernel's
+        response to j0 = 1 on its nonzero rows, and the E column of the same
+        node (in 1D the E rows and their D rows share the node index)."""
+        entry = self._kernel(self.zero_state(), (0.0, 1.0)).reshape(-1)
+        rows = np.flatnonzero(entry)
+        return rows, rows % (self.disc.K * self.disc.Np), entry[rows]
+
+    @cached_property
+    def _source_entry(self):
+        """The kernel's response to a unit source current, on its nonzero
+        entries."""
+        q = self._kernel(self.zero_state(), None, 1.0).reshape(-1)
+        nodes = np.flatnonzero(q)
+        return nodes, q[nodes]
 
     def held_rhs(self, current):
         """rhs(state, t) in the carrier current current = (sigma, j0) held
-        over a macro step.  In 1D, u -> A_sigma u + c + s(t) q: A_sigma is
-        the operator with sigma folded into the nodes where J enters, c the
-        entry of j0 and q that of the source profile, so a call is one
-        sparse product and two small updates.  In 2D, rhs with the current
-        bound: there the operator has more than twice the entries per row,
-        and its product is slower than the kernel (measured in the README's
-        package layout)."""
+        over a macro step.  In 1D, u -> A_sigma u + c + s(t) q, from the
+        kernel's responses r to a unit current density (on the rows where J
+        enters) and q to a unit source current: A_sigma is the operator
+        plus r sigma at the E column of each row's node and c = r j0, so a
+        call is one sparse product and two small updates.  In 2D, rhs with
+        the current bound: there the operator has more than twice the
+        entries per row, and its product is slower than the kernel
+        (measured in the README's package layout)."""
         if self.disc.ref.dim != 1:
             return partial(self.rhs, current=current)
-        held = self._held
-        sigma, j0 = current
-        data = held.data.copy()
-        data[held.fold] += held.resp * sigma.reshape(-1)
-        a_sigma = sp.csr_matrix((data, held.indices, held.indptr),
-                                shape=self.operator.shape)
+        rows, cols, resp = self._current_entry
+        sigma, j0 = (np.reshape(a, -1) for a in current)
+        a_sigma = self.operator + sp.csr_matrix(
+            (resp * sigma[cols], (rows, cols)), shape=self.operator.shape)
         c = np.zeros(a_sigma.shape[0])
-        c[held.rows] = held.resp * j0.reshape(len(j0), -1)[held.comp]
+        c[rows] = resp * j0[cols]
+        source = None if self._src_profile is None else self._source_entry
 
         def rhs(state, t=0.0):
             out = a_sigma @ state.reshape(-1)
             out += c
-            if held.source is not None:
-                out[held.source[0]] += self._src_scale(t) * held.source[1]
+            if source is not None:
+                out[source[0]] += self._src_scale(t) * source[1]
             return out.reshape(state.shape)
         return rhs

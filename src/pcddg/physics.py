@@ -199,8 +199,9 @@ class OpticalSourceSpec:
 
     def envelope(self, t):
         """Gaussian-modulated carrier at time t (a float or an array)."""
-        u = t - self.delay
-        return (np.exp(-u * u / (2.0 * self.sigma_t ** 2))
+        s = self.sigma_t
+        u = t - (4.0 * s if self.t0 is None else self.t0)
+        return (np.exp(-u * u / (2.0 * s ** 2))
                 * np.sin(2 * np.pi * self.f_c * u))
 
 

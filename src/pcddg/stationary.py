@@ -42,6 +42,7 @@ _TAG_IDX = {t: i for i, t in enumerate(BOUNDARY_TAGS)}
 _ANDERSON_DEPTH = 4      # iterates kept by the Gummel acceleration
 _NEWTON_MAX_ITER = 30    # Newton-Poisson steps per Gummel sweep
 _NEWTON_CLAMP = 5.0      # largest Newton-Poisson step, in V_T
+_PENALTY = 10.0          # Dirichlet penalty scale (LDGDiffusion.penalty)
 
 
 class ConvergenceError(RuntimeError):
@@ -116,7 +117,7 @@ class StationaryProblem:
     contacts, semiconductor/dielectric interfaces become Robin walls.
     """
 
-    def __init__(self, mesh, materials, contacts, p=2, penalty=10.0):
+    def __init__(self, mesh, materials, contacts, p=2):
         self.mesh = mesh
         self.materials = materials
         self.contacts = contacts
@@ -147,7 +148,6 @@ class StationaryProblem:
         self.n_i = per_elem([m.n_i for m in mats], self.ddisc.elems)[:, None]
         self.dd = DDSolver(self.ddisc, materials)
 
-        self.penalty = penalty
         self._setup_poisson_bc()
         self._setup_dd_bc()
 
@@ -174,7 +174,7 @@ class StationaryProblem:
         self._volt_face = d.face_expand(volt)
         self._built_in_face = d.face_expand(built_in)
         self.phi_dirichlet = self._volt_face + self._built_in_face
-        self.tau = self.poisson.penalty(self.eps_p, self.penalty)
+        self.tau = self.poisson.penalty(self.eps_p, _PENALTY)
 
     def _setup_dd_bc(self):
         d = self.ddisc
@@ -224,7 +224,7 @@ class StationaryProblem:
             v, dc, fd = dd.v_e, dd.d_e, self.fd_ne
         else:
             v, dc, fd = dd.v_h, dd.d_h, self.fd_nh
-        tau = dd.penalty(dc, self.penalty)
+        tau = dd.penalty(dc, _PENALTY)
 
         def make(f_d):
             def apply_fn(n):
@@ -397,7 +397,7 @@ class StationaryProblem:
         the order, the Dirichlet penalty, the temperature, the contacts and
         every material parameter."""
         inputs = (
-            self.mesh.content_hash(), self.pdisc.ref.p, self.penalty,
+            self.mesh.content_hash(), self.pdisc.ref.p, _PENALTY,
             self.materials.temperature,
             [(c.name, c.lo.tolist(), c.hi.tolist(), c.voltage)
              for c in self.contacts],

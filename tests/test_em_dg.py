@@ -241,7 +241,7 @@ class ReferenceMaxwell:
         self.comp = FULL_ROWS[disc.ref.dim]
         self.idx = {c: i for i, c in enumerate(self.comp)}
         self.optical_source = lambda t: optical_source(solver, t)
-        self._src_spec = getattr(solver, "_src_spec", None)
+        self.source = solver.source
         mesh = disc.mesh
         mats = [solver.materials.region(mesh.region_names[mesh.region_id[k]])
                 for k in disc.elems]
@@ -291,8 +291,7 @@ class ReferenceMaxwell:
         jy = state[i["jpy"]].copy() if d.ref.dim == 2 else None
         src = self.optical_source(t)
         if src is not None:
-            pol = getattr(self._src_spec, "polarization", "x")
-            if pol == "y" and jy is not None:
+            if self.source.polarization == "y" and jy is not None:
                 jy += src
             else:
                 jx += src
@@ -398,7 +397,11 @@ class TestFusedRhs:
             zero = np.zeros_like(sigma)
             x_only = np.concatenate([j0[:1], np.zeros_like(j0[1:])])
             e = u[:dim]
-            spec = solver._src_spec
+            # the held current is zero off one layer, as the march passes it
+            layer = np.array([disc.mesh.region_names[disc.mesh.region_id[k]]
+                              == "die" for k in disc.elems])[:, None]
+            sigma_l, j0_l = sigma * layer, j0 * layer
+            spec = solver.source
             t = spec.delay + 0.3 / spec.f_c
             assert np.any(optical_source(solver, t))
             # the march's path, (sigma, j0) held over a macro step (the
@@ -410,11 +413,11 @@ class TestFusedRhs:
                      (t, (zero, j0), tuple(j0)),
                      (t, (zero, x_only), tuple(j0[:1])),
                      (t, (sigma, j0), tuple(sigma * e + j0)),
-                     (t, "held", tuple(sigma * e + j0)),
+                     (t, "held", tuple(sigma_l * e + j0_l)),
                      (t_off, "operator", None))
             for case, (t_, current, j) in enumerate(cases):
                 if current == "held":
-                    got = solver.held_rhs((sigma, j0))(u, t_)
+                    got = solver.held_rhs((sigma_l, j0_l))(u, t_)
                 elif current == "operator":
                     got = (solver.operator @ u.reshape(-1)).reshape(u.shape)
                 else:
@@ -424,6 +427,29 @@ class TestFusedRhs:
                     w = want[ref.idx[name]]
                     tol = 1e-13 * np.max(np.abs(w))
                     assert np.max(np.abs(got[c] - w)) <= tol, (name, case)
+
+    @pytest.mark.parametrize("boundary", ["PEC", "ABC"])
+    def test_held_rhs_without_source_1d(self, boundary):
+        # a solver without a source has no source response: the held rhs
+        # is the operator with the carrier current folded in, at any time
+        with_source, _, disc = layered_case(1, 2, boundary)
+        pml = PmlSpec(thickness={"yhi": 1e-6}) if boundary == "ABC" else None
+        solver = MaxwellSolver(disc, with_source.materials, pml=pml)
+        assert ("dx" in solver.idx) == (pml is not None)
+        rng = np.random.default_rng(7)
+        u = rng.normal(size=solver.zero_state().shape) * np.array(
+            [{"ex": 1.0, "hz": 1.0 / Z0, "dx": EPS0, "bz": MU0 / Z0,
+              "jpx": 1e-3}[c] for c in solver.comp])[:, None, None]
+        y = disc.x[:, :, 0].mean(axis=1, keepdims=True)
+        layer = (y > 1e-6) & (y < 2e-6)         # the dielectric elements
+        current = (rng.uniform(0.0, 2.0, size=(disc.K, disc.Np)) * layer,
+                   rng.normal(size=(1, disc.K, disc.Np)) * layer)
+        for t in (0.0, 1e-14):
+            got = solver.held_rhs(current)(u, t)
+            want = solver.rhs(u, t, current)
+            for c, name in enumerate(solver.comp):
+                tol = 1e-13 * np.max(np.abs(want[c]))
+                assert np.max(np.abs(got[c] - want[c])) <= tol, name
 
     def test_results_are_fresh_arrays(self):
         solver, _, _ = layered_case(2, 2, "ABC")
