@@ -146,6 +146,11 @@ def _schedule(cfg, disc, table, e_mag):
             f"run.m = {sched.m} gives a DD step of {sched.dt_dd:.3e} s, above "
             f"the stable bound {drift['dt']:.3e} s ({drift['bound']}, "
             f"element {element(drift)})")
+    # a record at t = 0 alone has no current trace to transform
+    if cfg.cadence > sched.n_macro:
+        raise ConfigurationError(
+            f"probes.cadence = {cfg.cadence} is above n_macro = "
+            f"{sched.n_macro}: no probe would be recorded after t = 0")
     return sched, {"dt_em": sched.dt_em, "dt_dd": sched.dt_dd, "m": sched.m,
                    **cfl}
 

@@ -27,8 +27,8 @@ def _semi_table():
     return ph.MaterialTable(materials={"semi": ph.lt_gaas()})
 
 
-def maxwell_error_1d(n, p, t_frac=0.25):
-    """L2 error of a standing PEC-cavity mode after t_frac of a period."""
+def maxwell_error_1d(n, p):
+    """L2 error of a standing PEC-cavity mode after a quarter period."""
     mesh = unit_interval_mesh(n, left="PEC", right="PEC", region="vac")
     disc = build_discretization(mesh, build_reference_element(1, p))
     solver = MaxwellSolver(disc, _vac_table())
@@ -37,7 +37,7 @@ def maxwell_error_1d(n, p, t_frac=0.25):
     x = disc.x[:, :, 0]
     u = solver.zero_state()
     u[solver.idx["ex"]] = np.sin(k * x)
-    t = _integrate(u, solver.rhs, lsrk45_step, t_frac * 2 * np.pi / om,
+    t = _integrate(u, solver.rhs, lsrk45_step, 0.25 * 2 * np.pi / om,
                    stable_timestep("maxwell", disc, _vac_table(), safety=0.3))
     u, t_end = t
     ex = np.sin(k * x) * np.cos(om * t_end)
@@ -46,7 +46,7 @@ def maxwell_error_1d(n, p, t_frac=0.25):
                    + Z0 ** 2 * disc.l2_norm(u[solver.idx["hz"]] - hz) ** 2)
 
 
-def maxwell_error_2d(n, p, t_frac=0.3):
+def maxwell_error_2d(n, p):
     """L2 error of the (1,1) TE mode of the unit square PEC cavity."""
     spec = make_spec(2, [0, 0], [1.0, 1.0],
                      regions=[("vac", [0, 0], [1, 1], 1.0 / n)],
@@ -59,7 +59,7 @@ def maxwell_error_2d(n, p, t_frac=0.3):
     x, y = disc.x[:, :, 0], disc.x[:, :, 1]
     u = solver.zero_state()
     u[solver.idx["hz"]] = np.cos(kx * x) * np.cos(ky * y)
-    u, t = _integrate(u, solver.rhs, lsrk45_step, t_frac * 2 * np.pi / om,
+    u, t = _integrate(u, solver.rhs, lsrk45_step, 0.3 * 2 * np.pi / om,
                       stable_timestep("maxwell", disc, _vac_table(), safety=0.3))
     hz = np.cos(kx * x) * np.cos(ky * y) * np.cos(om * t)
     ex = -ky / (EPS0 * om) * np.cos(kx * x) * np.sin(ky * y) * np.sin(om * t)
@@ -69,22 +69,22 @@ def maxwell_error_2d(n, p, t_frac=0.3):
                    + disc.l2_norm(u[solver.idx["hz"]] - hz) ** 2)
 
 
-def dd_diffusion_error(n, p, d_val=1.0, t_end=0.02):
+def dd_diffusion_error(n, p):
     """Decaying sine diffusion mode with homogeneous Dirichlet walls."""
     mesh = unit_interval_mesh(n, region="semi")
     disc = build_discretization(mesh, build_reference_element(1, p))
     solver = DDSolver(disc, _semi_table())
     x = disc.x[:, :, 0]
-    d_nod = np.full_like(x, d_val)
+    d_nod = np.ones_like(x)
     zero_v = (np.zeros_like(x),)
     u = np.sin(np.pi * x)
     rhs = lambda nn, t: solver.scalar_rhs(nn, zero_v, d_nod)
-    dt = 0.2 * (1.0 / n) ** 2 / (d_val * diffusion_step_factor(p, 1))
-    u, t = _integrate(u, rhs, tvd_rk3_step, t_end, dt)
-    return disc.l2_norm(u - np.sin(np.pi * x) * np.exp(-d_val * np.pi ** 2 * t))
+    dt = 0.2 * (1.0 / n) ** 2 / diffusion_step_factor(p, 1)
+    u, t = _integrate(u, rhs, tvd_rk3_step, 0.02, dt)
+    return disc.l2_norm(u - np.sin(np.pi * x) * np.exp(-np.pi ** 2 * t))
 
 
-def dd_advection_error(n, p, t_end=0.25):
+def dd_advection_error(n, p):
     """Gaussian pulse in a uniform unit velocity field."""
     mesh = unit_interval_mesh(n, region="semi")
     disc = build_discretization(mesh, build_reference_element(1, p))
@@ -95,7 +95,7 @@ def dd_advection_error(n, p, t_end=0.25):
     pulse = lambda y: np.exp(-((y - 0.3) / 0.1) ** 2)
     u = pulse(x)
     rhs = lambda nn, t: solver.scalar_rhs(nn, v, d_nod)
-    u, t = _integrate(u, rhs, tvd_rk3_step, t_end, 0.2 / (n * (2 * p + 1)))
+    u, t = _integrate(u, rhs, tvd_rk3_step, 0.25, 0.2 / (n * (2 * p + 1)))
     return disc.l2_norm(u - pulse(x - t))
 
 

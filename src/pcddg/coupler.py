@@ -316,7 +316,8 @@ class CoupledSystem:
         except KeyError as exc:
             raise PhysicsError("DD subdomain element missing from the EM "
                                f"discretization: {exc}") from None
-        self.gcoef = np.array(
+        self.gcoef = np.zeros((em.disc.K, em.disc.Np))
+        self.gcoef[self.dd_in_em] = np.array(
             [ph.generation_coefficient(m, wavelength) for m in dd.mats]
         )[dd.mat_idx][:, None]
         if self.contacts:
@@ -325,30 +326,28 @@ class CoupledSystem:
 
     # -- field plumbing --------------------------------------------------
     def generation(self, em_state):
-        """Nodal G on the DD subdomain from the optical (transient) fields."""
-        dd = self.dd_in_em
-        e = tuple(em_state[:self.em.disc.ref.dim, dd])
+        """Nodal G = gcoef |E x H| on the EM mesh from the optical
+        (transient) fields, zero off the DD subdomain."""
         return self.gcoef * ph.poynting_magnitude(
-            e, (em_state[self.em.idx["hz"], dd],))
+            em_state[:self.em.disc.ref.dim], (em_state[self.em.idx["hz"]],))
 
     def add_fields(self, sums, em_state, weight):
-        """sums += weight (|E x H|, E^t) of em_state, in place on the EM
-        mesh: sums is (1 + dim, K, Np), |E x H| first."""
+        """sums += weight (G, E^t) of em_state, in place on the EM mesh:
+        sums is (1 + dim, K, Np), G first."""
         dim = self.em.disc.ref.dim
-        s = ph.poynting_magnitude(em_state[:dim],
-                                  (em_state[self.em.idx["hz"]],))
+        g = self.generation(em_state)
         if weight != 1.0:
-            s *= weight
+            g *= weight
             sums[1:] += weight * em_state[:dim]
         else:
             sums[1:] += em_state[:dim]
-        sums[0] += s
+        sums[0] += g
 
     def step_means(self, sums, m):
         """The mean generation and mean E^t on the DD subdomain from the
         trapezoid sums (add_fields) over m substeps."""
         mean = sums[:, self.dd_in_em] / m
-        return self.gcoef * mean[0], tuple(mean[1:])
+        return mean[0], tuple(mean[1:])
 
     def transient_current(self, dd_state):
         """The carrier current of a DD state as the pair (sigma, j0) on the

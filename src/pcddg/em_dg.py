@@ -20,14 +20,14 @@ _ROWS = {1: (("ex", "hz"), ("dx", "bz"), ("jpx",)),
 
 _PEC_LIKE = {"PEC", "ELECTRODE_D", "SOURCE_APERTURE"}
 _ABC_LIKE = {"ABC", "PML_INTERFACE"}
+_PML_ORDER = 3              # polynomial grading of the PML rates
+_PML_R_TARGET = 1e-8        # normal-incidence reflection design target
 
 
 @dataclass
 class PmlSpec:
     """Polynomial-graded uniaxial PML attached to selected domain sides."""
     thickness: dict              # side in {xlo,xhi,ylo,yhi} -> depth (m)
-    order: int = 3
-    r_target: float = 1e-8      # normal-incidence reflection design target
 
     def __post_init__(self):
         for side, d in self.thickness.items():
@@ -59,8 +59,8 @@ def pml_sigma_profiles(disc, pml):
         else:
             depth = coord - (hi[0 if dim == 1 else axis] - d)
         depth = np.clip(depth, 0.0, d)
-        smax = -(pml.order + 1) * np.log(pml.r_target) * ph.C0 / (2.0 * d)
-        prof = smax * (depth / d) ** pml.order
+        smax = -(_PML_ORDER + 1) * np.log(_PML_R_TARGET) * ph.C0 / (2.0 * d)
+        prof = smax * (depth / d) ** _PML_ORDER
         if dim == 1 or axis == 1:
             sy += prof
         else:
@@ -383,11 +383,13 @@ class MaxwellSolver:
     @cached_property
     def _current_entry(self):
         """Where a current density J enters the 1D rhs: the kernel's
-        response to j0 = 1 on its nonzero rows, and the E column of the same
-        node (in 1D the E rows and their D rows share the node index)."""
+        response to j0 = 1 on its nonzero rows, the E column of the same
+        node (in 1D the E rows and their D rows share the node index), and
+        the CSR row pointer of one entry on each of those rows."""
         entry = self._kernel(self.zero_state(), (0.0, 1.0)).reshape(-1)
         rows = np.flatnonzero(entry)
-        return rows, rows % (self.disc.K * self.disc.Np), entry[rows]
+        return (rows, rows % (self.disc.K * self.disc.Np), entry[rows],
+                np.searchsorted(rows, np.arange(len(entry) + 1)))
 
     @cached_property
     def _source_entry(self):
@@ -409,10 +411,10 @@ class MaxwellSolver:
         (measured in the README's package layout)."""
         if self.disc.ref.dim != 1:
             return partial(self.rhs, current=current)
-        rows, cols, resp = self._current_entry
+        rows, cols, resp, indptr = self._current_entry
         sigma, j0 = (np.reshape(a, -1) for a in current)
         a_sigma = self.operator + sp.csr_matrix(
-            (resp * sigma[cols], (rows, cols)), shape=self.operator.shape)
+            (resp * sigma[cols], cols, indptr), shape=self.operator.shape)
         c = np.zeros(a_sigma.shape[0])
         c[rows] = resp * j0[cols]
         source = None if self._src_profile is None else self._source_entry

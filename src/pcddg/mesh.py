@@ -314,11 +314,10 @@ def resolution_report(mesh, materials, n_est, e_est, p=2, wavelength=None):
                             text="\n".join(lines))
 
 
-def unit_interval_mesh(n, lo=0.0, hi=1.0, left="ELECTRODE_D", right="ELECTRODE_D",
-                       region="semi", h=None):
-    """Convenience uniform 1D mesh with endpoint tags."""
-    spec = make_spec(1, [lo], [hi],
-                     [(region, [lo], [hi], (hi - lo) / n if h is None else h)],
-                     tag_boxes=[(left, [lo], [lo]), (right, [hi], [hi])],
+def unit_interval_mesh(n, left="ELECTRODE_D", right="ELECTRODE_D",
+                       region="semi"):
+    """Uniform mesh of n elements on [0, 1] with endpoint tags."""
+    spec = make_spec(1, [0.0], [1.0], [(region, [0.0], [1.0], 1.0 / n)],
+                     tag_boxes=[(left, [0.0], [0.0]), (right, [1.0], [1.0])],
                      default_tag=left)
     return generate_structured_mesh(spec)

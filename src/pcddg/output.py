@@ -73,7 +73,6 @@ def write_spectrum_csv(path, times, current):
         lines.append(",".join(format(v, ".17g")
                               for v in (f, abs(z), z.real, z.imag)))
     _atomic_write(path, "\n".join(lines) + "\n")
-    return freq, np.abs(spec)
 
 
 def write_vtk(path, disc, point_data):
@@ -111,10 +110,10 @@ def write_vtk(path, disc, point_data):
     _atomic_write(path, "\n".join(out) + "\n")
 
 
-def write_svg_lineplot(path, x, ys, title="", width=640, height=400):
+def write_svg_lineplot(path, x, ys, title=""):
     """Minimal dependency-free SVG line plot; ys maps label -> values."""
     x = np.asarray(x, dtype=float)
-    pad = 40
+    width, height, pad = 640, 400, 40
     xmin, xmax = float(x.min()), float(x.max())
     allv = np.concatenate([np.asarray(v, dtype=float) for v in ys.values()])
     ymin, ymax = float(allv.min()), float(allv.max())

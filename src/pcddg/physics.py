@@ -200,7 +200,7 @@ class OpticalSourceSpec:
     def envelope(self, t):
         """Gaussian-modulated carrier at time t (a float or an array)."""
         s = self.sigma_t
-        u = t - (4.0 * s if self.t0 is None else self.t0)
+        u = t - self.delay
         return (np.exp(-u * u / (2.0 * s ** 2))
                 * np.sin(2 * np.pi * self.f_c * u))
 
@@ -212,10 +212,10 @@ def vacuum():
     return Material(name="vacuum")
 
 
-def lt_gaas(doping=1.3e22):
+def lt_gaas():
     return Material(
         name="ltgaas", eps_r=13.26, mu_r=1.0, semiconductor=True,
-        doping=doping, n_i=9e12, tau_e=0.3e-12, tau_h=0.4e-12,
+        doping=1.3e22, n_i=9e12, tau_e=0.3e-12, tau_h=0.4e-12,
         n_e1=4.5e12, n_h1=4.5e12, mu_e0=0.8, mu_h0=0.04,
         v_sat_e=1.725e5, v_sat_h=0.9e5, beta_e=1.82, beta_h=1.75,
         alpha_abs=1e6, eta=1.0)

@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import output
 from . import physics as ph
 from .physics import PhysicsError, Q
 from .dd_dg import DDSolver
@@ -40,6 +41,9 @@ from .refelem import build_reference_element
 
 _TAG_IDX = {t: i for i, t in enumerate(BOUNDARY_TAGS)}
 _ANDERSON_DEPTH = 4      # iterates kept by the Gummel acceleration
+_GUMMEL_TOL = 1e-6       # stop below this potential update, in V_T
+_GUMMEL_MAX_ITER = 200   # Gummel sweeps per ramp stage
+_RAMP_STEP = 10.0        # largest bias-ramp stage, in V_T
 _NEWTON_MAX_ITER = 30    # Newton-Poisson steps per Gummel sweep
 _NEWTON_CLAMP = 5.0      # largest Newton-Poisson step, in V_T
 _PENALTY = 10.0          # Dirichlet penalty scale (LDGDiffusion.penalty)
@@ -289,23 +293,20 @@ class StationaryProblem:
                 break
         return phi, ne, nh
 
-    def gummel_solve(self, tol=1e-6, max_iter=200, verbose=False,
-                     ramp_step=None):
+    def gummel_solve(self, verbose=False):
         """Gummel iteration with bias-ramp continuation: the applied contact
-        voltages are scaled up in increments of at most ramp_step volts
-        (default ~10 V_T), each stage warm-started from the previous one."""
-        v_t = self.materials.v_t
-        if ramp_step is None:
-            ramp_step = 10.0 * v_t
+        voltages are scaled up in increments of at most _RAMP_STEP V_T,
+        each stage warm-started from the previous one."""
         v_max = max((abs(ct.voltage) for ct in self.contacts), default=0.0)
-        n_stage = max(1, int(np.ceil(v_max / ramp_step)))
+        n_stage = max(1, int(np.ceil(v_max / (_RAMP_STEP
+                                              * self.materials.v_t))))
         phi, n_e, n_h = self.equilibrium_initial_guess()
         history = []
         for stage in range(1, n_stage + 1):
             scale = stage / n_stage
             g_dir = scale * self._volt_face + self._built_in_face
             phi, n_e, n_h = self._gummel_sweeps(
-                g_dir, phi, n_e, n_h, tol, max_iter, history, verbose,
+                g_dir, phi, n_e, n_h, history, verbose,
                 label=f"ramp {scale:.3f}")
         return self._finalize(phi, n_e, n_h, history)
 
@@ -336,15 +337,15 @@ class StationaryProblem:
         n_h = nref * np.exp(s[np_p + nd:].reshape(nref.shape[0], -1) / v_t)
         return phi, n_e, n_h
 
-    def _gummel_sweeps(self, g_dir, phi, n_e, n_h, tol, max_iter, history,
-                       verbose, label=""):
+    def _gummel_sweeps(self, g_dir, phi, n_e, n_h, history, verbose,
+                       label=""):
         """Fixed-point iteration on the Gummel sweep, Anderson-accelerated
         over the last _ANDERSON_DEPTH iterates."""
         v_t = self.materials.v_t
         np_p = self.pdisc.K * self.pdisc.Np
         s = self._pack(phi, n_e, n_h)
         s_hist, f_hist = [], []
-        for it in range(max_iter):
+        for it in range(_GUMMEL_MAX_ITER):
             phi, n_e, n_h = self._unpack(s)
             phi, n_e, n_h = self._sweep(g_dir, phi, n_e, n_h)
             if not np.all(np.isfinite(phi)):
@@ -358,7 +359,7 @@ class StationaryProblem:
             if verbose:
                 print(f"gummel {label} iter {it:3d}: "
                       f"max|dphi|/V_T = {update:.3e}")
-            if update < tol:
+            if update < _GUMMEL_TOL:
                 return phi, n_e, n_h
             s_hist.append(s)
             f_hist.append(f)
@@ -378,8 +379,9 @@ class StationaryProblem:
             else:
                 s = g
         raise ConvergenceError(
-            f"Gummel iteration did not reach {tol} in {max_iter} sweeps "
-            f"(last update {history[-1]:.3e})", history)
+            f"Gummel iteration did not reach {_GUMMEL_TOL} in "
+            f"{_GUMMEL_MAX_ITER} sweeps (last update {history[-1]:.3e})",
+            history)
 
     def _finalize(self, phi, n_e, n_h, history):
         """The solution of the state (phi, n_e, n_h): E = -grad phi at the
@@ -436,13 +438,14 @@ CHECKPOINT_FORMAT = "# pcddg stationary checkpoint v3"
 
 def save_checkpoint(path, problem, sol):
     """Write phi, n_e and n_h per Poisson node (densities 0 off the
-    semiconductor) under the problem's mesh hash and state key."""
+    semiconductor) under the problem's mesh hash and state key, atomically:
+    a killed run leaves the old file or the new one, never a torn one."""
     cols = np.concatenate([sol.phi[None], problem.poisson_densities(sol)])
-    np.savetxt(path, cols.reshape(3, -1).T, fmt="%.17g", comments="",
-               header=f"{CHECKPOINT_FORMAT}\n"
-                      f"# mesh_hash {problem.mesh.content_hash()}\n"
-                      f"# state_key {problem.state_key()}\n"
-                      "# phi n_e n_h")
+    lines = [CHECKPOINT_FORMAT, f"# mesh_hash {problem.mesh.content_hash()}",
+             f"# state_key {problem.state_key()}", "# phi n_e n_h"]
+    lines += [" ".join(format(v, ".17g") for v in row)
+              for row in cols.reshape(3, -1).T]
+    output._atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path, problem):

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 
+from pcddg.mesh import generate_structured_mesh, make_spec
 from pcddg.refelem import ConfigurationError
 from pcddg.stationary import Contact
 
@@ -15,6 +16,16 @@ def make_contacts(specs):
     return [Contact(name, np.atleast_1d(np.asarray(lo, dtype=float)),
                     np.atleast_1d(np.asarray(hi, dtype=float)), float(v))
             for name, lo, hi, v in specs]
+
+
+def interval_mesh(n, hi, left="ELECTRODE_D", right="ELECTRODE_D",
+                  region="semi"):
+    """Uniform 1D mesh of n elements on [0, hi] with endpoint tags: the
+    mesh.unit_interval_mesh of an interval of length hi."""
+    spec = make_spec(1, [0.0], [hi], [(region, [0.0], [hi], hi / n)],
+                     tag_boxes=[(left, [0.0], [0.0]), (right, [hi], [hi])],
+                     default_tag=left)
+    return generate_structured_mesh(spec)
 
 
 def nodal_field(disc, fn):

@@ -18,7 +18,7 @@ from pcddg.physics import MaterialTable, OpticalSourceSpec
 from pcddg.refelem import build_reference_element
 from pcddg.stationary import Contact, StationaryProblem
 
-from helpers import observed_orders
+from helpers import interval_mesh, observed_orders
 
 from sg_oracle import SGProblem, lt_gaas_params
 
@@ -124,7 +124,7 @@ class TestStationaryOracle:
     def test_resistor_matches_sg_oracle(self):
         v_bias = 0.2
         n_el, p, length = 40, 2, 1e-6
-        mesh = unit_interval_mesh(n_el, hi=length, region="semi")
+        mesh = interval_mesh(n_el, length, region="semi")
         table = MaterialTable(materials={"semi": ph.lt_gaas()})
         contacts = (Contact("left", np.array([0.0]), np.array([0.0]), 0.0),
                     Contact("right", np.array([length]), np.array([length]),
@@ -316,8 +316,8 @@ class TestCarrierLifecycle:
 def _pml_reflection(depth_elems, n=50, p=3):
     h = 1.25 / n
     pml = PmlSpec(thickness={"yhi": depth_elems * h})
-    mesh = unit_interval_mesh(n, hi=1.25, left="PEC", right="ABC",
-                              region="vac")
+    mesh = interval_mesh(n, 1.25, left="PEC", right="ABC",
+                         region="vac")
     disc = build_discretization(mesh, build_reference_element(1, p))
     solver = MaxwellSolver(disc, vac_table(), pml=pml)
     x = disc.x[:, :, 0]

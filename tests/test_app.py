@@ -349,7 +349,11 @@ class TestOutputs:
         f0 = 1e12
         t = np.arange(4096) * 2.5e-14       # 40 THz sampling
         y = np.sin(2 * np.pi * f0 * t)
-        freq, mag = out_mod.write_spectrum_csv(str(tmp_path / "s.csv"), t, y)
+        path = tmp_path / "s.csv"
+        out_mod.write_spectrum_csv(str(path), t, y)
+        assert path.read_text().startswith("f,abs,real,imag\n")
+        freq, mag = np.loadtxt(path, delimiter=",", skiprows=1,
+                               usecols=(0, 1), unpack=True)
         assert freq[np.argmax(mag)] == pytest.approx(f0, rel=0.01)
 
     def test_spectrum_rejects_nonuniform(self, tmp_path):
@@ -411,6 +415,26 @@ class TestCli:
         assert not (out / "probes.csv").exists()
         # info checks the deck's m by the same rule, at its field estimate
         # V / extent, which gives the same drift record here
+        assert main(["info", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == err
+
+    def test_probe_cadence_above_n_macro_exit_1(self, tmp_path, capsys):
+        # the low-bias deck marches 14 DD steps: probes.cadence = 100 would
+        # record t = 0 alone, so the run is rejected before the march, and
+        # info checks the deck's cadence by the same rule
+        with open(LOWBIAS) as fh:
+            deck = fh.read()
+        assert "\ncadence = 1\n" in deck
+        path = tmp_path / "cadence100.cfg"
+        path.write_text(deck.replace("\ncadence = 1\n", "\ncadence = 100\n"))
+        out = tmp_path / "out"
+        assert main(["transient", "--config", str(path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("configuration error: probes.cadence = 100 is above "
+                       "n_macro = 14: no probe would be recorded after "
+                       "t = 0\n")
+        assert not (out / "probes.csv").exists()
         assert main(["info", "--config", str(path)]) == 1
         assert capsys.readouterr().err == err
 

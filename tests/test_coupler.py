@@ -11,14 +11,14 @@ from pcddg.coupler import (ARS_GAMMA, RK4A, RK4B, RK4C, MultirateSchedule,
 from pcddg.dd_dg import DDSolver
 from pcddg.dgops import build_discretization
 from pcddg.em_dg import MaxwellSolver, PmlSpec
-from pcddg.mesh import make_spec, generate_structured_mesh, unit_interval_mesh
+from pcddg.mesh import make_spec, generate_structured_mesh
 from pcddg.physics import (MaterialTable, OpticalSourceSpec, PhysicsError,
                            einstein_diffusivity, gold, lt_gaas,
                            parallel_field_mobility, vacuum, C0, Q)
 from pcddg.refelem import build_reference_element
 from pcddg.stationary import Contact, StationaryProblem
 
-from helpers import lsrk45_amplification, rhs_spectrum
+from helpers import interval_mesh, lsrk45_amplification, rhs_spectrum
 
 
 def five_pass_lsrk45_step(state, rhs, dt, t=0.0):
@@ -191,7 +191,7 @@ def maxwell_case_1d(case, p, pml=None):
 
 class TestStableTimestep:
     def _disc(self, n=20, p=2, length=1e-6):
-        mesh = unit_interval_mesh(n, 0.0, length, region="semi")
+        mesh = interval_mesh(n, length, region="semi")
         return build_discretization(mesh, build_reference_element(1, p))
 
     def test_maxwell_homogeneity(self):
@@ -258,7 +258,7 @@ class TestStableTimestep:
         assert np.all(lsrk45_amplification(z) <= 1.0 + 1e-9)
 
     def test_dd_inf_sentinel_without_semiconductor(self):
-        mesh = unit_interval_mesh(10, 0.0, 1e-6, region="vac")
+        mesh = interval_mesh(10, 1e-6, region="vac")
         mats = MaterialTable({"vac": vacuum()})
         d = build_discretization(mesh, build_reference_element(1, 2))
         assert stable_timestep("dd", d, mats) == np.inf
@@ -281,8 +281,8 @@ class TestStableTimestep:
         # away little
         mats = MaterialTable({"semi": lt_gaas()})
         if dim == 1:
-            mesh = unit_interval_mesh(40, 0.0, 1e-6, right="ELECTRODE_D",
-                                      region="semi")
+            mesh = interval_mesh(40, 1e-6, right="ELECTRODE_D",
+                                 region="semi")
         else:
             mesh = generate_structured_mesh(make_spec(
                 2, [0.0, 0.0], [0.75e-6, 0.5e-6],
@@ -522,7 +522,8 @@ class TestMultirate:
         dd = np.zeros((2, cs.dd.disc.K, cs.dd.disc.Np))
         multirate_advance(cs, em, dd, 0.0, sched, cs.transient_current(dd))
         w = np.array([0.5, 1.0, 1.0, 1.0, 0.5]) / 4
-        g_want = sum(wi * cs.generation(s) for wi, s in zip(w, states))
+        g_want = sum(wi * cs.generation(s)[cs.dd_in_em]
+                     for wi, s in zip(w, states))
         e_want = sum(wi * s[0, cs.dd_in_em] for wi, s in zip(w, states))
         (g, e_t), = fed
         assert np.allclose(g, g_want, rtol=1e-13, atol=0)
@@ -580,7 +581,7 @@ class TestMultirate:
         dd = np.zeros((2, cs.dd.disc.K, cs.dd.disc.Np))
         _, dd_out, _ = multirate_advance(cs, em, dd, 0.0, sched,
                                          cs.transient_current(dd))
-        g0 = cs.generation(em)
+        g0 = cs.generation(em)[cs.dd_in_em]
         assert np.all(g0 > 0)
         terms = cs.dd.step_terms(g=g0, e_t=(em[0, cs.dd_in_em],))
         dd_ref = ars343_step(

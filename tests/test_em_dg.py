@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from pcddg import physics as ph
+from pcddg import em_dg, physics as ph
 from pcddg.coupler import lsrk45_step, stable_timestep
 from pcddg.dgops import build_discretization
 from pcddg.em_dg import MaxwellSolver, PmlSpec
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import build_reference_element
 
-from helpers import nodal_field, optical_source
+from helpers import interval_mesh, nodal_field, optical_source
 
 C0, EPS0, MU0 = ph.C0, ph.EPS0, ph.MU0
 Z0 = np.sqrt(MU0 / EPS0)
@@ -19,7 +19,7 @@ def vac_table():
 
 
 def interval_solver(n, p, left="PEC", right="PEC", pml=None, hi=1.0):
-    mesh = unit_interval_mesh(n, hi=hi, left=left, right=right, region="vac")
+    mesh = interval_mesh(n, hi, left=left, right=right, region="vac")
     disc = build_discretization(mesh, build_reference_element(1, p))
     return MaxwellSolver(disc, vac_table(), pml=pml), disc
 
@@ -499,11 +499,12 @@ class TestStateRows:
         (2, "pml", ("ex", "ey", "hz", "dx", "dy", "bz")),
         (2, "pml_sigma0", ("ex", "ey", "hz")),
     ])
-    def test_layout(self, dim, case, comp):
+    def test_layout(self, dim, case, comp, monkeypatch):
         region = "metal" if case == "drude" else "vac"
-        pml = {"pml": PmlSpec(thickness={"yhi": 0.25}),
-               "pml_sigma0": PmlSpec(thickness={"yhi": 0.25}, r_target=1.0)
-               }.get(case)
+        if case == "pml_sigma0":
+            # a reflection target of 1 makes every PML rate zero
+            monkeypatch.setattr(em_dg, "_PML_R_TARGET", 1.0)
+        pml = PmlSpec(thickness={"yhi": 0.25}) if "pml" in case else None
         if dim == 1:
             mesh = unit_interval_mesh(4, left="PEC", right="ABC", region=region)
         else:
@@ -665,10 +666,10 @@ class TestPML:
         w[~inner] = 0.0
         return 0.5 * disc.integrate(w) / e0
 
-    def test_sigma_zero_is_bitwise_plain_maxwell(self):
-        zero_pml = PmlSpec(thickness={"yhi": 0.25}, r_target=1.0)
+    def test_sigma_zero_is_bitwise_plain_maxwell(self, monkeypatch):
         s1, disc = interval_solver(10, 2)
-        s2, _ = interval_solver(10, 2, pml=zero_pml)
+        monkeypatch.setattr(em_dg, "_PML_R_TARGET", 1.0)
+        s2, _ = interval_solver(10, 2, pml=PmlSpec(thickness={"yhi": 0.25}))
         rng = np.random.default_rng(0)
         u = rng.normal(size=s1.zero_state().shape)
         r1 = s1.rhs(u, 0.0)

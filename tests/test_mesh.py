@@ -15,6 +15,8 @@ from pcddg.mesh import (
 )
 from pcddg.refelem import MeshError
 
+from helpers import interval_mesh
+
 TAG_IDX = {t: i for i, t in enumerate(BOUNDARY_TAGS)}
 
 
@@ -140,12 +142,12 @@ class TestFileFormat:
 class TestResolutionReport:
     def test_debye_length_value(self):
         # sqrt(2 eps V_T / (q n)): GaAs at n = 1e16 cm^-3 gives ~61.6 nm
-        m = unit_interval_mesh(10, hi=1e-6, region="semi")
+        m = interval_mesh(10, 1e-6, region="semi")
         rep = resolution_report(m, material_table(), n_est=1e22, e_est=1e6, p=2)
         assert rep.per_region["semi"]["debye"] == pytest.approx(61.6e-9, rel=0.02)
 
     def test_peclet_flags(self):
-        m = unit_interval_mesh(4, hi=1e-6, region="semi")   # h = 250 nm
+        m = interval_mesh(4, 1e-6, region="semi")   # h = 250 nm
         mats = material_table()
         # C_P^-1 = 2 V_T / E ~ 52 nm at 1e6 V/m -> every element flagged
         rep = resolution_report(m, mats, n_est=1e22, e_est=1e6)

@@ -7,8 +7,10 @@ from pcddg.coupler import CoupledSystem
 from pcddg.dd_dg import DDSolver
 from pcddg.dgops import build_discretization
 from pcddg.em_dg import MaxwellSolver
-from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
+from pcddg.mesh import generate_structured_mesh, make_spec
 from pcddg.refelem import build_reference_element
+
+from helpers import interval_mesh
 
 
 class TestMaterials:
@@ -129,14 +131,15 @@ class TestGeneration:
         assert np.max(np.abs(got - want) / want) <= 4e-16
 
     def test_zero_outside_semiconductor(self):
-        # G lives on the DD subdomain; fields in the vacuum do not enter it
+        # G is nodal on the EM mesh and zero off the DD subdomain: fields
+        # in the vacuum do not enter it
         cs = vacuum_semi_system()
         state = cs.em.zero_state()
         vac = np.setdiff1d(np.arange(cs.em.disc.K), cs.dd_in_em)
         state[cs.em.idx["ex"], vac] = 1.0
         state[cs.em.idx["hz"], vac] = 1.0
         g = cs.generation(state)
-        assert g.shape == (cs.dd.disc.K, cs.dd.disc.Np)
+        assert g.shape == (cs.em.disc.K, cs.em.disc.Np)
         assert np.all(g == 0)
 
     def test_semiconductor_value(self):
@@ -144,7 +147,7 @@ class TestGeneration:
         state = cs.em.zero_state()
         state[cs.em.idx["ex"]] = 2.0
         state[cs.em.idx["hz"]] = 5.0
-        g = cs.generation(state)
+        g = cs.generation(state)[cs.dd_in_em]
         assert g == pytest.approx(10.0 * ph.generation_coefficient(
             ph.lt_gaas(), 800e-9), rel=1e-15)
 
@@ -201,8 +204,8 @@ class TestDrude:
     def test_permittivity_near_dc_is_metallic(self):
         # eps_inf - wp^2/(w^2 + i gamma w) with the forcing eps0 wp^2 and the
         # decay gamma that the Maxwell rhs applies to a gold element
-        mesh = unit_interval_mesh(1, 0.0, 1e-7, left="PEC", right="PEC",
-                                  region="metal")
+        mesh = interval_mesh(1, 1e-7, left="PEC", right="PEC",
+                             region="metal")
         em = MaxwellSolver(build_discretization(mesh, build_reference_element(1, 1)),
                            ph.MaterialTable({"metal": ph.gold()}))
         state = em.zero_state()

@@ -1,18 +1,20 @@
 """Stationary Gummel solver: Poisson operator, oracle equivalence, I/O."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pcddg import stationary
 from pcddg.dgops import interpolate, interpolation_rows
-from pcddg.mesh import make_spec, generate_structured_mesh, unit_interval_mesh
+from pcddg.mesh import make_spec, generate_structured_mesh
 from pcddg.refelem import build_reference_element
 from pcddg.physics import (MaterialTable, PhysicsError, gold, lt_gaas, vacuum,
                            EPS0, Q)
 from pcddg.stationary import (StationaryProblem, assemble_affine_operator,
                               solve_sparse, save_checkpoint, load_checkpoint)
 
-from helpers import make_contacts
+from helpers import interval_mesh, make_contacts
 from sg_oracle import SGProblem, lt_gaas_params
 
 L = 1e-6
@@ -20,7 +22,7 @@ C = 1.3e22
 
 
 def resistor_problem(n=60, p=2, v_bias=0.0, length=L):
-    mesh = unit_interval_mesh(n, 0.0, length, region="semi")
+    mesh = interval_mesh(n, length, region="semi")
     mats = MaterialTable({"semi": lt_gaas()})
     contacts = make_contacts([("left", [0.0], [0.0], v_bias),
                               ("right", [length], [length], 0.0)])
@@ -35,7 +37,8 @@ def diode_problem(h=2e-8, p=2, v_bias=0.0, length=2e-6):
                                 ("ELECTRODE_D", [length], [length])],
                      default_tag="ELECTRODE_D")
     mesh = generate_structured_mesh(spec)
-    mats = MaterialTable({"p": lt_gaas(doping=-C), "n": lt_gaas(doping=C)})
+    mats = MaterialTable({"p": replace(lt_gaas(), doping=-C),
+                          "n": replace(lt_gaas(), doping=C)})
     contacts = make_contacts([("left", [0.0], [0.0], v_bias),
                               ("right", [length], [length], 0.0)])
     return StationaryProblem(mesh, mats, contacts, p=p)
@@ -161,14 +164,14 @@ class TestPoisson:
         assert np.array_equal(got, -prob.poisson_apply(u))
 
     def test_all_neumann_raises_gauge_error(self):
-        mesh = unit_interval_mesh(10, 0.0, L, region="semi",
-                                  left="INSULATOR_R", right="INSULATOR_R")
+        mesh = interval_mesh(10, L, region="semi",
+                             left="INSULATOR_R", right="INSULATOR_R")
         mats = MaterialTable({"semi": lt_gaas()})
         with pytest.raises(PhysicsError, match="gauge"):
             StationaryProblem(mesh, mats, contacts=[], p=2)
 
     def test_electrode_outside_declared_contacts(self):
-        mesh = unit_interval_mesh(10, 0.0, L, region="semi")
+        mesh = interval_mesh(10, L, region="semi")
         mats = MaterialTable({"semi": lt_gaas()})
         contacts = make_contacts([("left", [0.0], [0.0], 0.0)])
         with pytest.raises(PhysicsError, match="contact"):
@@ -177,8 +180,8 @@ class TestPoisson:
     def test_contact_without_electrode_face_rejected(self):
         # a cathode box on the interior point L/2 holds no electrode face:
         # rejected, not solved with a current of 0
-        mesh = unit_interval_mesh(10, 0.0, L, region="semi",
-                                  right="INSULATOR_R")
+        mesh = interval_mesh(10, L, region="semi",
+                             right="INSULATOR_R")
         mats = MaterialTable({"semi": lt_gaas()})
         contacts = make_contacts([("anode", [0.0], [0.0], 0.1),
                                   ("cathode", [L / 2], [L / 2], 0.0)])
@@ -299,19 +302,22 @@ class TestOracleEquivalence:
 
 
 class TestRobustness:
-    def test_bias_ramp_path_independence(self):
+    def test_bias_ramp_path_independence(self, monkeypatch):
         v_bias = 0.3
         prob = resistor_problem(n=40, v_bias=v_bias)
         sol_a = prob.gummel_solve()
-        prob2 = resistor_problem(n=40, v_bias=v_bias)
-        sol_b = prob2.gummel_solve(ramp_step=0.06)
         v_t = prob.materials.v_t
+        prob2 = resistor_problem(n=40, v_bias=v_bias)
+        # ramp stages of 0.06 V, against 10 V_T (about 0.26 V)
+        monkeypatch.setattr(stationary, "_RAMP_STEP", 0.06 / v_t)
+        sol_b = prob2.gummel_solve()
         assert np.max(np.abs(sol_a.phi - sol_b.phi)) / v_t < 1e-4
         assert sol_a.n_e == pytest.approx(sol_b.n_e, rel=1e-4)
 
-    def test_tolerance_and_flag(self):
+    def test_tolerance_and_flag(self, monkeypatch):
         prob = resistor_problem(n=30, v_bias=0.1)
-        sol = prob.gummel_solve(tol=1e-7)
+        monkeypatch.setattr(stationary, "_GUMMEL_TOL", 1e-7)
+        sol = prob.gummel_solve()
         assert sol.gummel_history[-1] < 1e-7
 
 
