@@ -65,12 +65,11 @@ def _out_dir(args):
     return d
 
 
-def _stationary(cfg, out_dir, reuse):
-    """The mesh, the stationary problem at run.p_dd (equal to run.p_em: the
+def _stationary(cfg, mesh, out_dir, reuse):
+    """The stationary problem on mesh at run.p_dd (equal to run.p_em: the
     transient's DD solver shares the EM nodes) and its solution: with
     reuse, out_dir's stationary.chk if it matches the deck, else solved
     and checkpointed."""
-    mesh = cfg.build_mesh()
     prob = StationaryProblem(mesh, cfg.material_table(), cfg.contacts,
                              p=cfg.p_dd)
     chk = os.path.join(out_dir, "stationary.chk")
@@ -81,21 +80,20 @@ def _stationary(cfg, out_dir, reuse):
             print(f"checkpoint {chk} incompatible; recomputing stationary state")
         else:
             print(f"loaded stationary checkpoint {chk}")
-            return mesh, prob, sol
+            return prob, sol
     sol = prob.gummel_solve(verbose=True)
     save_checkpoint(chk, prob, sol)
-    return mesh, prob, sol
+    return prob, sol
 
 
 def run_stationary(cfg, out_dir):
     t0 = time.perf_counter()
-    mesh, prob, sol = _stationary(cfg, out_dir, reuse=False)
+    mesh = cfg.build_mesh()
+    prob, sol = _stationary(cfg, mesh, out_dir, reuse=False)
 
     currents = prob.stationary_current(sol)
-    lines = ["contact,I"]
-    lines += [f"{name},{val:.17g}" for name, val in currents.items()]
-    out_mod._atomic_write(os.path.join(out_dir, "stationary_currents.csv"),
-                          "\n".join(lines) + "\n")
+    out_mod.write_csv(os.path.join(out_dir, "stationary_currents.csv"),
+                      ["contact", "I"], currents.items())
 
     n_e, n_h = prob.poisson_densities(sol)
     out_mod.write_vtk(os.path.join(out_dir, "stationary.vtk"), prob.pdisc,
@@ -159,10 +157,14 @@ def run_transient(cfg, out_dir):
     t0 = time.perf_counter()
     if cfg.t_end <= 0:
         raise ConfigurationError("run.t_end must be > 0 for a transient run")
-    mesh, prob, sol = _stationary(cfg, out_dir, reuse=True)
+    # the EM solver first: a source or PML fault ends the run before the
+    # stationary solve
+    mesh = cfg.build_mesh()
     em_disc = build_discretization(mesh,
                                    build_reference_element(mesh.dim, cfg.p_em))
-    em = MaxwellSolver(em_disc, prob.materials, source=cfg.source, pml=cfg.pml)
+    em = MaxwellSolver(em_disc, cfg.material_table(), source=cfg.source,
+                       pml=cfg.pml)
+    prob, sol = _stationary(cfg, mesh, out_dir, reuse=True)
     cs = CoupledSystem(em, prob.dd, wavelength=cfg.wavelength,
                        contacts=tuple(cfg.contacts))
 
@@ -212,12 +214,10 @@ def run_convergence(cfg, out_dir):
                           levels=conv["levels"])
     print(f"convergence study: {conv['system']}")
     print(cv.format_table(rows))
-    lines = ["p,n,h,error,order"]
-    for p, n, h, err, order in rows:
-        o = "" if np.isnan(order) else format(order, ".17g")
-        lines.append(f"{p},{n},{h:.17g},{err:.17g},{o}")
-    out_mod._atomic_write(os.path.join(out_dir, "convergence.csv"),
-                          "\n".join(lines) + "\n")
+    out_mod.write_csv(os.path.join(out_dir, "convergence.csv"),
+                      ["p", "n", "h", "error", "order"],
+                      ((p, n, h, err, "" if np.isnan(order) else order)
+                       for p, n, h, err, order in rows))
     return 0
 
 

@@ -294,9 +294,16 @@ def parse_config(path):
     if "source" in deck:
         keys = dict(deck["source"])
         pol = keys.pop("polarization")
-        if pol not in ("x", "y"):
+        # a 1D mesh carries Ex alone
+        allowed = ("x", "y")[:dim]
+        if pol not in allowed:
             raise ConfigurationError(
-                f"source.polarization must be x or y, got {pol!r}")
+                f"source.polarization must be {' or '.join(allowed)} on a "
+                f"{dim}D mesh, got {pol!r}")
+        if "SOURCE_APERTURE" not in {default_tag, *(b[0] for b in tag_boxes)}:
+            raise ConfigurationError(
+                "[source]: no boundary key names SOURCE_APERTURE, the faces "
+                "the source enters through")
         source = _build("source", OpticalSourceSpec, polarization=pol,
                         **{key: _number(f"source.{key}", raw)
                            for key, raw in keys.items() if raw is not None})

@@ -166,9 +166,7 @@ class DDSolver(LDGDiffusion):
                 def apply_fn(n, dc=dc):
                     volume, surface = self.diffusion(n, dc)
                     return volume + surface
-                a, _ = assemble_affine_operator(apply_fn, self.disc,
-                                                homogeneous_fn=apply_fn)
-                blocks.append(a)
+                blocks.append(assemble_affine_operator(apply_fn, self.disc))
             v = tuple(np.stack(c) for c in zip(self.v_e, self.v_h))
             n_s = np.stack([self.n_e_s, self.n_h_s])
             self._background = _Background(

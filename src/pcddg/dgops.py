@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BOUNDARY_TAGS, INTERIOR
+from .mesh import INTERIOR, TAG_INDEX
 from .refelem import MeshError, modal_basis
 
 NODETOL = 1e-9
-
-_TAG_IDX = {t: i for i, t in enumerate(BOUNDARY_TAGS)}
 
 
 @dataclass
@@ -31,13 +29,12 @@ class Discretization:
     x: np.ndarray                # (K, Np, dim) node coordinates
     jac: np.ndarray              # (K,)
     metric: np.ndarray           # (K, dim, dim): metric[k, nu, d] = d r_d / d x_nu
-    normals: np.ndarray          # (K, Nfaces, dim)
     sjac: np.ndarray             # (K, Nfaces)
     fscale: np.ndarray           # (K, Nfaces*Nfp)
     nhat: np.ndarray             # (K, Nfaces*Nfp, dim)
     vmapM: np.ndarray            # (K, Nfaces*Nfp) flat indices into (K*Np)
     vmapP: np.ndarray
-    face_tag: np.ndarray         # (K, Nfaces): INTERIOR or BOUNDARY_TAGS index
+    face_tag: np.ndarray         # (K, Nfaces): INTERIOR or a TAG_INDEX value
     beta_sign: np.ndarray        # (K, Nfaces): LDG orientation sign of n_hat
     h_elem: np.ndarray           # (K,) shortest edge
 
@@ -88,7 +85,7 @@ class Discretization:
 
     def tag_face_mask(self, tag):
         """(K, Nfaces*Nfp) bool mask of face nodes on faces with this tag."""
-        return self.face_expand(self.face_tag == _TAG_IDX[tag])
+        return self.face_expand(self.face_tag == TAG_INDEX[tag])
 
 
 class LDGDiffusion:
@@ -156,26 +153,24 @@ class LDGDiffusion:
 # ---------------------------------------------------------------------------
 # sparse assembly of matrix-free kernels
 
-def assemble_affine_operator(apply_fn, disc, *, homogeneous_fn, ncomp=None,
-                             hops=2):
-    """Assemble apply_fn(u) = A u + c by probing the matrix-free kernel.
+def assemble_affine_operator(fn, disc, *, ncomp=None, hops=2):
+    """A of the matrix-free kernel fn(u) = A u + fn(0), probed as
+    fn(e_j) - fn(0).
 
-    homogeneous_fn is the same operator with zero boundary data: A is probed
-    through it so that the unit probes are not lost to cancellation against
-    large boundary data.  u is (K, Np), or (ncomp, K, Np) with A over the
-    flat state.  With E the element adjacency of the subdomain, column
-    block k of A lives on the rows of reach = (I + E)^hops, the elements
-    within hops faces of k (LDG: two, gradient then divergence; an upwind
-    flux: one).  Elements outside the pattern of reach^2 have disjoint
-    reaches and are probed together; the greedy coloring takes the smallest
-    free color in element order.
+    Callers pass the kernel at zero boundary data, so that the unit probes
+    are not lost to cancellation against large data.  u is (K, Np), or
+    (ncomp, K, Np) with A over the flat state.  With E the element
+    adjacency of the subdomain, column block k of A lives on the rows of
+    reach = (I + E)^hops, the elements within hops faces of k (LDG: two,
+    gradient then divergence; an upwind flux: one).  Elements outside the
+    pattern of reach^2 have disjoint reaches and are probed together; the
+    greedy coloring takes the smallest free color in element order.
     """
     K, Np = disc.K, disc.Np
     nc = 1 if ncomp is None else ncomp
     shape = (K, Np) if ncomp is None else (nc, K, Np)
     n = K * Np
-    c = apply_fn(np.zeros(shape))
-    ch = homogeneous_fn(np.zeros(shape))
+    f0 = fn(np.zeros(shape))
     glob2sub = -np.ones(disc.mesh.K, dtype=int)
     glob2sub[disc.elems] = np.arange(K)
     nbr = glob2sub[disc.mesh.etoe[disc.elems]]
@@ -206,7 +201,7 @@ def assemble_affine_operator(apply_fn, disc, *, homogeneous_fn, ncomp=None,
             for j in range(Np):
                 u = np.zeros((nc, K, Np))
                 u[comp, ks, j] = 1.0
-                r = (homogeneous_fn(u.reshape(shape)) - ch).reshape(nc, K, Np)
+                r = (fn(u.reshape(shape)) - f0).reshape(nc, K, Np)
                 rows.append(hit_rows)
                 cols.append(np.tile(np.repeat(ks[blocks.row] * Np + j, Np),
                                     nc) + comp * n)
@@ -215,7 +210,7 @@ def assemble_affine_operator(apply_fn, disc, *, homogeneous_fn, ncomp=None,
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(nc * n, nc * n))
     a.eliminate_zeros()
-    return a, c.reshape(-1)
+    return a
 
 
 def build_discretization(mesh, ref, element_mask=None, cut_face_tag=None):
@@ -317,8 +312,8 @@ def build_discretization(mesh, ref, element_mask=None, cut_face_tag=None):
         for ks, f in np.argwhere(cut):
             if ks * Nfaces + f >= first_bad:
                 break
-            face_tag[ks, f] = _TAG_IDX[cut_face_tag(elems[ks], int(f),
-                                                    nbr_g[ks, f])]
+            face_tag[ks, f] = TAG_INDEX[cut_face_tag(elems[ks], int(f),
+                                                     nbr_g[ks, f])]
     if first_bad < bad.size:
         ks, f = divmod(int(first_bad), Nfaces)
         if untagged[ks, f]:
@@ -331,7 +326,7 @@ def build_discretization(mesh, ref, element_mask=None, cut_face_tag=None):
 
     return Discretization(
         ref=ref, mesh=mesh, elems=elems, x=x, jac=jac, metric=metric,
-        normals=normals, sjac=sjac, fscale=fscale, nhat=nhat,
+        sjac=sjac, fscale=fscale, nhat=nhat,
         vmapM=vmapM, vmapP=vmapP, face_tag=face_tag, beta_sign=beta_sign,
         h_elem=h_min)
 

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from . import physics as ph
 from .dgops import assemble_affine_operator
-from .mesh import BOUNDARY_TAGS, INTERIOR
+from .mesh import BOUNDARY_TAGS, INTERIOR, TAG_INDEX
 from .physics import EPS0, MU0, PhysicsError
 
 # state rows per dimension: fields, PML auxiliaries, Drude currents
@@ -159,8 +159,8 @@ class MaxwellSolver:
         lift_w = np.array([t * cb for t in tang] + [ca / zp])
         lift_h = np.array([t * cb * zp for t in tang] + [ca])
 
-        pec = np.isin(disc.face_tag, [BOUNDARY_TAGS.index(t) for t in _PEC_LIKE])
-        abc = np.isin(disc.face_tag, [BOUNDARY_TAGS.index(t) for t in _ABC_LIKE])
+        pec = np.isin(disc.face_tag, [TAG_INDEX[t] for t in _PEC_LIKE])
+        abc = np.isin(disc.face_tag, [TAG_INDEX[t] for t in _ABC_LIKE])
         other = (disc.face_tag != INTERIOR) & ~pec & ~abc
         if np.any(other):
             k, f = np.argwhere(other)[0]
@@ -228,8 +228,6 @@ class MaxwellSolver:
             self._drude_g = nodal(per_elem([m.drude.gamma if m.drude else 0.0
                                             for m in mats]))
 
-        self._src_profile = None
-        self._src_amp = 0.0
         if source is not None:
             self._build_source(source)
 
@@ -265,7 +263,6 @@ class MaxwellSolver:
             np.exp(-(zeta / depth) ** 2) / (depth * np.sqrt(np.pi))
         # keep the footprint local to the aperture neighborhood
         prof[np.abs(zeta) > 4 * depth] = 0.0
-        self._src_profile = prof
         # the source current is added on the nonzero nodes only
         self._src_nodes = np.flatnonzero(prof)
         self._src_values = prof.reshape(-1)[self._src_nodes]
@@ -301,7 +298,7 @@ class MaxwellSolver:
         """d(state)/dt at time t, with the carrier current sigma E + j0 of
         current = (sigma, j0) on this mesh (None: no carriers).  Returns a
         fresh array; see the class docstring for workspaces."""
-        return self._kernel(state, current, None if self._src_profile is None
+        return self._kernel(state, current, None if self.source is None
                             else self._src_scale(t))
 
     def _kernel(self, state, current=None, src=None):
@@ -375,10 +372,8 @@ class MaxwellSolver:
         rhs(u) = operator @ u for a solver without a source.  Probed from
         the kernel on first use, with element coloring at one face of
         reach (the upwind flux couples face neighbours only)."""
-        a, _ = assemble_affine_operator(self._kernel, self.disc,
-                                        homogeneous_fn=self._kernel,
+        return assemble_affine_operator(self._kernel, self.disc,
                                         ncomp=len(self.comp), hops=1)
-        return a
 
     @cached_property
     def _current_entry(self):
@@ -417,7 +412,7 @@ class MaxwellSolver:
             (resp * sigma[cols], cols, indptr), shape=self.operator.shape)
         c = np.zeros(a_sigma.shape[0])
         c[rows] = resp * j0[cols]
-        source = None if self._src_profile is None else self._source_entry
+        source = None if self.source is None else self._source_entry
 
         def rhs(state, t=0.0):
             out = a_sigma @ state.reshape(-1)

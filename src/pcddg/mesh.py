@@ -15,6 +15,7 @@ from .refelem import MeshError
 
 BOUNDARY_TAGS = ("PEC", "ABC", "PML_INTERFACE", "ELECTRODE_D",
                  "INSULATOR_R", "SOURCE_APERTURE")
+TAG_INDEX = {t: i for i, t in enumerate(BOUNDARY_TAGS)}
 INTERIOR = -1
 
 _FACE_VERTS_2D = ((0, 1), (1, 2), (2, 0))
@@ -234,11 +235,10 @@ def generate_structured_mesh(spec):
 
 
 def _apply_boundary_tags(mesh, spec):
-    tag_idx = {t: i for i, t in enumerate(BOUNDARY_TAGS)}
     for t, _, _ in spec.tag_boxes:
-        if t not in tag_idx:
+        if t not in TAG_INDEX:
             raise MeshError(f"unknown boundary tag {t!r}")
-    if spec.default_tag not in tag_idx:
+    if spec.default_tag not in TAG_INDEX:
         raise MeshError(f"unknown boundary tag {spec.default_tag!r}")
     on_boundary = mesh.etoe == np.arange(mesh.K)[:, None]
     fv = _face_vertices(mesh)[on_boundary]
@@ -247,8 +247,8 @@ def _apply_boundary_tags(mesh, spec):
     else:
         cent = 0.5 * (mesh.vertices[fv[:, 0]] + mesh.vertices[fv[:, 1]])
     # the first tag box holding the face centroid wins
-    tags = np.array([tag_idx[t] for t, _, _ in spec.tag_boxes]
-                    + [tag_idx[spec.default_tag]])
+    tags = np.array([TAG_INDEX[t] for t, _, _ in spec.tag_boxes]
+                    + [TAG_INDEX[spec.default_tag]])
     hits = np.ones((len(cent), len(tags)), dtype=bool)
     if spec.tag_boxes:
         hits[:, :-1] = _in_boxes(cent, np.array([b[1] for b in spec.tag_boxes]),

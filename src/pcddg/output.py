@@ -1,5 +1,5 @@
-"""Run outputs: probe CSV, legacy ASCII VTK snapshots, current spectra,
-and the JSON run manifest (written atomically)."""
+"""Run outputs: every CSV file (write_csv), legacy ASCII VTK snapshots, SVG
+line plots and the JSON run manifest, each written atomically."""
 
 import dataclasses
 import json
@@ -45,16 +45,20 @@ def write_manifest(path, manifest):
                                    indent=2, sort_keys=True) + "\n")
 
 
+def write_csv(path, header, rows):
+    """A header line of column names, then one line per row: strings as
+    they are, numbers as .17g."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else format(v, ".17g")
+                       for v in row) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def write_probe_csv(path, times, columns):
     """columns: ordered dict of probe name -> sequence; header t,<names>."""
     names = list(columns)
-    lines = ["t," + ",".join(names)]
     cols = [np.asarray(columns[n], dtype=float) for n in names]
-    for i, t in enumerate(times):
-        row = [format(float(t), ".17g")]
-        row += [format(float(c[i]), ".17g") for c in cols]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, ["t"] + names, zip(map(float, times), *cols))
 
 
 def write_spectrum_csv(path, times, current):
@@ -68,11 +72,8 @@ def write_spectrum_csv(path, times, current):
         raise ConfigurationError("spectrum needs uniformly spaced samples")
     spec = np.fft.rfft(y) * dt[0]
     freq = np.fft.rfftfreq(t.size, dt[0])
-    lines = ["f,abs,real,imag"]
-    for f, z in zip(freq, spec):
-        lines.append(",".join(format(v, ".17g")
-                              for v in (f, abs(z), z.real, z.imag)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, ["f", "abs", "real", "imag"],
+              ((f, abs(z), z.real, z.imag) for f, z in zip(freq, spec)))
 
 
 def write_vtk(path, disc, point_data):

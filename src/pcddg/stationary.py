@@ -36,10 +36,9 @@ from .physics import PhysicsError, Q
 from .dd_dg import DDSolver
 from .dgops import (LDGDiffusion, assemble_affine_operator,
                     build_discretization)
-from .mesh import BOUNDARY_TAGS
+from .mesh import TAG_INDEX
 from .refelem import build_reference_element
 
-_TAG_IDX = {t: i for i, t in enumerate(BOUNDARY_TAGS)}
 _ANDERSON_DEPTH = 4      # iterates kept by the Gummel acceleration
 _GUMMEL_TOL = 1e-6       # stop below this potential update, in V_T
 _GUMMEL_MAX_ITER = 200   # Gummel sweeps per ramp stage
@@ -77,7 +76,7 @@ def contact_face_index(disc, contacts):
     an electrode face."""
     out = -np.ones((disc.K, disc.ref.Nfaces), dtype=int)
     cent = face_centroids(disc)
-    dirf = disc.face_tag == _TAG_IDX["ELECTRODE_D"]
+    dirf = disc.face_tag == TAG_INDEX["ELECTRODE_D"]
     for k, f in np.argwhere(dirf):
         c = cent[k, f]
         hit = [i for i, ct in enumerate(contacts)
@@ -199,11 +198,8 @@ class StationaryProblem:
     def poisson_matrix(self):
         """Sparse A with poisson_apply(u, g) = A u + poisson_apply(0, g) for
         every Dirichlet data g; probed on first use, not at set-up."""
-        def homogeneous(u):
-            return self.poisson_apply(u, 0.0)
-        a, _ = assemble_affine_operator(homogeneous, self.pdisc,
-                                        homogeneous_fn=homogeneous)
-        return a
+        return assemble_affine_operator(lambda u: self.poisson_apply(u, 0.0),
+                                        self.pdisc)
 
     def charge_density(self, n_e, n_h):
         """rho = q (n_h - n_e + C) on semiconductor rows of the Poisson grid."""
@@ -219,10 +215,10 @@ class StationaryProblem:
 
     # -- continuity ------------------------------------------------------
     def _carrier_system(self, carrier, n_other, lagged):
-        """Affine kernel for the steady continuity equation of one carrier
-        in the drift velocity and diffusivity of the solver's stationary
-        state, plus its homogeneous-boundary-data twin for matrix probing;
-        SRH is linearized with its denominator at the lagged (n_e, n_h)."""
+        """Affine kernel of the steady continuity equation of one carrier at
+        Dirichlet data f_d (default 0) in the solver's stationary state, and
+        the carrier's contact densities; SRH is linearized with its
+        denominator at the lagged (n_e, n_h)."""
         dd = self.dd
         if carrier == "e":
             v, dc, fd = dd.v_e, dd.d_e, self.fd_ne
@@ -230,22 +226,20 @@ class StationaryProblem:
             v, dc, fd = dd.v_h, dd.d_h, self.fd_nh
         tau = dd.penalty(dc, _PENALTY)
 
-        def make(f_d):
-            def apply_fn(n):
-                rhs = dd.scalar_rhs(n, v, dc, f_d=f_d, penalty=tau)
-                n_e, n_h = (n, n_other) if carrier == "e" else (n_other, n)
-                return rhs - ph.srh_recombination(n_e, n_h, dd, lagged=lagged)
-            return apply_fn
-        return make(fd), make(0.0)
+        def kernel(n, f_d=0.0):
+            rhs = dd.scalar_rhs(n, v, dc, f_d=f_d, penalty=tau)
+            n_e, n_h = (n, n_other) if carrier == "e" else (n_other, n)
+            return rhs - ph.srh_recombination(n_e, n_h, dd, lagged=lagged)
+        return kernel, fd
 
     def continuity_solve(self, carrier, n_self, n_other):
         """One lagged-R linear solve for n_c^s in the field of the last
         dd.set_stationary."""
         lagged = (n_self, n_other) if carrier == "e" else (n_other, n_self)
-        apply_fn, homo_fn = self._carrier_system(carrier, n_other, lagged)
-        a, c = assemble_affine_operator(apply_fn, self.ddisc,
-                                        homogeneous_fn=homo_fn)
-        n = solve_sparse(a, -c).reshape(self.ddisc.K, self.ddisc.Np)
+        kernel, fd = self._carrier_system(carrier, n_other, lagged)
+        c = kernel(np.zeros_like(n_self), fd).reshape(-1)
+        a = assemble_affine_operator(kernel, self.ddisc)
+        n = solve_sparse(a, -c).reshape(n_self.shape)
         # transient sweeps may undershoot near contacts; clip and let the
         # iteration self-correct, but abort on a wholesale sign flip
         peak = np.abs(n).max()

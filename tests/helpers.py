@@ -47,9 +47,17 @@ def observed_orders(rows):
 def optical_source(solver, t):
     """Nodal source current density of a MaxwellSolver at time t (the
     component along the polarization); None without a source."""
-    if solver._src_profile is None:
+    if solver.source is None:
         return None
-    return solver._src_scale(t) * solver._src_profile
+    return solver._src_scale(t) * source_profile(solver)
+
+
+def source_profile(solver):
+    """Nodal profile (K, Np) of a MaxwellSolver's source current: its
+    values on the source nodes, zero elsewhere."""
+    prof = np.zeros((solver.disc.K, solver.disc.Np))
+    prof.reshape(-1)[solver._src_nodes] = solver._src_values
+    return prof
 
 
 def lsrk45_amplification(z):

@@ -204,6 +204,10 @@ MALFORMED_DECKS = [
     (_override("mu_r = -1"), "material.ltg: eps_r/mu_r"),
     (_add("beam_width = 1 um\n", "polarization = z\n"),
      "source.polarization"),
+    (_add("beam_width = 1 um\n", "polarization = y\n"),
+     "source.polarization must be x on a 1D mesh, got 'y'"),
+    (lambda deck: deck.replace("source_aperture = 0 um -> 0 um\n", ""),
+     "[source]: no boundary key names SOURCE_APERTURE"),
     (lambda deck: deck.replace("0.5 um -> 1 um", "0.4 um -> 1 um"),
      "overlapping region boxes"),
     (lambda deck: deck.replace("points = 0.75 um", "points = 10 um"),
@@ -330,6 +334,17 @@ class TestOutputs:
         assert header == ["t", "I_a", "W"]
         assert np.array_equal(data[:, 0], t)     # full double precision
         assert np.array_equal(data[:, 1], cols["I_a"])
+
+    def test_write_csv_format(self, tmp_path):
+        # strings as they are, numbers (numpy scalars and ints too) as .17g;
+        # one header line and a trailing newline
+        path = tmp_path / "t.csv"
+        out_mod.write_csv(str(path), ["name", "x", "n"],
+                          [("a", np.float64(0.1), 3),
+                           ("", 1.0 / 3.0, np.int64(-7))])
+        assert path.read_text() == ("name,x,n\n"
+                                    "a,0.10000000000000001,3\n"
+                                    ",0.33333333333333331,-7\n")
 
     def test_vtk_roundtrip(self, tmp_path):
         mesh = unit_interval_mesh(4, region="semi")
@@ -462,6 +477,25 @@ class TestCli:
         assert man["status"] == "failed"
         assert man["command"] == "stationary"
         assert man["extra"]["error"] in err
+        assert man["extra"]["gummel_history"] == []
+
+    def test_untagged_aperture_fails_before_stationary(self, tmp_path,
+                                                       capsys):
+        # an aperture box on an interior point tags no face: the transient
+        # builds its EM solver first and fails before any Gummel sweep,
+        # leaving no checkpoint
+        path = tmp_path / "dev.cfg"
+        path.write_text(DEVICE_CFG.replace("source_aperture = 0 um -> 0 um",
+                                           "source_aperture = 0.25 um -> "
+                                           "0.25 um"))
+        out = tmp_path / "out"
+        assert main(["transient", "--config", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "no face is tagged SOURCE_APERTURE" in err
+        assert not (out / "stationary.chk").exists()
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "failed"
         assert man["extra"]["gummel_history"] == []
 
     def test_gummel_failure_manifest_has_history(self, device_cfg, tmp_path,

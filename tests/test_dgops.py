@@ -80,13 +80,14 @@ class TestBuild2D:
         mesh = square_mesh(0.5)
         ref = build_reference_element(2, 2)
         d = build_discretization(mesh, ref)
-        nxm = d.face_minus(np.broadcast_to(0 * d.x[:, :, 0], d.x[:, :, 0].shape).copy())
+        nfp = ref.Nfp
         for k in range(d.K):
             for f in range(3):
                 k2, f2 = mesh.etoe[k, f], mesh.etof[k, f]
                 if k2 == k:
                     continue
-                assert np.allclose(d.normals[k, f], -d.normals[k2, f2], atol=1e-13)
+                assert np.allclose(d.nhat[k, f * nfp], -d.nhat[k2, f2 * nfp],
+                                   atol=1e-13)
 
     def test_surface_divergence_identity(self):
         # int_K div F dV = oint_dK F.n dS elementwise for linear F

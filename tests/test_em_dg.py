@@ -8,7 +8,8 @@ from pcddg.em_dg import MaxwellSolver, PmlSpec
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import build_reference_element
 
-from helpers import interval_mesh, nodal_field, optical_source
+from helpers import (interval_mesh, nodal_field, optical_source,
+                     source_profile)
 
 C0, EPS0, MU0 = ph.C0, ph.EPS0, ph.MU0
 Z0 = np.sqrt(MU0 / EPS0)
@@ -727,7 +728,7 @@ class TestOpticalSource:
         mesh = generate_structured_mesh(spec)
         disc = build_discretization(mesh, build_reference_element(2, 2))
         solver = MaxwellSolver(disc, vac_table(), source=self.spec())
-        prof = solver._src_profile
+        prof = source_profile(solver)
         xf = disc.x[:, :, 0]
         yf = disc.x[:, :, 1]
         near = yf < 1e-8

@@ -5,6 +5,7 @@ from pcddg import physics
 from pcddg.mesh import (
     BOUNDARY_TAGS,
     INTERIOR,
+    TAG_INDEX,
     Mesh,
     build_face_connectivity,
     generate_structured_mesh,
@@ -16,8 +17,6 @@ from pcddg.mesh import (
 from pcddg.refelem import MeshError
 
 from helpers import interval_mesh
-
-TAG_IDX = {t: i for i, t in enumerate(BOUNDARY_TAGS)}
 
 
 def material_table():
@@ -41,8 +40,8 @@ class TestGeneration1D:
         m = unit_interval_mesh(10)
         assert m.K == 10
         assert np.allclose(m.volumes(), 0.1)
-        assert m.boundary_tag[0, 0] == TAG_IDX["ELECTRODE_D"]
-        assert m.boundary_tag[-1, 1] == TAG_IDX["ELECTRODE_D"]
+        assert m.boundary_tag[0, 0] == TAG_INDEX["ELECTRODE_D"]
+        assert m.boundary_tag[-1, 1] == TAG_INDEX["ELECTRODE_D"]
         assert np.sum(m.boundary_tag >= 0) == 2
 
     def test_region_breaks_align(self):

@@ -169,7 +169,7 @@ class TestGeometry:
         c = np.array([2.0 / 3, 1.0 / 3])
         mids = np.array([[1, 0], [1, 0.5], [0, 0.5]])
         for f in range(3):
-            n = disc.normals[0, f]
+            n = disc.nhat[0, f * disc.ref.Nfp]
             assert np.hypot(*n) == pytest.approx(1.0)
             assert np.dot(n, mids[f] - c) > 0
         assert disc.integrate(np.ones((1, disc.Np))) == pytest.approx(1.0)

@@ -236,7 +236,7 @@ def reference_build_discretization(mesh, ref, element_mask=None, cut_face_tag=No
 
     return Discretization(
         ref=ref, mesh=mesh, elems=elems, x=x, jac=jac, metric=metric,
-        normals=normals, sjac=sjac, fscale=fscale, nhat=nhat,
+        sjac=sjac, fscale=fscale, nhat=nhat,
         vmapM=vmapM, vmapP=vmapP, face_tag=face_tag, beta_sign=beta_sign,
         h_elem=h_min)
 
@@ -351,8 +351,8 @@ CASES = {"shipped": lambda: deck_case(SHIPPED_DECK),
 
 MESH_ARRAYS = ("vertices", "elements", "region_id", "etoe", "etof",
                "boundary_tag")
-DISC_ARRAYS = ("elems", "x", "jac", "metric", "normals", "sjac", "fscale",
-               "nhat", "vmapM", "vmapP", "face_tag", "beta_sign", "h_elem")
+DISC_ARRAYS = ("elems", "x", "jac", "metric", "sjac", "fscale", "nhat",
+               "vmapM", "vmapP", "face_tag", "beta_sign", "h_elem")
 
 
 def assert_same_arrays(got, want, names):

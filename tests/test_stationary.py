@@ -125,10 +125,10 @@ class TestPoisson:
 
     def test_linear_solve_residual(self):
         prob = resistor_problem(n=30)
-        a, c = assemble_affine_operator(
-            prob.poisson_apply, prob.pdisc,
-            homogeneous_fn=lambda u: prob.poisson_apply(
-                u, np.zeros_like(prob.phi_dirichlet)))
+        a = assemble_affine_operator(
+            lambda u: prob.poisson_apply(u, np.zeros_like(prob.phi_dirichlet)),
+            prob.pdisc)
+        c = prob.poisson_apply(np.zeros((30, 3))).reshape(-1)
         rho = prob.charge_density(np.full((30, 3), C),
                                   np.full((30, 3), 9e12 ** 2 / C)).reshape(-1)
         phi = solve_sparse(a, rho - c)
@@ -191,12 +191,12 @@ class TestPoisson:
 
 
 def affine_system(prob, name):
-    """(apply_fn, homogeneous_fn, disc) of the Poisson or one continuity
-    system, at the field of one Newton-Poisson step at full bias."""
+    """(kernel, f_d, disc) of the Poisson or one continuity system, at the
+    field of one Newton-Poisson step at full bias: kernel(u, f_d) is the
+    system at Dirichlet data f_d, kernel(u) at zero data."""
     g = prob._volt_face + prob._built_in_face
     if name == "poisson":
-        return (lambda u: prob.poisson_apply(u, g),
-                lambda u: prob.poisson_apply(u, 0.0), prob.pdisc)
+        return (lambda u, f_d=0.0: prob.poisson_apply(u, f_d), g, prob.pdisc)
     phi, n_e, n_h = prob._newton_poisson(*prob.equilibrium_initial_guess(), g)
     e_s = tuple(-q for q in prob.poisson.gradient(phi, g))
     prob.dd.set_stationary(prob.e_on_dd(e_s), n_e, n_h)
@@ -226,20 +226,27 @@ class TestAssembly:
     @pytest.mark.parametrize("device,p", ASSEMBLY_CASES)
     def test_matches_column_probing(self, device, p, system):
         # colored probing reads each column exactly as a lone unit probe
-        # does: A and c are bitwise those of K*Np single-column probes
+        # does: A is bitwise that of K*Np single-column probes of the
+        # zero-data kernel, and the problem solves with that A and the
+        # kernel at zero with its Dirichlet data as the offset
         if device == "resistor":
             prob = resistor_problem(n=12, p=p, v_bias=0.5)
         else:
             prob = electrodes_problem(p=p)
-        apply_fn, homogeneous_fn, disc = affine_system(prob, system)
-        a, c = assemble_affine_operator(apply_fn, disc,
-                                        homogeneous_fn=homogeneous_fn)
+        kernel, f_d, disc = affine_system(prob, system)
+        a = assemble_affine_operator(kernel, disc)
         assert a.dtype == np.float64 and a.has_canonical_format
         assert np.all(a.data != 0)
-        assert np.array_equal(a.toarray(),
-                              probe_each_column(homogeneous_fn, disc))
-        assert np.array_equal(c, apply_fn(np.zeros((disc.K, disc.Np)))
-                              .reshape(-1))
+        assert np.array_equal(a.toarray(), probe_each_column(kernel, disc))
+        if system == "poisson":
+            assert np.array_equal(prob.poisson_matrix.toarray(), a.toarray())
+            return
+        c = kernel(np.zeros((disc.K, disc.Np)), f_d).reshape(-1)
+        dens = {"e": prob.dd.n_e_s, "h": prob.dd.n_h_s}
+        n = prob.continuity_solve(system, dens[system],
+                                  dens["h" if system == "e" else "e"])
+        assert np.array_equal(n.reshape(-1),
+                              np.maximum(solve_sparse(a, -c), 0.0))
 
 
 class TestOracleEquivalence:
