@@ -235,6 +235,9 @@ def run_info(cfg, out_dir):
     print(rep)
     disc = build_discretization(mesh,
                                 build_reference_element(mesh.dim, cfg.p_em))
+    # the transient's EM solver: a source or PML fault fails info as it
+    # fails the transient
+    MaxwellSolver(disc, table, source=cfg.source, pml=cfg.pml)
     sched, cfl = _schedule(cfg, disc, table, e_est)
     print(f"step bounds at |E| = {e_est:.3e} V/m (max|V| / extent), as "
           "manifest.json's cfl:")

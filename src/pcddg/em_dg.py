@@ -84,28 +84,34 @@ class MaxwellSolver:
 
     Everything the rhs needs besides the state is built here:
 
-    - the face operator S (_face_op): a CSR matrix from the field rows of
-      the flat state to the face flux of every field row at every face
-      node, in jump form with fscale, the impedances and the ghost traces
-      folded in; the rhs lifts S @ u with one matmul.  With
-      [[u]] = u^- - g u^+ and w = n x [[E]] (its z component),
-      fscale (H* - H^-) = cb (w - Z^+ [[H]]) and
-      fscale n x (E^- - E*) = ca (Y^+ w - [[H]]), where
+    - the face operator S (_face_op): a CSR matrix over the field rows of
+      the flat state, in jump form with the impedances and the ghost
+      traces folded in.  Every field row's face flux is a multiple of one
+      scalar per face node, q = w - Z^+ [[H]]: in 2D S gives q and the rhs
+      multiplies it by each row's coefficient (_flux_coef, fscale folded
+      in); in 1D S gives every row's flux.  The rhs lifts the fluxes with
+      one matmul.  With [[u]] = u^- - g u^+ and w = n x [[E]] (its z
+      component), fscale (H* - H^-) = cb (w - Z^+ [[H]]) = cb q and
+      fscale n x (E^- - E*) = ca (Y^+ w - [[H]]) = (ca / Z^+) q, where
       cb = fscale / (Z^- + Z^+) and ca = fscale / (Y^- + Y^+); the ghost
       multiplier g is 1 on interior faces, -1 for E and +1 for H on
       PEC-like faces, 0 on ABC-like faces;
-    - the curl terms (metric factor per reference direction), 1/eps, 1/mu,
-      the PML rates and the Drude coefficients, each (K, Np) or stacked
-      per component, the last two only when their rows exist.
+    - the curl terms (metric factor per reference direction), 1/eps, 1/mu
+      and the PML rates, each (K, Np) or stacked per component, the PML
+      rates only when their rows exist;
+    - the Drude coefficients on the metal's nodes alone, with the flat
+      state indices of those nodes' E and jp entries: the Drude rows are
+      zero elsewhere.
 
     The assembled operator (operator) and the responses held_rhs adds the
     carrier current and the source through are probed from the kernel on
     first use, not here.
 
-    Workspace ownership: the derivative, current and PML buffers belong to
-    the solver and are overwritten by every rhs call, so one solver
-    evaluates one rhs at a time.  The array rhs returns is allocated fresh
-    on each call and aliases no workspace; callers may keep or modify it.
+    Workspace ownership: the accumulator, derivative, current and PML
+    buffers belong to the solver and are overwritten by every rhs call, so
+    one solver evaluates one rhs at a time.  The array rhs returns is
+    allocated fresh on each call and aliases no workspace; callers may keep
+    or modify it.
     """
 
     def __init__(self, disc, materials, source=None, pml=None):
@@ -146,7 +152,8 @@ class MaxwellSolver:
         self._jp = slice(len(self.comp) - dim, None) if has_drude else None
 
         # face coefficients in jump form: w = sum_e w_coef_e [[E_e]], and
-        # field row c takes lift_w_c w - lift_h_c [[H]]
+        # field row c takes lift_w_c w - lift_h_c [[H]] = lift_w_c q, one
+        # scalar q = w - Z^+ [[H]] per face node (lift_h = lift_w Z^+)
         z_elem = np.sqrt(self.mu[:, 0] / self.eps[:, 0])
         zm = z_elem[:, None]
         zp = z_elem[disc.vmapP // Np]
@@ -157,7 +164,6 @@ class MaxwellSolver:
             tang.append(-disc.nhat[:, :, 0])
         w_coef = -np.array(tang)
         lift_w = np.array([t * cb for t in tang] + [ca / zp])
-        lift_h = np.array([t * cb * zp for t in tang] + [ca])
 
         pec = np.isin(disc.face_tag, [TAG_INDEX[t] for t in _PEC_LIKE])
         abc = np.isin(disc.face_tag, [TAG_INDEX[t] for t in _ABC_LIKE])
@@ -170,31 +176,55 @@ class MaxwellSolver:
         ghost_h = disc.face_expand(np.where(abc, 0.0, 1.0))
         ghost = np.array([ghost_e] * dim + [ghost_h])
 
-        # S[(c, k, j), (f, node)]: coefficient of field f's jump in row c,
+        # the rows of S: in 2D q alone, which the rhs multiplies by lift_w
+        # (_flux_coef); in 1D every field row's flux with its coefficients
+        # folded in, which keeps the 1D round-off (the 1D march takes the
+        # assembled operator, so the kernel's cost does not matter there)
+        if dim == 2:
+            rows = np.array(list(w_coef) + [-zp])[None]
+            self._flux_coef = lift_w.reshape(nf, K * nfp)
+            self._flux = np.empty((nf, K * nfp))        # rhs workspace
+        else:
+            lift_h = np.array([t * cb * zp for t in tang] + [ca])
+            rows = np.concatenate([lift_w[:, None] * w_coef,
+                                   -lift_h[:, None]], axis=1)
+            self._flux_coef = None
+
+        # S[(r, k, j), (f, node)]: coefficient of field f's jump in row r,
         # on the minus trace and times -g on the plus trace.  Each row gets
         # its 2 nf entries in place (the build's temporaries set the
         # solver's peak memory); coinciding minus and plus nodes (boundary
         # faces) are then summed and zeros dropped
-        data = np.empty((nf, K, nfp, 2, nf))     # (c, k, j, trace, f)
+        data = np.empty((len(rows), K, nfp, 2, nf))     # (r, k, j, trace, f)
         minus = np.moveaxis(data[..., 0, :], -1, 1)
-        np.multiply(lift_w[:, None], w_coef, out=minus[:, :dim])
-        np.negative(lift_h, out=minus[:, dim])
+        minus[...] = rows
         np.multiply(minus, -ghost, out=np.moveaxis(data[..., 1, :], -1, 1))
         cols = np.empty((K, nfp, 2, nf), dtype=np.int32)
         for f in range(nf):
             cols[..., 0, f] = f * n + disc.vmapM
             cols[..., 1, f] = f * n + disc.vmapP
+        # (flatten copies: sum_duplicates sorts the indices in place)
         face_op = sp.csr_matrix(
-            (data.ravel(), np.broadcast_to(cols, data.shape).ravel(),
+            (data.ravel(), np.broadcast_to(cols, data.shape).flatten(),
              np.arange(0, data.size + 1, 2 * nf, dtype=np.int32)),
-            shape=(nf * K * nfp, nf * n))
+            shape=(len(rows) * K * nfp, nf * n))
         face_op.sum_duplicates()
         face_op.eliminate_zeros()
         self._face_op = face_op
 
-        # curl terms (row of dD/dt, dB/dt, or of eps dE/dt, mu dH/dt
-        # without PML; field; reference direction; metric factor): the 1D
-        # mesh coordinate is y
+        # workspaces every rhs call overwrites: lift + curl - currents of
+        # the field rows (the D/B rows with PML, else eps dE/dt, mu dH/dt),
+        # the reference gradients of the fields, one curl term, the
+        # carrier current
+        self._acc = np.empty((nf, K, Np))
+        grad = np.empty((dim, nf, K, Np))
+        self._grad_out = [g.reshape(nf * K, Np) for g in grad]
+        self._vol = np.empty((K, Np))
+        self._cur = np.empty((dim, K, Np))
+
+        # curl terms as views bound once (acc row, gradient of a field
+        # along a reference direction, metric factor): the 1D mesh
+        # coordinate is y
         metric = disc.metric
         terms = []
         for d in range(dim):
@@ -203,7 +233,8 @@ class MaxwellSolver:
             if dim == 2:
                 minus_dx = nodal(-metric[:, 0, d])
                 terms += [(1, nf - 1, d, minus_dx), (nf - 1, 1, d, minus_dx)]
-        self._curl_terms = terms
+        self._curl_terms = [(self._acc[row], grad[d, comp], coef)
+                            for row, comp, d, coef in terms]
         self._diff_t = [np.ascontiguousarray(dr.T) for dr in disc.ref.diff]
         self._lift_t = np.ascontiguousarray(disc.ref.lift_ref.T)
         self._inv_em = np.array([nodal(1.0 / self.eps[:, 0])] * dim
@@ -223,22 +254,30 @@ class MaxwellSolver:
                 self._sig_h = np.array([zero, zero, sx])
             self._tmp = np.empty((nf, K, Np))
         if has_drude:
-            self._drude_a = nodal(per_elem([EPS0 * m.drude.omega_p ** 2
-                                            if m.drude else 0.0 for m in mats]))
-            self._drude_g = nodal(per_elem([m.drude.gamma if m.drude else 0.0
-                                            for m in mats]))
+            # the Drude nodes, flat over the state: E rows, then jp rows
+            metal = np.flatnonzero(per_elem([bool(m.drude) for m in mats]))
+            nodes = (metal[:, None] * Np + np.arange(Np)).reshape(-1)
+            self._drude_e = (np.arange(dim)[:, None] * n + nodes).reshape(-1)
+            self._drude_jp = self._drude_e + self._jp.start * n
+            a = per_elem([EPS0 * m.drude.omega_p ** 2 if m.drude else 0.0
+                          for m in mats])
+            g = per_elem([m.drude.gamma if m.drude else 0.0 for m in mats])
+            self._drude_a = np.tile(np.repeat(a[metal], Np), dim)
+            self._drude_g = np.tile(np.repeat(g[metal], Np), dim)
 
         if source is not None:
             self._build_source(source)
 
-        # workspaces every rhs call overwrites
-        self._ref_grad = np.empty((dim, nf, K, Np))
-        self._vol = np.empty((K, Np))
-        self._cur = np.empty((dim, K, Np))
-
     # -- source ----------------------------------------------------------
     def _build_source(self, spec):
         disc = self.disc
+        # the source current drives one E component: a 1D mesh carries Ex
+        # alone
+        allowed = ("x", "y")[:disc.ref.dim]
+        if spec.polarization not in allowed:
+            raise PhysicsError(
+                f"source polarization must be {' or '.join(allowed)} on a "
+                f"{disc.ref.dim}D discretization, got {spec.polarization!r}")
         mask = disc.tag_face_mask("SOURCE_APERTURE")
         if not np.any(mask):
             raise PhysicsError("optical source requested but no face is tagged "
@@ -275,7 +314,8 @@ class MaxwellSolver:
             p_lin = spec.power / spec.beam_width
             sheet = np.sqrt(4.0 * p_lin / (z_ap * spec.beam_width * np.sqrt(np.pi / 2.0)))
         self._src_amp = sheet
-        self._src_row = int(spec.polarization == "y" and disc.ref.dim == 2)
+        # the source current enters the acc row of its E component
+        self._src_acc = self._acc[allowed.index(spec.polarization)].reshape(-1)
 
     def _src_scale(self, t):
         return self._src_amp * self.source.envelope(t)
@@ -311,57 +351,56 @@ class MaxwellSolver:
         state = np.ascontiguousarray(state, dtype=float)
         out = np.empty_like(state)
         fields, r_field = state[:nf], out[:nf]
-        # lift + curl - currents: the D/B rows with PML, else the E/H rows
-        acc = r_field if self._aux is None else out[self._aux]
+        acc, vol = self._acc, self._vol
 
-        # upwind fluxes from one sparse product over the fields
+        # upwind fluxes from one sparse product over the fields (in 2D q,
+        # times each field row's coefficient), lifted with one matmul
         flux = self._face_op @ state.reshape(-1)[:nf * K * Np]
+        if self._flux_coef is not None:
+            flux = np.multiply(self._flux_coef, flux, out=self._flux)
         np.matmul(flux.reshape(nf * K, nfp), self._lift_t,
                   out=acc.reshape(nf * K, Np))
 
         # curl from one matmul per reference direction
-        grad, vol = self._ref_grad, self._vol
-        for r, diff_t in enumerate(self._diff_t):
-            np.matmul(fields.reshape(nf * K, Np), diff_t,
-                      out=grad[r].reshape(nf * K, Np))
-        for row, comp, r, coef in self._curl_terms:
-            np.multiply(coef, grad[r, comp], out=vol)
-            acc[row] += vol
+        flat_fields = fields.reshape(nf * K, Np)
+        for diff_t, grad in zip(self._diff_t, self._grad_out):
+            np.matmul(flat_fields, diff_t, out=grad)
+        for acc_row, grad, coef in self._curl_terms:
+            np.multiply(coef, grad, out=vol)
+            acc_row += vol
 
         # carrier, Drude and optical source currents
-        cur = self._cur
+        acc_e = acc[:dim]
         if current is not None:
+            cur = self._cur
             np.multiply(fields[:dim], current[0], out=cur)
             cur += current[1]
-            if self._jp is not None:
-                cur += state[self._jp]
-        elif self._jp is None:
-            cur.fill(0.0)
-        else:
-            np.copyto(cur, state[self._jp])
+            acc_e -= cur
+        if self._jp is not None:
+            acc_e -= state[self._jp]
         if src is not None:
-            cur[self._src_row].reshape(-1)[self._src_nodes] += \
-                self._src_values * src
-        acc[:dim] -= cur
+            self._src_acc[self._src_nodes] -= self._src_values * src
 
         if self._aux is None:
-            r_field *= self._inv_em
+            np.multiply(acc, self._inv_em, out=r_field)
         else:
-            # PML damping, then E = D / eps and H = B / mu
-            aux, tmp = state[self._aux], self._tmp
+            # PML damping into the D/B rows, then E = D / eps and H = B / mu
+            aux, tmp, r_aux = state[self._aux], self._tmp, out[self._aux]
             np.multiply(self._sig_aux, aux, out=tmp)
-            acc -= tmp
+            np.subtract(acc, tmp, out=r_aux)
             np.multiply(self._sig_field, aux, out=tmp)
-            tmp += acc
+            tmp += r_aux
             np.multiply(tmp, self._inv_em, out=r_field)
             np.multiply(self._sig_h, fields, out=tmp)
             r_field -= tmp
 
         if self._jp is not None:
-            r_drude = out[self._jp]
-            np.multiply(self._drude_a, fields[:dim], out=r_drude)
-            np.multiply(self._drude_g, state[self._jp], out=cur)
-            r_drude -= cur
+            # zero off the metal, a E - g jp on its nodes
+            out[self._jp] = 0.0
+            flat_in, flat_out = state.reshape(-1), out.reshape(-1)
+            flat_out[self._drude_jp] = (self._drude_a * flat_in[self._drude_e]
+                                        - self._drude_g
+                                        * flat_in[self._drude_jp])
         return out
 
     # -- assembled operator and the held-current rhs ---------------------

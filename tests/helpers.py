@@ -60,6 +60,23 @@ def source_profile(solver):
     return prof
 
 
+def five_pass_lsrk45_step(state, rhs, dt, t=0.0):
+    """The low-storage RK45 step with its residual in state units
+    (res = a res + dt F(u), u += b res): five state-sized passes per
+    stage."""
+    from pcddg.coupler import RK4A, RK4B, RK4C
+    u, res, tmp = np.empty((3,) + np.shape(state))
+    np.copyto(u, state)
+    res.fill(0.0)
+    for a, b, c in zip(RK4A, RK4B, RK4C):
+        res *= a
+        np.multiply(rhs(u, t + c * dt), dt, out=tmp)
+        res += tmp
+        np.multiply(res, b, out=tmp)
+        u += tmp
+    return u
+
+
 def lsrk45_amplification(z):
     """|R(z)| of one LSRK45 step on u' = lam u, z = lam dt, from the
     scheme's own coefficients; the step is stable where |R| <= 1."""

@@ -498,6 +498,24 @@ class TestCli:
         assert man["status"] == "failed"
         assert man["extra"]["gummel_history"] == []
 
+    def test_untagged_aperture_fails_info_as_transient(self, tmp_path,
+                                                      capsys):
+        # info builds the transient's EM solver: the same deck fails both
+        # commands with exit 2 and the same solver-failure line
+        path = tmp_path / "dev.cfg"
+        path.write_text(DEVICE_CFG.replace("source_aperture = 0 um -> 0 um",
+                                           "source_aperture = 0.25 um -> "
+                                           "0.25 um"))
+        errs = []
+        for cmd in ("info", "transient"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", str(path), "--out", str(out)]) == 2
+            errs.append(capsys.readouterr().err)
+            assert not (out / "stationary.chk").exists()
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("solver failure: ")
+        assert errs[0].count("\n") == 1
+
     def test_gummel_failure_manifest_has_history(self, device_cfg, tmp_path,
                                                  capsys, monkeypatch):
         def fail(self, **_kwargs):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from pcddg.coupler import (ARS_GAMMA, RK4A, RK4B, RK4C, MultirateSchedule,
-                           ProbeSet, CoupledSystem, ars343_step, tvd_rk3_step,
+from pcddg import coupler
+from pcddg.coupler import (ARS_GAMMA, MultirateSchedule, ProbeSet,
+                           CoupledSystem, ars343_step, tvd_rk3_step,
                            lsrk45_step, stable_timestep, dd_step_bound,
                            diffusion_step_factor, multirate_advance,
                            terminal_current_probe, run_coupled)
@@ -18,23 +19,8 @@ from pcddg.physics import (MaterialTable, OpticalSourceSpec, PhysicsError,
 from pcddg.refelem import build_reference_element
 from pcddg.stationary import Contact, StationaryProblem
 
-from helpers import interval_mesh, lsrk45_amplification, rhs_spectrum
-
-
-def five_pass_lsrk45_step(state, rhs, dt, t=0.0):
-    """The low-storage RK45 step with its residual in state units
-    (res = a res + dt F(u), u += b res): five state-sized passes per
-    stage."""
-    u, res, tmp = np.empty((3,) + np.shape(state))
-    np.copyto(u, state)
-    res.fill(0.0)
-    for a, b, c in zip(RK4A, RK4B, RK4C):
-        res *= a
-        np.multiply(rhs(u, t + c * dt), dt, out=tmp)
-        res += tmp
-        np.multiply(res, b, out=tmp)
-        u += tmp
-    return u
+from helpers import (five_pass_lsrk45_step, interval_mesh,
+                     lsrk45_amplification, rhs_spectrum)
 
 
 class TestSteppers:
@@ -92,6 +78,22 @@ class TestSteppers:
             got = lsrk45_step(u, rhs, dt, t)
             want = five_pass_lsrk45_step(u, rhs, dt, t)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_lsrk45_blocks_cover_the_state(self):
+        # a state longer than one daxpy block is updated block by block,
+        # every entry once
+        n = 2 * coupler._AXPY_BLOCK + 7
+        rng = np.random.default_rng(12)
+        lam = -rng.uniform(1.0, 50.0, size=n)
+        b = rng.normal(size=n)
+
+        def rhs(s, t):
+            return lam * s + np.sin(t) * b
+
+        u = rng.normal(size=(1, n))
+        got = lsrk45_step(u, rhs, 0.01, 0.3)
+        want = five_pass_lsrk45_step(u, rhs, 0.01, 0.3)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @staticmethod
     def _diffusion_reaction(n=12):
@@ -416,7 +418,6 @@ class TestMultirate:
         # per macro step: the m Maxwell substeps, then one DD step over the
         # whole macro step, then the record; each stamped with the time of
         # the state it acts on
-        from pcddg import coupler
         cs, sched = toy_pcd(m=2, n_macro=3)
         events = []
         real_ars, real_lsrk = coupler.ars343_step, coupler.lsrk45_step
@@ -454,7 +455,6 @@ class TestMultirate:
         # 1.5 c_k - 0.5 c_(k-1) from those of the last two DD states: the
         # march binds it once (held_rhs) and passes that one rhs to every
         # substep; and the march hands each step the two currents it needs
-        from pcddg import coupler
         cs, sched = toy_pcd(m=2, n_macro=1)
         rng = np.random.default_rng(5)
         shape = (2, cs.dd.disc.K, cs.dd.disc.Np)
@@ -501,7 +501,6 @@ class TestMultirate:
     def test_dd_step_takes_trapezoid_means(self, monkeypatch):
         # the DD step is fed (1/m) (G_0/2 + G_1 + ... + G_m/2) of the
         # substep boundaries, and the same mean of E^t on the DD subdomain
-        from pcddg import coupler
         cs, sched = toy_pcd(m=4, n_macro=1)
         em = cs.em.zero_state()
         em[cs.em.idx["ex"]] = 3e6
@@ -571,7 +570,6 @@ class TestMultirate:
         # fields that do not change over the substeps: the mean generation
         # and mean E^t fed to the DD step are, bitwise, those of the one
         # state, and the step is one ARS(3,4,3) step driven by them
-        from pcddg import coupler
         cs, sched = toy_pcd(m=2, n_macro=1, source=False)
         em = cs.em.zero_state()
         em[cs.em.idx["ex"]] = 2e6

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from pcddg import em_dg, physics as ph
+from pcddg import coupler, em_dg, physics as ph
 from pcddg.coupler import lsrk45_step, stable_timestep
 from pcddg.dgops import build_discretization
 from pcddg.em_dg import MaxwellSolver, PmlSpec
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import build_reference_element
 
-from helpers import (interval_mesh, nodal_field, optical_source,
-                     source_profile)
+from helpers import (five_pass_lsrk45_step, interval_mesh, nodal_field,
+                     optical_source, source_profile)
 
 C0, EPS0, MU0 = ph.C0, ph.EPS0, ph.MU0
 Z0 = np.sqrt(MU0 / EPS0)
@@ -485,6 +485,40 @@ class TestFusedRhs:
             assert not np.shares_memory(out, r)
         assert not np.shares_memory(out, u)
 
+    def test_drude_march_matches_reference(self, monkeypatch):
+        # 200 LSRK45 steps of a 2D Drude case, the source on, from a state
+        # with current in every jp row: the solver's rhs in the two-register
+        # step against the reference's in the five-pass step.  dt is a
+        # quarter of the CFL step (the 2D bound has no Drude term, and
+        # omega_p dt = 3.7 at the full step leaves LSRK45's stability
+        # region)
+        solver, ref, disc = layered_case(2, 2, "PEC")
+        updated = []
+
+        def spy(x, y, a):
+            out = real_daxpy(x, y, a=a)
+            updated.append(out is y)
+            return out
+
+        real_daxpy = coupler.daxpy
+        monkeypatch.setattr(coupler, "daxpy", spy)
+        dt = stable_timestep("maxwell", disc, solver.materials) / 4
+        u = np.random.default_rng(3).normal(
+            size=solver.zero_state().shape) * np.array(
+            [1.0, 1.0, 1.0 / Z0, 1e-3, 1e-3])[:, None, None]
+        u_ref = np.zeros((len(ref.comp),) + u.shape[1:])
+        for c, name in enumerate(solver.comp):
+            u_ref[ref.idx[name]] = u[c]
+        t = solver.source.delay - 100 * dt
+        for _ in range(200):
+            u = lsrk45_step(u, solver.rhs, dt, t)
+            u_ref = five_pass_lsrk45_step(u_ref, ref.rhs, dt, t)
+            t += dt
+        assert len(updated) == 1000 and all(updated)
+        for c, name in enumerate(solver.comp):
+            w = u_ref[ref.idx[name]]
+            assert np.max(np.abs(u[c] - w)) <= 1e-12 * np.max(np.abs(w)), name
+
 
 class TestStateRows:
     """State rows exist only for the physics present: PML auxiliaries when
@@ -741,6 +775,14 @@ class TestOpticalSource:
         disc = build_discretization(mesh, build_reference_element(1, 1))
         with pytest.raises(ph.PhysicsError, match="SOURCE_APERTURE"):
             MaxwellSolver(disc, vac_table(), source=self.spec())
+
+    @pytest.mark.parametrize("dim,pol", [(1, "y"), (2, "z")])
+    def test_polarization_off_the_mesh_rejected(self, dim, pol):
+        # the source drives one E component of the discretization: a 1D
+        # mesh carries Ex alone, a 2D mesh Ex and Ey
+        with pytest.raises(ph.PhysicsError,
+                           match=f"on a {dim}D discretization, got '{pol}'"):
+            layered_case(dim, 1, "PEC", polarization=pol)
 
     def test_spec_validation(self):
         with pytest.raises(ph.PhysicsError):
