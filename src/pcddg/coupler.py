@@ -8,8 +8,10 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from . import physics as ph
+from .dgops import interpolate, interpolation_rows
 from .em_dg import pml_sigma_profiles
 from .physics import PhysicsError
+from .stationary import contact_currents, contact_face_index
 
 # five-stage fourth-order low-storage scheme
 RK4A = np.array([
@@ -292,7 +294,6 @@ class ProbeSet:
     def validate(self, disc):
         """Check the cadence and locate the points once for record."""
         if self.points is not None:
-            from .dgops import interpolation_rows
             self.interp = interpolation_rows(disc, np.atleast_2d(self.points))
         if self.cadence < 1:
             raise PhysicsError("probe cadence must be >= 1")
@@ -305,7 +306,6 @@ class ProbeSet:
             cur = terminal_current_probe(cs, em_state, current, t)
             row.update((f"I_{name}", val) for name, val in cur.items())
         if self.points is not None:
-            from .dgops import interpolate
             ex = interpolate(em_state[cs.em.idx["ex"]], *self.interp)
             row.update((f"Ex_p{i}", v) for i, v in enumerate(ex))
         row["N_e"], row["N_h"] = cs.dd.total_carriers(dd_state)
@@ -338,7 +338,6 @@ class CoupledSystem:
             [ph.generation_coefficient(m, wavelength) for m in dd.mats]
         )[dd.mat_idx][:, None]
         if self.contacts:
-            from .stationary import contact_face_index
             self.contact_idx = contact_face_index(dd.disc, self.contacts)
 
     # -- field plumbing --------------------------------------------------
@@ -417,7 +416,6 @@ def terminal_current_probe(cs, em_state, current, t=0.0):
     current = (sigma, j0) of the DD state and dE^t/dt from the EM rhs."""
     if not cs.contacts:
         raise PhysicsError("no contacts configured for the current probe")
-    from .stationary import contact_currents
     sigma, j0 = current
     dim = len(j0)
     de_dt = cs.em.rhs(em_state, t, current=current)[:dim]

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import physics as ph
 from .refelem import MeshError
 
 BOUNDARY_TAGS = ("PEC", "ABC", "PML_INTERFACE", "ELECTRODE_D",
@@ -118,8 +119,6 @@ def validate_mesh(mesh):
     if len(used) != mesh.vertices.shape[0]:
         orphan = sorted(set(range(mesh.vertices.shape[0])) - set(used.tolist()))
         raise MeshError(f"orphan vertices {orphan[:5]}")
-    if mesh.etoe is None:
-        build_face_connectivity(mesh)
     interior = mesh.etoe != np.arange(mesh.K)[:, None]
     both = interior & (mesh.boundary_tag >= 0)
     if np.any(both):
@@ -272,7 +271,6 @@ class ResolutionReport:
 def resolution_report(mesh, materials, n_est, e_est, p=2, wavelength=None):
     """Length-scale diagnostics: Debye length, inverse Peclet bound, skin
     depth, wavelength-per-order, and per-region edge-length ranges."""
-    from . import physics as ph
     hmin, hmax = mesh.edge_lengths()
     vt = ph.thermal_voltage(materials.temperature)
     per_region = {}

@@ -8,6 +8,7 @@ matrices and the lift, all on the reference element.  Physical elements
 
 from dataclasses import dataclass
 from functools import cache
+from math import gamma
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -52,7 +53,6 @@ def jacobi_p(x, alpha, beta, n):
 
 
 def _fact(a):
-    from math import gamma
     return gamma(a + 1)
 
 

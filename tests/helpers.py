@@ -6,8 +6,12 @@ import re
 
 import numpy as np
 
+from pcddg import physics as ph
+from pcddg.coupler import RK4A, RK4B, RK4C, lsrk45_step, stable_timestep
+from pcddg.dgops import build_discretization
+from pcddg.em_dg import MaxwellSolver, PmlSpec
 from pcddg.mesh import generate_structured_mesh, make_spec
-from pcddg.refelem import ConfigurationError
+from pcddg.refelem import ConfigurationError, build_reference_element
 from pcddg.stationary import Contact
 
 
@@ -64,7 +68,6 @@ def five_pass_lsrk45_step(state, rhs, dt, t=0.0):
     """The low-storage RK45 step with its residual in state units
     (res = a res + dt F(u), u += b res): five state-sized passes per
     stage."""
-    from pcddg.coupler import RK4A, RK4B, RK4C
     u, res, tmp = np.empty((3,) + np.shape(state))
     np.copyto(u, state)
     res.fill(0.0)
@@ -80,7 +83,6 @@ def five_pass_lsrk45_step(state, rhs, dt, t=0.0):
 def lsrk45_amplification(z):
     """|R(z)| of one LSRK45 step on u' = lam u, z = lam dt, from the
     scheme's own coefficients; the step is stable where |R| <= 1."""
-    from pcddg.coupler import RK4A, RK4B
     u, res = np.ones_like(z), np.zeros_like(z)
     for a, b in zip(RK4A, RK4B):
         res = a * res + z * u
@@ -92,6 +94,36 @@ def rhs_spectrum(solver):
     """Dense eigenvalues of a MaxwellSolver's assembled operator, the
     source-free, current-free part of its rhs that the 1D march applies."""
     return np.linalg.eigvals(solver.operator.toarray())
+
+
+def pml_round_trip(depth_elems, n=50, p=3):
+    """Share of a pulse's EM energy that comes back out of a yhi PML
+    depth_elems elements deep, on a 1.25 m vacuum interval of n elements
+    (degree p) with PEC walls at both ends.  The layer is backed by PEC, so
+    what returns is its round-trip attenuation (R_target^2 by design) plus
+    whatever its grading reflects; with no layer the whole pulse returns.
+    The energy is read outside the layer once the reflected pulse is back
+    in the middle of the interval."""
+    length = 1.25
+    mesh = interval_mesh(n, length, left="PEC", right="PEC", region="vac")
+    disc = build_discretization(mesh, build_reference_element(1, p))
+    table = ph.MaterialTable({"vac": ph.vacuum()})
+    depth = depth_elems * length / n
+    pml = PmlSpec(thickness={"yhi": depth})
+    solver = MaxwellSolver(disc, table, pml=pml)
+    y = disc.x[:, :, 0]
+    u = solver.zero_state()
+    f = np.exp(-((y - 0.4) / 0.06) ** 2)
+    u[solver.idx["ex"]] = f
+    u[solver.idx["hz"]] = -f * np.sqrt(ph.EPS0 / ph.MU0)    # moving to +y
+    e0 = solver.energy(u)
+    dt = stable_timestep("maxwell", disc, table, pml=pml)
+    t, t_end = 0.0, 1.6 / ph.C0
+    while t < t_end:
+        u = lsrk45_step(u, solver.rhs, dt, t)
+        t += dt
+    u[:, y.mean(axis=1) > length - depth] = 0.0
+    return solver.energy(u) / e0
 
 
 def read_probe_csv(path):
