@@ -331,9 +331,14 @@ class TestPmlQuality:
         assert 0.5 * PML_DESIGN_R ** 2 <= pml_round_trip(depth_elems) \
             <= 2.0 * PML_DESIGN_R ** 2
 
-    def test_shallow_layer_returns_more(self):
+    def test_ten_element_layer_below_1e6(self):
+        # p = 1 resolves the grading least (2.9e-17 measured; no layer
+        # returns 0.91)
+        assert pml_round_trip(10, p=1) < 1e-6
+
+    def test_deeper_layer_not_worse(self):
         # four elements do not resolve the grading, which then reflects
-        assert pml_round_trip(4) > pml_round_trip(10)
+        assert pml_round_trip(10) < pml_round_trip(4)
 
 
 # -- 12: grating generation-enhancement smoke test ---------------------------

@@ -9,7 +9,8 @@ from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import build_reference_element
 
 from helpers import (five_pass_lsrk45_step, interval_mesh, nodal_field,
-                     optical_source, rhs_spectrum, source_profile)
+                     optical_source, pml_round_trip, rhs_spectrum,
+                     source_profile)
 
 C0, EPS0, MU0 = ph.C0, ph.EPS0, ph.MU0
 Z0 = np.sqrt(MU0 / EPS0)
@@ -689,6 +690,15 @@ class TestPML:
         r1 = s1.rhs(u, 0.0)
         r2 = s2.rhs(u, 0.0)
         assert np.array_equal(r1, r2)
+
+    def test_reflection_below_1e6(self):
+        # PEC-backed round trip (helpers.pml_round_trip) through a 0.25 m
+        # layer at p = 2: 1.3e-16 measured; no layer returns 0.999
+        assert pml_round_trip(10, p=2) < 1e-6
+
+    def test_deeper_pml_not_worse(self):
+        # 0.3 m against 0.15 m of layer at p = 2: 1.0e-16 against 5.6e-15
+        assert pml_round_trip(12, p=2) <= pml_round_trip(6, p=2)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("sides", [("yhi",), ("xhi", "yhi")],
