@@ -7,7 +7,7 @@ CSV export; the last-column order is computed between successive levels.
 import numpy as np
 
 from . import physics as ph
-from .coupler import (diffusion_step_factor, lsrk45_step, stable_timestep,
+from .coupler import (ARS_GAMMA, ars343_step, lsrk45_step, stable_timestep,
                       tvd_rk3_step)
 from .dd_dg import DDSolver
 from .dgops import build_discretization
@@ -70,18 +70,22 @@ def maxwell_error_2d(n, p):
 
 
 def dd_diffusion_error(n, p):
-    """Decaying sine diffusion mode with homogeneous Dirichlet walls."""
+    """Decaying sine mode of both carriers between zero-density contacts at
+    zero field, marched as the transient marches diffusion: ARS(3,4,3)
+    with DDSolver.diffusion_solve; the electron density's error."""
     mesh = unit_interval_mesh(n, region="semi")
     disc = build_discretization(mesh, build_reference_element(1, p))
     solver = DDSolver(disc, _semi_table())
+    d_e = solver.d_e.flat[0]            # V_T mu_e0 at zero field
     x = disc.x[:, :, 0]
-    d_nod = np.ones_like(x)
-    zero_v = (np.zeros_like(x),)
-    u = np.sin(np.pi * x)
-    rhs = lambda nn, t: solver.scalar_rhs(nn, zero_v, d_nod)
-    dt = 0.2 * (1.0 / n) ** 2 / diffusion_step_factor(p, 1)
-    u, t = _integrate(u, rhs, tvd_rk3_step, 0.02, dt)
-    return disc.l2_norm(u - np.sin(np.pi * x) * np.exp(-np.pi ** 2 * t))
+    zero_rhs = lambda s, t: np.zeros_like(s)
+    # the solve at the step _integrate takes
+    step = lambda s, rhs, dt, t: ars343_step(
+        s, rhs, solver.diffusion_solve(ARS_GAMMA * dt), dt, t)
+    u, t = _integrate(np.stack([np.sin(np.pi * x)] * 2), zero_rhs, step,
+                      0.02 / d_e, 0.2 * (1.0 / n) ** 2 / d_e)
+    return disc.l2_norm(u[0] - np.sin(np.pi * x)
+                        * np.exp(-np.pi ** 2 * d_e * t))
 
 
 def dd_advection_error(n, p):

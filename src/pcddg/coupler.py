@@ -128,26 +128,21 @@ def maxwell_step_factor(p, dim):
     return (2 * p + 1) * (0.42 + 0.081 * p) if dim == 1 else 2 * p + 1
 
 
-def diffusion_step_factor(p, dim):
-    """F of the stable TVD-RK3 step dt <= h^2 / (d F) on the transient LDG
-    diffusion (no penalty) of order p: dt = 2.5 / rho, 2.5 within the
-    method's limit 2.51 on the negative real axis, and
-    rho = 1.61 d (dim (p+1) / h)^2 ((p+1)^2 + 1.6 dim) above the matrix's
-    spectral radius (dense eigenvalues: within 2.6 % below rho for p = 1..6
-    in 1D, further below on right-triangle meshes in 2D)."""
-    return 1.61 * (dim * (p + 1)) ** 2 * ((p + 1) ** 2 + 1.6 * dim) / 2.5
-
-
 def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
                     detail=False, pml=None):
     """Largest stable explicit step for 'maxwell' or 'dd'.
 
-    state_estimate for the DD bound is a dict with 'e_mag' (V/m); the bound
-    is the drift CFL h / (v (2p+1)), v = mu|E| per carrier, within the
-    imaginary-axis limit of TVD-RK3 and of ARS(3,4,3)'s explicit part
-    (diffusion is implicit in the DD step).  pml (a PmlSpec) adds the
-    Maxwell bound of the elements its damping rate sigma reaches.  Returns
-    +inf when no term limits the step.
+    Per element, each bound that applies is a finite step, one that does
+    not is +inf, and the step is safety times the first smallest (elements
+    in order, then bounds).  'maxwell': maxwell_cfl, h / (c F) for LSRK45
+    (maxwell_step_factor); drude_plasma on Drude metals, with the plasma
+    frequency over 3.3 added to the wave rate in quadrature; and with pml
+    (a PmlSpec) pml_damping on the elements its damping rate sigma reaches,
+    sigma / 4 in quadrature.  'dd': drift_<c>, h / (v (2p+1)) with
+    v = mu|E| per carrier at state_estimate's 'e_mag' (V/m), within the
+    imaginary-axis limit of ARS(3,4,3)'s explicit part (diffusion is
+    implicit in the DD step).  Returns +inf, and in detail the bound
+    'none' at element -1, when no term limits the step.
     """
     p = disc.ref.p
     mats, mat_idx = materials.element_materials(disc.mesh, disc.elems)
@@ -156,37 +151,33 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
     def per_elem(values):
         return np.array(values, dtype=float)[mat_idx]
 
-    def bound(label, num, den, applies):
-        return label, np.divide(num, den, out=np.full(len(h), np.inf),
-                                where=applies), applies
+    def bound(label, rate, applies):
+        """h / rate where applies, +inf elsewhere."""
+        return label, np.divide(h, rate, out=np.full(len(h), np.inf),
+                                where=applies)
 
-    # (label, dt per element, applies per element), in the order the
-    # bounds of one element are taken
+    # (label, dt per element), in the order the bounds of one element are
+    # taken
     bounds = []
     if system == "maxwell":
         c = per_elem([ph.C0 / np.sqrt((m.drude.eps_inf if m.drude else m.eps_r)
                                       * m.mu_r) for m in mats])
         c_f = c * maxwell_step_factor(p, disc.ref.dim)
-        bounds.append(bound("maxwell_cfl", h, c_f,
-                            np.ones(len(h), dtype=bool)))
+        bounds.append(("maxwell_cfl", h / c_f))
         # the wave rate c F / h and a second rate added in quadrature,
         # each second rate within LSRK45's limit on its axis; both are
         # stable on dense 1D spectra for p = 1..6
-        if disc.ref.dim == 1:
-            # the Drude plasma frequency over 3.3 (limit 3.34 on the
-            # imaginary axis), for gold layers of any thickness at
-            # h = 25-400 nm; the 2D factor 2p+1 is not fitted and has no
-            # Drude term
-            w_p = per_elem([m.drude.omega_p if m.drude else 0.0
-                            for m in mats])
-            bounds.append(bound("drude_plasma", h,
-                                np.hypot(c_f, w_p * h / 3.3), w_p > 0))
+        # the Drude plasma frequency over 3.3 (limit 3.34 on the imaginary
+        # axis), for gold layers of any thickness at h = 25-400 nm
+        w_p = per_elem([m.drude.omega_p if m.drude else 0.0 for m in mats])
+        bounds.append(bound("drude_plasma", np.hypot(c_f, w_p * h / 3.3),
+                            w_p > 0))
         if pml is not None:
             # the PML rate sigma over 4 (limit 4.66 on the negative real
             # axis), for PMLs 1-16 elements deep
             sx, sy = pml_sigma_profiles(disc, pml)
             sigma = np.max(sx + sy, axis=1)
-            bounds.append(bound("pml_damping", h,
+            bounds.append(bound("pml_damping",
                                 np.hypot(c_f, 0.25 * sigma * h), sigma > 0))
     elif system == "dd":
         e_mag = 0.0 if state_estimate is None else float(state_estimate.get("e_mag", 0.0))
@@ -194,18 +185,14 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
             # v = 0 outside the semiconductors: no bound there
             v = per_elem([ph.parallel_field_mobility(e_mag, carrier, m)
                           * e_mag if m.semiconductor else 0.0 for m in mats])
-            bounds.append(bound(f"drift_{carrier}", h, v * (2 * p + 1), v > 0))
+            bounds.append(bound(f"drift_{carrier}", v * (2 * p + 1), v > 0))
     else:
         raise PhysicsError(f"unknown system {system!r}")
     # the first smallest bound, elements in order
-    dts = np.stack([b[1] for b in bounds], axis=1).reshape(-1)
-    cand = np.flatnonzero(np.stack([b[2] for b in bounds], axis=1))
-    if len(cand) == 0:
-        result = (np.inf, "none", -1)
-    else:
-        i = cand[np.argmin(dts[cand])]
-        k, j = divmod(int(i), len(bounds))
-        result = (dts[i], bounds[j][0], k)
+    dts = np.stack([b[1] for b in bounds], axis=1)
+    k, j = np.unravel_index(np.argmin(dts), dts.shape)
+    result = ((dts[k, j], bounds[j][0], int(k)) if np.isfinite(dts[k, j])
+              else (np.inf, "none", -1))
     dt = safety * result[0]
     if detail:
         return {"dt": dt, "bound": result[1], "element": result[2],

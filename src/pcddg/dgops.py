@@ -153,7 +153,7 @@ class LDGDiffusion:
 # ---------------------------------------------------------------------------
 # sparse assembly of matrix-free kernels
 
-def assemble_affine_operator(fn, disc, *, ncomp=None, hops=2):
+def assemble_affine_operator(fn, disc, *, ncomp=None):
     """A of the matrix-free kernel fn(u) = A u + fn(0), probed as
     fn(e_j) - fn(0).
 
@@ -161,10 +161,11 @@ def assemble_affine_operator(fn, disc, *, ncomp=None, hops=2):
     are not lost to cancellation against large data.  u is (K, Np), or
     (ncomp, K, Np) with A over the flat state.  With E the element
     adjacency of the subdomain, column block k of A lives on the rows of
-    reach = (I + E)^hops, the elements within hops faces of k (LDG: two,
-    gradient then divergence; an upwind flux: one).  Elements outside the
-    pattern of reach^2 have disjoint reaches and are probed together; the
-    greedy coloring takes the smallest free color in element order.
+    reach = (I + E)^2, the elements within two faces of k: LDG's reach,
+    gradient then divergence, which holds the one face of an upwind flux.
+    Elements outside the pattern of reach^2 have disjoint reaches and are
+    probed together; the greedy coloring takes the smallest free color in
+    element order.
     """
     K, Np = disc.K, disc.Np
     nc = 1 if ncomp is None else ncomp
@@ -178,9 +179,7 @@ def assemble_affine_operator(fn, disc, *, ncomp=None, hops=2):
     inner = (nbr >= 0) & (nbr != own)
     step = sp.identity(K, format="csr") + sp.csr_matrix(
         (np.ones(inner.sum()), (own[inner], nbr[inner])), shape=(K, K))
-    reach = step
-    for _ in range(hops - 1):
-        reach = reach @ step
+    reach = step @ step
     conflict = reach @ reach
     colors = -np.ones(K, dtype=int)
     for k in range(K):

@@ -398,10 +398,9 @@ class MaxwellSolver:
         """The state-linear part of rhs, without carrier current or source,
         as a CSR matrix over the flat state (field, PML and Drude rows):
         rhs(u) = operator @ u for a solver without a source.  Probed from
-        the kernel on first use, with element coloring at one face of
-        reach (the upwind flux couples face neighbours only)."""
+        the kernel on first use."""
         return assemble_affine_operator(self._kernel, self.disc,
-                                        ncomp=len(self.comp), hops=1)
+                                        ncomp=len(self.comp))
 
     @cached_property
     def _current_entry(self):

@@ -7,15 +7,15 @@ from pcddg import coupler
 from pcddg.coupler import (ARS_GAMMA, MultirateSchedule, ProbeSet,
                            CoupledSystem, ars343_step, tvd_rk3_step,
                            lsrk45_step, stable_timestep, dd_step_bound,
-                           diffusion_step_factor, multirate_advance,
-                           terminal_current_probe, run_coupled)
+                           multirate_advance, terminal_current_probe,
+                           run_coupled)
 from pcddg.dd_dg import DDSolver
 from pcddg.dgops import build_discretization
 from pcddg.em_dg import MaxwellSolver, PmlSpec
 from pcddg.mesh import make_spec, generate_structured_mesh
 from pcddg.physics import (MaterialTable, OpticalSourceSpec, PhysicsError,
-                           einstein_diffusivity, gold, lt_gaas,
-                           parallel_field_mobility, vacuum, C0, Q)
+                           gold, lt_gaas, parallel_field_mobility, vacuum,
+                           C0, Q)
 from pcddg.refelem import build_reference_element
 from pcddg.stationary import Contact, StationaryProblem
 
@@ -272,37 +272,6 @@ class TestStableTimestep:
                                detail=True)
         assert set(info) == {"dt", "bound", "element", "safety"}
         assert info["dt"] > 0
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_dd_bound_is_stable(self, dim, p):
-        # the explicit diffusion step of the convergence study,
-        # h^2 / (d diffusion_step_factor), keeps rho(A) dt within TVD-RK3's
-        # 2.51 on the negative real axis, A the transient diffusion matrix
-        # (a real spectrum); in 1D, where the factor is fitted, it gives
-        # away little
-        mats = MaterialTable({"semi": lt_gaas()})
-        if dim == 1:
-            mesh = interval_mesh(40, 1e-6, right="ELECTRODE_D",
-                                 region="semi")
-        else:
-            mesh = generate_structured_mesh(make_spec(
-                2, [0.0, 0.0], [0.75e-6, 0.5e-6],
-                [("semi", [0.0, 0.0], [0.75e-6, 0.5e-6], 0.25e-6)],
-                tag_boxes=[("ELECTRODE_D", [0.75e-6, 0.0], [0.75e-6, 0.5e-6])],
-                default_tag="INSULATOR_R"))
-        disc = build_discretization(mesh, build_reference_element(dim, p))
-        dd = DDSolver(disc, mats)
-        zeros = np.zeros((disc.K, disc.Np))
-        dd.set_stationary((zeros,) * dim, np.full_like(zeros, 1.3e22),
-                          np.full_like(zeros, 9e12 ** 2 / 1.3e22))
-        a = dd._transient_background().matrix.toarray()
-        rho = np.max(np.abs(np.linalg.eigvals(a)))
-        d = einstein_diffusivity(lt_gaas().mu_e0, mats.v_t)
-        dt = np.min(disc.h_elem) ** 2 / (d * diffusion_step_factor(p, dim))
-        assert rho * dt <= 2.51
-        if dim == 1:
-            assert rho * dt >= 2.4
 
     def test_dd_bound_is_drift_only(self):
         # diffusion is implicit in the DD step, so only the drift CFL

@@ -251,58 +251,6 @@ class TestGradient:
             DDSolver(disc, table)
 
 
-def diffusion_error(n_el, p, d_val=1.0):
-    solver, disc = interval_dd(n_el, p)
-    x = disc.x[:, :, 0]
-    d_nod = np.full_like(x, d_val)
-    zero_v = (np.zeros_like(x),)
-    lam = d_val * np.pi ** 2
-    t_end = 0.02
-    dt = 0.2 * (1.0 / n_el) ** 2 / (d_val * (2 * p + 1) ** 2)
-    nsteps = int(np.ceil(t_end / dt))
-    dt = t_end / nsteps
-    u = np.sin(np.pi * x)
-    rhs = lambda nn, t: solver.scalar_rhs(nn, zero_v, d_nod)
-    t = 0.0
-    for _ in range(nsteps):
-        u = tvd_rk3_step(u, rhs, dt, t)
-        t += dt
-    return disc.l2_norm(u - np.sin(np.pi * x) * np.exp(-lam * t))
-
-
-def advection_error(n_el, p):
-    solver, disc = interval_dd(n_el, p)
-    x = disc.x[:, :, 0]
-    v = (np.ones_like(x),)
-    d_nod = np.zeros_like(x)
-    t_end = 0.25
-    dt = 0.2 / (n_el * (2 * p + 1))
-    nsteps = int(np.ceil(t_end / dt))
-    dt = t_end / nsteps
-    pulse = lambda y: np.exp(-((y - 0.3) / 0.1) ** 2)
-    u = pulse(x)
-    rhs = lambda nn, t: solver.scalar_rhs(nn, v, d_nod)
-    t = 0.0
-    for _ in range(nsteps):
-        u = tvd_rk3_step(u, rhs, dt, t)
-        t += dt
-    return disc.l2_norm(u - pulse(x - t))
-
-
-class TestMMS:
-    @pytest.mark.parametrize("p,order_min", [(1, 1.5), (2, 2.5)])
-    def test_diffusion_convergence(self, p, order_min):
-        errs = [diffusion_error(n, p) for n in (4, 8, 16)]
-        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert orders[-1] > order_min
-
-    @pytest.mark.parametrize("p,order_min", [(1, 1.5), (2, 2.5)])
-    def test_advection_convergence(self, p, order_min):
-        errs = [advection_error(n, p) for n in (8, 16, 32)]
-        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert orders[-1] > order_min
-
-
 class TestInvariants:
     def test_conservation_all_robin(self):
         solver, disc = interval_dd(16, 2, left="INSULATOR_R", right="INSULATOR_R")

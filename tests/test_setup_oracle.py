@@ -263,7 +263,7 @@ def reference_stable_timestep(system, disc, materials, state_estimate=None,
             eps_r = m.drude.eps_inf if m.drude else m.eps_r
             c = ph.C0 / np.sqrt(eps_r * m.mu_r)
             bounds.append((h[k] / (c * factor), "maxwell_cfl", k))
-            if dim == 1 and m.drude:
+            if m.drude:
                 # the plasma frequency over 3.3, in quadrature
                 bounds.append((h[k] / np.hypot(c * factor,
                                                m.drude.omega_p * h[k] / 3.3),
