@@ -2,15 +2,17 @@
 lift operators, and boundary classification, optionally restricted to an
 element subset (the DD/Poisson subdomains); the shared LDG diffusion
 kernel; and the sparse assembly of a matrix-free kernel by probing it
-with colored unit vectors (Curtis-Powell-Reid), which the stationary
-operators and the transient carrier diffusion matrix are built with.
+with colored unit vectors (Curtis-Powell-Reid), stacked in batches, from
+a plan kept per discretization, which the stationary operators, the
+transient carrier diffusion matrix and the Maxwell operator are built
+with.
 
 Set-up is array-based: the plus-side face node of every interior face node
 is found by one batched nearest-coordinate match over all interior face
 pairs, and each matched pair must coincide within NODETOL (relative to
 the coordinate size, at least 1)."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +39,9 @@ class Discretization:
     face_tag: np.ndarray         # (K, Nfaces): INTERIOR or a TAG_INDEX value
     beta_sign: np.ndarray        # (K, Nfaces): LDG orientation sign of n_hat
     h_elem: np.ndarray           # (K,) shortest edge
+    # ProbePlan per component count, built on first assembly
+    probe_plans: dict = field(default_factory=dict, repr=False,
+                              compare=False)
 
     @property
     def K(self):
@@ -153,25 +158,37 @@ class LDGDiffusion:
 # ---------------------------------------------------------------------------
 # sparse assembly of matrix-free kernels
 
-def assemble_affine_operator(fn, disc, *, ncomp=None):
-    """A of the matrix-free kernel fn(u) = A u + fn(0), probed as
-    fn(e_j) - fn(0).
+# State entries per kernel call: probes are stacked on a leading axis up to
+# this many entries.  Batches of a few 10^4 entries keep a call's arrays in
+# cache; larger ones lose most of the gain on 2D subdomains.
+_PROBE_BATCH = 20_000
 
-    Callers pass the kernel at zero boundary data, so that the unit probes
-    are not lost to cancellation against large data.  u is (K, Np), or
-    (ncomp, K, Np) with A over the flat state.  With E the element
-    adjacency of the subdomain, column block k of A lives on the rows of
-    reach = (I + E)^2, the elements within two faces of k: LDG's reach,
-    gradient then divergence, which holds the one face of an upwind flux.
-    Elements outside the pattern of reach^2 have disjoint reaches and are
-    probed together; the greedy coloring takes the smallest free color in
-    element order.
-    """
+
+@dataclass
+class ProbePlan:
+    """What probing a (Discretization, ncomp) needs besides the kernel.
+
+    batches holds one (probes, on, take) per kernel call: the number of
+    probes stacked, the flat indices of their unit entries, and the flat
+    indices of the responses kept, in probe order.  order sorts those
+    responses by (row, col), and indices and indptr are the CSR pattern of
+    the result."""
+    batches: list
+    order: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _build_probe_plan(disc, nc):
+    """With E the element adjacency of the subdomain, column block k of A
+    lives on the rows of reach = (I + E)^2, the elements within two faces
+    of k: LDG's reach, gradient then divergence, which holds the one face
+    of an upwind flux.  Elements outside the pattern of reach^2 have
+    disjoint reaches and are probed together; the greedy coloring takes
+    the smallest free color in element order.  Each color gives one probe
+    per component and node."""
     K, Np = disc.K, disc.Np
-    nc = 1 if ncomp is None else ncomp
-    shape = (K, Np) if ncomp is None else (nc, K, Np)
     n = K * Np
-    f0 = fn(np.zeros(shape))
     glob2sub = -np.ones(disc.mesh.K, dtype=int)
     glob2sub[disc.elems] = np.arange(K)
     nbr = glob2sub[disc.mesh.etoe[disc.elems]]
@@ -189,7 +206,7 @@ def assemble_affine_operator(fn, disc, *, ncomp=None):
         while color in taken:
             color += 1
         colors[k] = color
-    rows, cols, vals = [], [], []
+    on, rows, cols = [], [], []
     for color in range(colors.max() + 1):
         ks = np.flatnonzero(colors == color)
         blocks = reach[ks].tocoo()      # (probe, element it reaches) pairs
@@ -198,16 +215,56 @@ def assemble_affine_operator(fn, disc, *, ncomp=None):
                     + (hit[:, None] * Np + np.arange(Np)).ravel()).ravel()
         for comp in range(nc):
             for j in range(Np):
-                u = np.zeros((nc, K, Np))
-                u[comp, ks, j] = 1.0
-                r = (fn(u.reshape(shape)) - f0).reshape(nc, K, Np)
+                on.append(comp * n + ks * Np + j)
                 rows.append(hit_rows)
                 cols.append(np.tile(np.repeat(ks[blocks.row] * Np + j, Np),
                                     nc) + comp * n)
-                vals.append(r[:, hit].ravel())
-    a = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(nc * n, nc * n))
+    size = nc * n
+    per_call = max(1, _PROBE_BATCH // size)
+    batches = []
+    for lo in range(0, len(on), per_call):
+        chunk = range(lo, min(lo + per_call, len(on)))
+        batches.append((len(chunk),
+                        np.concatenate([b * size + on[i]
+                                        for b, i in enumerate(chunk)]),
+                        np.concatenate([b * size + rows[i]
+                                        for b, i in enumerate(chunk)])))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows,
+                                                        minlength=size))])
+    idx = np.int32 if max(len(cols), size) < 2 ** 31 else np.int64
+    return ProbePlan(batches, order, cols[order].astype(idx),
+                     indptr.astype(idx))
+
+
+def assemble_affine_operator(fn, disc, *, ncomp=None):
+    """A of the matrix-free kernel fn(u) = A u + fn(0), probed as
+    fn(e_j) - fn(0) with the colored probes of the ProbePlan of (disc,
+    ncomp), built at the first assembly and kept on disc.
+
+    Callers pass the kernel at zero boundary data, so that the unit probes
+    are not lost to cancellation against large data.  A state u is
+    (K, Np), or (ncomp, K, Np) with A over the flat state; fn takes states
+    stacked on a leading axis and returns their images stacked the same
+    way.  A call stacks at most _PROBE_BATCH state entries (and at least
+    one probe), and fn(0) is a stack of one.
+    """
+    nc = 1 if ncomp is None else ncomp
+    shape = (disc.K, disc.Np) if ncomp is None else (nc, disc.K, disc.Np)
+    plan = disc.probe_plans.get(nc)
+    if plan is None:
+        plan = disc.probe_plans[nc] = _build_probe_plan(disc, nc)
+    f0 = fn(np.zeros((1,) + shape)).reshape(-1)
+    vals = []
+    for count, on, take in plan.batches:
+        u = np.zeros(count * f0.size)
+        u[on] = 1.0
+        r = fn(u.reshape((count,) + shape)).reshape(count, -1) - f0
+        vals.append(r.reshape(-1)[take])
+    # copies of the pattern: eliminate_zeros compacts it in place
+    a = sp.csr_matrix((np.concatenate(vals)[plan.order], plan.indices.copy(),
+                       plan.indptr.copy()), shape=(f0.size, f0.size))
     a.eliminate_zeros()
     return a
 

@@ -398,20 +398,39 @@ class MaxwellSolver:
         """The state-linear part of rhs, without carrier current or source,
         as a CSR matrix over the flat state (field, PML and Drude rows):
         rhs(u) = operator @ u for a solver without a source.  Probed from
-        the kernel on first use."""
-        return assemble_affine_operator(self._kernel, self.disc,
-                                        ncomp=len(self.comp))
+        the kernel on first use, one probe per kernel call: the kernel's
+        workspaces hold one state."""
+        return assemble_affine_operator(
+            lambda u: np.stack([self._kernel(v) for v in u]), self.disc,
+            ncomp=len(self.comp))
 
     @cached_property
     def _current_entry(self):
         """Where a current density J enters the 1D rhs: the kernel's
-        response to j0 = 1 on its nonzero rows, the E column of the same
-        node (in 1D the E rows and their D rows share the node index), and
-        the CSR row pointer of one entry on each of those rows."""
+        response to j0 = 1 on its nonzero rows, and the E column of the
+        same node (in 1D the E rows and their D rows share the node
+        index)."""
         entry = self._kernel(self.zero_state(), (0.0, 1.0)).reshape(-1)
         rows = np.flatnonzero(entry)
-        return (rows, rows % (self.disc.K * self.disc.Np), entry[rows],
-                np.searchsorted(rows, np.arange(len(entry) + 1)))
+        return rows, rows % (self.disc.K * self.disc.Np), entry[rows]
+
+    @cached_property
+    def _held_pattern(self):
+        """The CSR pattern of the operator plus the current entries: the
+        operator's data placed in it (0 elsewhere), its indices and row
+        pointer, and the positions of the current entries in it."""
+        op = self.operator
+        rows, cols, _ = self._current_entry
+        n = op.shape[1]
+        op_keys = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)) * n \
+            + op.indices
+        keys = np.union1d(op_keys, rows * n + cols)
+        base = np.zeros(len(keys))
+        base[np.searchsorted(keys, op_keys)] = op.data
+        indptr = np.searchsorted(keys, np.arange(op.shape[0] + 1) * n)
+        return (base, (keys % n).astype(op.indices.dtype),
+                indptr.astype(op.indptr.dtype),
+                np.searchsorted(keys, rows * n + cols))
 
     @cached_property
     def _source_entry(self):
@@ -433,10 +452,13 @@ class MaxwellSolver:
         (measured in the README's package layout)."""
         if self.disc.ref.dim != 1:
             return partial(self.rhs, current=current)
-        rows, cols, resp, indptr = self._current_entry
+        rows, cols, resp = self._current_entry
+        base, indices, indptr, at = self._held_pattern
         sigma, j0 = (np.reshape(a, -1) for a in current)
-        a_sigma = self.operator + sp.csr_matrix(
-            (resp * sigma[cols], cols, indptr), shape=self.operator.shape)
+        data = base.copy()
+        data[at] += resp * sigma[cols]
+        a_sigma = sp.csr_matrix((data, indices, indptr),
+                                shape=self.operator.shape)
         c = np.zeros(a_sigma.shape[0])
         c[rows] = resp * j0[cols]
         source = None if self.source is None else self._source_entry

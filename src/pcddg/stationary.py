@@ -11,7 +11,8 @@ colored unit vectors (dgops.assemble_affine_operator), so the assembled
 systems are exactly the kernels the transient solver runs.  The Poisson
 matrix depends on eps, the mesh and the penalty only: each problem probes
 it once, on first use, and a Newton-Poisson step forms only the offset of
-its Dirichlet data.
+its Dirichlet data and adds the charge derivative to the diagonal of a
+copy of its CSC data (newton_jacobian).
 
 The stationary state is (phi, n_e, n_h).  StationaryProblem._finalize is
 the one place a StationarySolution is built: it derives E = -grad phi at
@@ -201,6 +202,31 @@ class StationaryProblem:
         return assemble_affine_operator(lambda u: self.poisson_apply(u, 0.0),
                                         self.pdisc)
 
+    @cached_property
+    def _poisson_csc(self):
+        """poisson_matrix in CSC form with its whole diagonal stored (an
+        explicit 0 where it has none), and the positions of the diagonal in
+        its data: a Newton-Poisson Jacobian A + diag(d) adds d to a copy of
+        that data."""
+        a = self.poisson_matrix.tocoo()
+        i = np.arange(a.shape[0])
+        csc = sp.csc_matrix((np.concatenate([a.data, np.zeros(len(i))]),
+                             (np.concatenate([a.row, i]),
+                              np.concatenate([a.col, i]))), shape=a.shape)
+        cols = np.repeat(i, np.diff(csc.indptr))
+        return csc, np.flatnonzero(csc.indices == cols)
+
+    def newton_jacobian(self, d):
+        """A + diag(d) in CSC form, array for array the matrix scipy forms
+        as (A + sp.diags(d)).tocsc(): entries that sum to 0 are dropped."""
+        csc, diag = self._poisson_csc
+        data = csc.data.copy()
+        data[diag] += d
+        jac = sp.csc_matrix((data, csc.indices.copy(), csc.indptr.copy()),
+                            shape=csc.shape)
+        jac.eliminate_zeros()
+        return jac
+
     def charge_density(self, n_e, n_h):
         """rho = q (n_h - n_e + C) on semiconductor rows of the Poisson grid."""
         rho = np.zeros((self.pdisc.K, self.pdisc.Np))
@@ -275,8 +301,8 @@ class StationaryProblem:
             resid = a @ phi.reshape(-1) + c - self.charge_density(ne, nh).reshape(-1)
             dcharge = np.zeros((self.pdisc.K, self.pdisc.Np))
             dcharge[self.semi_in_p] = Q * (ne + nh) / v_t
-            jac = a + sp.diags(dcharge.reshape(-1))
-            dphi = solve_sparse(jac.tocsr(), -resid)
+            dphi = solve_sparse(self.newton_jacobian(dcharge.reshape(-1)),
+                                -resid)
             step = np.clip(dphi.reshape(phi.shape), -_NEWTON_CLAMP * v_t,
                            _NEWTON_CLAMP * v_t)
             phi = phi + step

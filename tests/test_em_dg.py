@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pcddg import convergence as cv
 from pcddg import coupler, em_dg, physics as ph
@@ -453,6 +454,30 @@ class TestFusedRhs:
             for c, name in enumerate(solver.comp):
                 tol = 1e-13 * np.max(np.abs(want[c]))
                 assert np.max(np.abs(got[c] - want[c])) <= tol, name
+
+    @pytest.mark.parametrize("boundary", ["PEC", "ABC"])
+    def test_held_operator_is_the_scipy_sum(self, boundary):
+        # the held rhs adds the current entries into a pattern fixed per
+        # solver: bitwise the product of scipy's operator + current sum
+        solver, _, disc = layered_case(1, 2, boundary)
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=solver.zero_state().shape)
+        y = disc.x[:, :, 0].mean(axis=1, keepdims=True)
+        layer = (y > 1e-6) & (y < 2e-6)
+        sigma = rng.uniform(0.0, 2.0, size=(disc.K, disc.Np)) * layer
+        j0 = rng.normal(size=(1, disc.K, disc.Np)) * layer
+        rows, cols, resp = solver._current_entry
+        a_sigma = solver.operator + sp.csr_matrix(
+            (resp * sigma.reshape(-1)[cols], (rows, cols)),
+            shape=solver.operator.shape)
+        nodes, q = solver._source_entry
+        t = solver.source.delay
+        c = np.zeros(a_sigma.shape[0])
+        c[rows] = resp * j0.reshape(-1)[cols]
+        want = a_sigma @ u.reshape(-1) + c
+        want[nodes] += solver._src_scale(t) * q
+        got = solver.held_rhs((sigma, j0))(u, t)
+        assert np.array_equal(got.reshape(-1), want)
 
     def test_results_are_fresh_arrays(self):
         solver, _, _ = layered_case(2, 2, "ABC")

@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from pcddg import stationary
+from pcddg import dgops, stationary
 from pcddg.dgops import interpolate, interpolation_rows
 from pcddg.mesh import make_spec, generate_structured_mesh
 from pcddg.refelem import build_reference_element
@@ -16,6 +17,7 @@ from pcddg.stationary import (StationaryProblem, assemble_affine_operator,
 
 from helpers import interval_mesh, make_contacts
 from sg_oracle import SGProblem, lt_gaas_params
+from test_em_dg import layered_case
 
 L = 1e-6
 C = 1.3e22
@@ -204,14 +206,14 @@ def affine_system(prob, name):
     return prob._carrier_system(name, n_other, (n_e, n_h)) + (prob.ddisc,)
 
 
-def probe_each_column(fn, disc):
-    """Dense matrix of the linear part of fn: one unit probe per column,
-    K*Np kernel calls."""
-    shape = (disc.K, disc.Np)
+def probe_each_column(fn, shape):
+    """Dense matrix of the linear part of fn on states of this shape: one
+    unit probe per column, one kernel call each."""
     f0 = fn(np.zeros(shape))
+    n = int(np.prod(shape))
     cols = []
-    for i in range(disc.K * disc.Np):
-        u = np.zeros(disc.K * disc.Np)
+    for i in range(n):
+        u = np.zeros(n)
         u[i] = 1.0
         cols.append((fn(u.reshape(shape)) - f0).reshape(-1))
     return np.column_stack(cols)
@@ -237,7 +239,8 @@ class TestAssembly:
         a = assemble_affine_operator(kernel, disc)
         assert a.dtype == np.float64 and a.has_canonical_format
         assert np.all(a.data != 0)
-        assert np.array_equal(a.toarray(), probe_each_column(kernel, disc))
+        assert np.array_equal(a.toarray(),
+                              probe_each_column(kernel, (disc.K, disc.Np)))
         if system == "poisson":
             assert np.array_equal(prob.poisson_matrix.toarray(), a.toarray())
             return
@@ -247,6 +250,83 @@ class TestAssembly:
                                   dens["h" if system == "e" else "e"])
         assert np.array_equal(n.reshape(-1),
                               np.maximum(solve_sparse(a, -c), 0.0))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_multicomponent_matches_column_probing(self, dim):
+        # the Maxwell operator over field, PML and Drude rows (ncomp > 1):
+        # bitwise the matrix of one probe of the kernel per column of the
+        # flat state
+        solver, _, _ = layered_case(dim, 2, "ABC")
+        assert {"dx", "jpx"} <= set(solver.comp)
+        a = solver.operator
+        assert a.dtype == np.float64 and a.has_canonical_format
+        assert np.all(a.data != 0)
+        assert np.array_equal(a.toarray(), probe_each_column(
+            solver._kernel, solver.zero_state().shape))
+
+    def test_kernel_takes_stacked_probes(self):
+        # 12 elements, p = 2: every probe of a matrix fits in one kernel
+        # call, after the zero probe, a stack of one
+        prob = resistor_problem(n=12, v_bias=0.5)
+        for system in ("poisson", "e"):
+            kernel, _, disc = affine_system(prob, system)
+            shapes = []
+
+            def recorded(u, kernel=kernel):
+                shapes.append(u.shape)
+                return kernel(u)
+            assemble_affine_operator(recorded, disc)
+            assert len(shapes) == 2
+            assert shapes[0] == (1, 12, 3)
+            assert shapes[1][0] > 1 and shapes[1][1:] == (12, 3)
+
+    def test_gummel_reuses_one_plan_per_subdomain(self, monkeypatch):
+        # set-up builds no probe plan; a Gummel solve of several sweeps
+        # (1 + 2 sweeps assemblies, test_matrix_probed_once_per_problem)
+        # builds one for the Poisson subdomain and one for the DD
+        # subdomain, and every later assembly reads them
+        built = []
+        real_build = dgops._build_probe_plan
+
+        def build(disc, nc):
+            built.append(disc)
+            return real_build(disc, nc)
+        monkeypatch.setattr(dgops, "_build_probe_plan", build)
+        prob = resistor_problem(n=12, v_bias=0.5)
+        assert built == [] and prob.pdisc.probe_plans == {} \
+            and prob.ddisc.probe_plans == {}
+        sol = prob.gummel_solve()
+        assert len(sol.gummel_history) > 1
+        assert len(built) == 2
+        assert built[0] is prob.pdisc and built[1] is prob.ddisc
+        assert list(prob.pdisc.probe_plans) == [1]
+        assert list(prob.ddisc.probe_plans) == [1]
+
+    @pytest.mark.parametrize("device", ["resistor", "electrodes"])
+    def test_newton_jacobian_is_the_scipy_sum(self, device):
+        # A + diag(d) formed in place is array for array scipy's
+        # (A + sp.diags(d)).tocsc(), also where a diagonal entry cancels
+        if device == "resistor":
+            prob = resistor_problem(n=12, v_bias=0.5)
+        else:
+            prob = electrodes_problem()
+        d = prob.pdisc
+        dcharge = np.zeros((d.K, d.Np))
+        dcharge[prob.semi_in_p] = np.random.default_rng(2).uniform(
+            1.0, 2.0, size=(prob.ddisc.K, d.Np)) * 1e3
+        a = prob.poisson_matrix
+        dcharge = dcharge.reshape(-1)
+        cancel = dcharge.copy()
+        cancel[3] = -a[3, 3]
+        assert cancel[3] != 0
+        for dd in (dcharge, cancel):
+            want = (a + sp.diags(dd)).tocsc()
+            got = prob.newton_jacobian(dd)
+            assert got.format == "csc" and got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert want.nnz == a.nnz - 1
 
 
 class TestOracleEquivalence:
