@@ -41,9 +41,11 @@ from .mesh import TAG_INDEX
 from .refelem import build_reference_element
 
 _ANDERSON_DEPTH = 4      # iterates kept by the Gummel acceleration
-_GUMMEL_TOL = 1e-6       # stop below this potential update, in V_T
-_GUMMEL_MAX_ITER = 200   # Gummel sweeps per ramp stage
-_RAMP_STEP = 10.0        # largest bias-ramp stage, in V_T
+_GUMMEL_TOL = 1e-6       # stop below this update (_gummel_sweeps)
+_FIRST_SWEEPS = 20       # sweeps from zero bias before the restart; they
+                         # keep the low-bias deck on the arithmetic its
+                         # pinned round-off current was taken from
+_GUMMEL_MAX_ITER = 200   # Gummel sweeps of the restart
 _NEWTON_MAX_ITER = 30    # Newton-Poisson steps per Gummel sweep
 _NEWTON_CLAMP = 5.0      # largest Newton-Poisson step, in V_T
 _PENALTY = 10.0          # Dirichlet penalty scale (LDGDiffusion.penalty)
@@ -101,7 +103,7 @@ class StationarySolution:
     n_e: np.ndarray                  # (Kd, Np) on the semiconductor subdomain
     n_h: np.ndarray
     j: tuple                         # conduction-current components (Kd, Np)
-    gummel_history: list             # max|dphi|/V_T per sweep; [] if loaded
+    gummel_history: list             # update per sweep; [] if loaded
 
 
 def solve_sparse(a, b):
@@ -176,8 +178,7 @@ class StationaryProblem:
                                                    self.n_i[kd, 0])
                 built_in[k, f] = v_t * np.log(ne / self.n_i[kd, 0])
         self._volt_face = d.face_expand(volt)
-        self._built_in_face = d.face_expand(built_in)
-        self.phi_dirichlet = self._volt_face + self._built_in_face
+        self.phi_dirichlet = self._volt_face + d.face_expand(built_in)
         self.tau = self.poisson.penalty(self.eps_p, _PENALTY)
 
     def _setup_dd_bc(self):
@@ -288,14 +289,13 @@ class StationaryProblem:
         phi[self.semi_in_p] = v_t * np.log(n_e / self.n_i)
         return phi, n_e, n_h
 
-    def _newton_poisson(self, phi, n_e, n_h, g_dir):
+    def _newton_poisson(self, phi, n_e, n_h):
         """Damped Newton on the nonlinear Poisson equation with Boltzmann-
-        linearized charge and Dirichlet data g_dir, each step clamped to
-        _NEWTON_CLAMP V_T; returns updated phi and the carrier
-        multipliers."""
+        linearized charge, each step clamped to _NEWTON_CLAMP V_T; returns
+        updated phi and the carrier multipliers."""
         v_t = self.materials.v_t
         a = self.poisson_matrix
-        c = self.poisson_apply(np.zeros_like(phi), g_dir).reshape(-1)
+        c = self.poisson_apply(np.zeros_like(phi)).reshape(-1)
         ne, nh = n_e.copy(), n_h.copy()
         for it in range(_NEWTON_MAX_ITER):
             resid = a @ phi.reshape(-1) + c - self.charge_density(ne, nh).reshape(-1)
@@ -314,27 +314,30 @@ class StationaryProblem:
         return phi, ne, nh
 
     def gummel_solve(self, verbose=False):
-        """Gummel iteration with bias-ramp continuation: the applied contact
-        voltages are scaled up in increments of at most _RAMP_STEP V_T,
-        each stage warm-started from the previous one."""
-        v_max = max((abs(ct.voltage) for ct in self.contacts), default=0.0)
-        n_stage = max(1, int(np.ceil(v_max / (_RAMP_STEP
-                                              * self.materials.v_t))))
+        """Gummel iteration at the contact potentials from the zero-bias
+        state; if it has not converged in _FIRST_SWEEPS sweeps, one restart
+        from the Laplace predictor (Gummel 1964): the zero-bias state plus
+        the Laplace potential of the applied voltages."""
         phi, n_e, n_h = self.equilibrium_initial_guess()
         history = []
-        for stage in range(1, n_stage + 1):
-            scale = stage / n_stage
-            g_dir = scale * self._volt_face + self._built_in_face
-            phi, n_e, n_h = self._gummel_sweeps(
-                g_dir, phi, n_e, n_h, history, verbose,
-                label=f"ramp {scale:.3f}")
-        return self._finalize(phi, n_e, n_h, history)
+        try:
+            state = self._gummel_sweeps(phi, n_e, n_h, history, verbose,
+                                        _FIRST_SWEEPS)
+        except ConvergenceError:
+            if verbose:
+                print("gummel: restart from the Laplace predictor")
+            laplace = solve_sparse(self.poisson_matrix, -self.poisson_apply(
+                np.zeros_like(phi), self._volt_face).reshape(-1))
+            state = self._gummel_sweeps(phi + laplace.reshape(phi.shape),
+                                        n_e, n_h, history, verbose,
+                                        _GUMMEL_MAX_ITER)
+        return self._finalize(*state, history)
 
-    def _sweep(self, g_dir, phi, n_e, n_h):
+    def _sweep(self, phi, n_e, n_h):
         """One Gummel sweep: nonlinear Poisson, then the two continuity
         solves in its field; returns the updated state."""
-        phi, n_e_b, n_h_b = self._newton_poisson(phi, n_e, n_h, g_dir)
-        e_s = tuple(-q for q in self.poisson.gradient(phi, g_dir))
+        phi, n_e_b, n_h_b = self._newton_poisson(phi, n_e, n_h)
+        e_s = tuple(-q for q in self.poisson.gradient(phi, self.phi_dirichlet))
         self.dd.set_stationary(self.e_on_dd(e_s), n_e_b, n_h_b)
         n_e = self.continuity_solve("e", n_e_b, n_h_b)
         n_h = self.continuity_solve("h", n_h, n_e)
@@ -357,28 +360,30 @@ class StationaryProblem:
         n_h = nref * np.exp(s[np_p + nd:].reshape(nref.shape[0], -1) / v_t)
         return phi, n_e, n_h
 
-    def _gummel_sweeps(self, g_dir, phi, n_e, n_h, history, verbose,
-                       label=""):
+    def _gummel_sweeps(self, phi, n_e, n_h, history, verbose, max_iter):
         """Fixed-point iteration on the Gummel sweep, Anderson-accelerated
-        over the last _ANDERSON_DEPTH iterates."""
+        over the last _ANDERSON_DEPTH iterates, for at most max_iter sweeps.
+        A sweep's update is the largest of max|dphi|/V_T and, per carrier,
+        max|dn|/max(n, 1e-6 (|C| + n_i)) between its input and output."""
         v_t = self.materials.v_t
-        np_p = self.pdisc.K * self.pdisc.Np
+        floor = 1e-6 * (np.abs(self.doping) + self.n_i)
         s = self._pack(phi, n_e, n_h)
         s_hist, f_hist = [], []
-        for it in range(_GUMMEL_MAX_ITER):
-            phi, n_e, n_h = self._unpack(s)
-            phi, n_e, n_h = self._sweep(g_dir, phi, n_e, n_h)
+        for it in range(max_iter):
+            state_in = self._unpack(s)
+            phi, n_e, n_h = self._sweep(*state_in)
             if not np.all(np.isfinite(phi)):
                 bad = np.argwhere(~np.isfinite(phi))[0]
                 raise ConvergenceError(f"non-finite potential at element "
                                        f"{bad[0]}, node {bad[1]}", history)
             g = self._pack(phi, n_e, n_h)
             f = g - s
-            update = float(np.max(np.abs(f[:np_p])) / v_t)
+            update = max([float(np.max(np.abs(phi - state_in[0])) / v_t)] + [
+                float(np.max(np.abs(n - m) / np.maximum(n, floor)))
+                for n, m in ((n_e, state_in[1]), (n_h, state_in[2]))])
             history.append(update)
             if verbose:
-                print(f"gummel {label} iter {it:3d}: "
-                      f"max|dphi|/V_T = {update:.3e}")
+                print(f"gummel iter {it:3d}: update = {update:.3e}")
             if update < _GUMMEL_TOL:
                 return phi, n_e, n_h
             s_hist.append(s)
@@ -400,8 +405,7 @@ class StationaryProblem:
                 s = g
         raise ConvergenceError(
             f"Gummel iteration did not reach {_GUMMEL_TOL} in "
-            f"{_GUMMEL_MAX_ITER} sweeps (last update {history[-1]:.3e})",
-            history)
+            f"{max_iter} sweeps (last update {history[-1]:.3e})", history)
 
     def _finalize(self, phi, n_e, n_h, history):
         """The solution of the state (phi, n_e, n_h): E = -grad phi at the

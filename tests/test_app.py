@@ -148,6 +148,19 @@ class TestShippedConfig:
         mesh = parse_config(SHIPPED).build_mesh()
         assert mesh.K > 0
 
+    def test_stationary_then_transient_exit_0(self, tmp_path):
+        # the paper's 10 V deck as shipped: the stationary solve converges
+        # (from the Laplace predictor) and the transient marches from its
+        # checkpoint, one finite probes.csv row per sync point
+        out = str(tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["stationary", "--config", SHIPPED, "--out", out]) == 0
+            assert main(["transient", "--config", SHIPPED, "--out", out]) == 0
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        _header, data = read_probe_csv(str(tmp_path / "probes.csv"))
+        assert data.shape[0] == man["dd_steps"] + 1
+        assert np.all(np.isfinite(data))
+
 
 def _readme_decks():
     with open(os.path.join(REPO, "README.md")) as fh:

@@ -11,9 +11,11 @@ from pcddg.dgops import interpolate, interpolation_rows
 from pcddg.mesh import make_spec, generate_structured_mesh
 from pcddg.refelem import build_reference_element
 from pcddg.physics import (MaterialTable, PhysicsError, gold, lt_gaas, vacuum,
-                           EPS0, Q)
-from pcddg.stationary import (StationaryProblem, assemble_affine_operator,
-                              solve_sparse, save_checkpoint, load_checkpoint)
+                           EPS0, Q, ohmic_contact_densities,
+                           parallel_field_mobility)
+from pcddg.stationary import (ConvergenceError, StationaryProblem,
+                              assemble_affine_operator, solve_sparse,
+                              save_checkpoint, load_checkpoint)
 
 from helpers import interval_mesh, make_contacts
 from sg_oracle import SGProblem, lt_gaas_params
@@ -139,7 +141,7 @@ class TestPoisson:
 
     def test_matrix_probed_once_per_problem(self, monkeypatch):
         # A depends on eps, the mesh and the penalty, not on the Dirichlet
-        # data: two ramp stages probe it once, on first use, not at set-up
+        # data: a Gummel solve probes it once, on first use, not at set-up
         calls = []
         real = stationary.assemble_affine_operator
 
@@ -196,10 +198,10 @@ def affine_system(prob, name):
     """(kernel, f_d, disc) of the Poisson or one continuity system, at the
     field of one Newton-Poisson step at full bias: kernel(u, f_d) is the
     system at Dirichlet data f_d, kernel(u) at zero data."""
-    g = prob._volt_face + prob._built_in_face
+    g = prob.phi_dirichlet
     if name == "poisson":
         return (lambda u, f_d=0.0: prob.poisson_apply(u, f_d), g, prob.pdisc)
-    phi, n_e, n_h = prob._newton_poisson(*prob.equilibrium_initial_guess(), g)
+    phi, n_e, n_h = prob._newton_poisson(*prob.equilibrium_initial_guess())
     e_s = tuple(-q for q in prob.poisson.gradient(phi, g))
     prob.dd.set_stationary(prob.e_on_dd(e_s), n_e, n_h)
     n_other = n_h if name == "e" else n_e
@@ -389,17 +391,50 @@ class TestOracleEquivalence:
 
 
 class TestRobustness:
-    def test_bias_ramp_path_independence(self, monkeypatch):
+    def test_laplace_restart_reaches_the_same_state(self, monkeypatch):
+        # a first attempt of one sweep cannot converge at 0.3 V: the solve
+        # restarts from the Laplace predictor, keeps that sweep first in
+        # its history and reaches the state of the unforced solve
         v_bias = 0.3
         prob = resistor_problem(n=40, v_bias=v_bias)
         sol_a = prob.gummel_solve()
         v_t = prob.materials.v_t
         prob2 = resistor_problem(n=40, v_bias=v_bias)
-        # ramp stages of 0.06 V, against 10 V_T (about 0.26 V)
-        monkeypatch.setattr(stationary, "_RAMP_STEP", 0.06 / v_t)
+        monkeypatch.setattr(stationary, "_FIRST_SWEEPS", 1)
         sol_b = prob2.gummel_solve()
+        assert sol_b.gummel_history[0] == sol_a.gummel_history[0]
+        assert sol_b.gummel_history[0] > stationary._GUMMEL_TOL
         assert np.max(np.abs(sol_a.phi - sol_b.phi)) / v_t < 1e-4
         assert sol_a.n_e == pytest.approx(sol_b.n_e, rel=1e-4)
+
+    @pytest.mark.parametrize("v_bias", [0.3, 1.0, 3.0, 10.0])
+    def test_resistor_carries_the_analytic_current(self, v_bias):
+        # uniform doping and Ohmic contacts: phi is linear, the densities
+        # are the contact densities everywhere and R = 0, so the terminal
+        # current is the drift current q (n_e mu_e(E) + n_h mu_h(E)) E at
+        # E = V / L; the stopping test measures the densities too, so the
+        # solve reaches it to round-off, at every bias in one solve
+        prob = resistor_problem(n=60, v_bias=v_bias)
+        sol = prob.gummel_solve()
+        assert len(sol.gummel_history) <= 25
+        m = prob.materials.region("semi")
+        e_mag = v_bias / L
+        n_e, n_h = ohmic_contact_densities(m.doping, m.n_i)
+        j = Q * (n_e * parallel_field_mobility(e_mag, "e", m)
+                 + n_h * parallel_field_mobility(e_mag, "h", m)) * e_mag
+        cur = prob.stationary_current(sol)
+        assert -cur["left"] == pytest.approx(j, rel=1e-9, abs=0)
+        assert cur["right"] == pytest.approx(j, rel=1e-9, abs=0)
+
+    def test_failure_keeps_both_attempts(self, monkeypatch):
+        # 2 sweeps from zero bias, then 3 from the Laplace predictor: the
+        # error carries all 5 updates, in order
+        prob = electrodes_problem()
+        monkeypatch.setattr(stationary, "_FIRST_SWEEPS", 2)
+        monkeypatch.setattr(stationary, "_GUMMEL_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="in 3 sweeps") as exc:
+            prob.gummel_solve()
+        assert len(exc.value.history) == 5
 
     def test_tolerance_and_flag(self, monkeypatch):
         prob = resistor_problem(n=30, v_bias=0.1)
@@ -419,7 +454,7 @@ def assert_same_solution(prob, got, want):
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        # two ramp stages; the loaded solution is the solved one, bitwise
+        # a 0.5 V solve; the loaded solution is the solved one, bitwise
         prob = resistor_problem(n=30, v_bias=0.5)
         sol = prob.gummel_solve()
         path = tmp_path / "stationary.chk"
@@ -473,12 +508,11 @@ class TestCheckpoint:
 
     def test_loaded_solution_carries_current(self, tmp_path):
         # 2D two-electrode device: the state after one Gummel sweep at full
-        # bias (the coarse device does not converge without a ramp
-        # predictor) goes through the checkpoint bitwise, field and
-        # terminal currents included
+        # bias (the coarse device does not converge, ROADMAP item 21) goes
+        # through the checkpoint bitwise, field and terminal currents
+        # included
         prob = electrodes_problem(p=1)
-        state = prob._sweep(prob.phi_dirichlet,
-                            *prob.equilibrium_initial_guess())
+        state = prob._sweep(*prob.equilibrium_initial_guess())
         sol = prob._finalize(*state, [])
         path = tmp_path / "stationary.chk"
         save_checkpoint(path, prob, sol)
