@@ -416,21 +416,37 @@ class MaxwellSolver:
 
     @cached_property
     def _held_pattern(self):
-        """The CSR pattern of the operator plus the current entries: the
-        operator's data placed in it (0 elsewhere), its indices and row
-        pointer, and the positions of the current entries in it."""
+        """The CSR pattern of the held step matrix [A_sigma | c | q] over
+        the flat state extended by two entries (the inputs of the c and q
+        columns), with two empty rows so that a product maps an extended
+        state to one: the data with the operator's entries and q placed
+        (0 elsewhere), the indices and row pointer, the positions of the
+        current and c entries in it, and the n x n pattern of A_sigma (its
+        positions in the data, indices and row pointer)."""
         op = self.operator
         rows, cols, _ = self._current_entry
         n = op.shape[1]
-        op_keys = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)) * n \
+        w = n + 2
+        op_keys = np.repeat(np.arange(n), np.diff(op.indptr)) * w \
             + op.indices
-        keys = np.union1d(op_keys, rows * n + cols)
+        cur_keys, c_keys = rows * w + cols, rows * w + n
+        q_keys = (np.array([], dtype=int) if self.source is None
+                  else self._source_entry[0] * w + n + 1)
+        keys = np.unique(np.concatenate([op_keys, cur_keys, c_keys, q_keys]))
         base = np.zeros(len(keys))
         base[np.searchsorted(keys, op_keys)] = op.data
-        indptr = np.searchsorted(keys, np.arange(op.shape[0] + 1) * n)
-        return (base, (keys % n).astype(op.indices.dtype),
-                indptr.astype(op.indptr.dtype),
-                np.searchsorted(keys, rows * n + cols))
+        if self.source is not None:
+            base[np.searchsorted(keys, q_keys)] = self._source_entry[1]
+        indices = (keys % w).astype(op.indices.dtype)
+        keep = np.flatnonzero(indices < n)
+
+        def indptr(k):
+            return np.searchsorted(k, np.arange(w + 1) * w).astype(
+                op.indptr.dtype)
+
+        return (base, indices, indptr(keys), np.searchsorted(keys, cur_keys),
+                np.searchsorted(keys, c_keys),
+                (keep, indices[keep], indptr(keys[keep])[:n + 1]))
 
     @cached_property
     def _source_entry(self):
@@ -442,31 +458,80 @@ class MaxwellSolver:
 
     def held_rhs(self, current):
         """rhs(state, t) in the carrier current current = (sigma, j0) held
-        over a macro step.  In 1D, u -> A_sigma u + c + s(t) q, from the
-        kernel's responses r to a unit current density (on the rows where J
-        enters) and q to a unit source current: A_sigma is the operator
-        plus r sigma at the E column of each row's node and c = r j0, so a
-        call is one sparse product and two small updates.  In 2D, rhs with
-        the current bound: there the operator has more than twice the
-        entries per row, and its product is slower than the kernel
-        (measured in the README's package layout)."""
+        over a macro step.  In 1D a HeldRhs, u -> A_sigma u + c + s(t) q,
+        from the kernel's responses r to a unit current density (on the
+        rows where J enters) and q to a unit source current: A_sigma is the
+        operator plus r sigma at the E column of each row's node and
+        c = r j0.  It carries A_sigma, c and q, and builds
+        dt [A_sigma | c | q] for lsrk45_step in a pattern fixed per solver
+        (_held_pattern): a copy, a scatter of the current's entries and a
+        scale.  In 2D, rhs with the current bound: there the operator has
+        more than twice the entries per row, and its product is slower
+        than the kernel (measured in the README's package layout)."""
         if self.disc.ref.dim != 1:
             return partial(self.rhs, current=current)
-        rows, cols, resp = self._current_entry
-        base, indices, indptr, at = self._held_pattern
-        sigma, j0 = (np.reshape(a, -1) for a in current)
-        data = base.copy()
-        data[at] += resp * sigma[cols]
-        a_sigma = sp.csr_matrix((data, indices, indptr),
-                                shape=self.operator.shape)
-        c = np.zeros(a_sigma.shape[0])
-        c[rows] = resp * j0[cols]
-        source = None if self.source is None else self._source_entry
+        return HeldRhs(self, current)
 
-        def rhs(state, t=0.0):
-            out = a_sigma @ state.reshape(-1)
-            out += c
-            if source is not None:
-                out[source[0]] += self._src_scale(t) * source[1]
-            return out.reshape(state.shape)
-        return rhs
+
+class HeldRhs:
+    """The 1D Maxwell rhs u -> A_sigma u + c + s(t) q in a carrier current
+    (sigma, j0) held over a macro step (MaxwellSolver.held_rhs).  Built
+    from the current's entries alone; A_sigma and c on first call, and
+    step_matrix(dt) for lsrk45_step, each in the solver's fixed pattern."""
+
+    def __init__(self, solver, current):
+        _, cols, resp = solver._current_entry
+        sigma, j0 = (np.reshape(a, -1) for a in current)
+        self.solver = solver
+        self.source = None if solver.source is None else solver._source_entry
+        self._sigma = resp * sigma[cols]
+        self._j0 = resp * j0[cols]
+        self._step = None               # (dt, dt [A_sigma | c | q])
+
+    def _data(self):
+        """The data of [A_sigma | c | q] in the solver's held pattern."""
+        base, _, _, at, at_c, _ = self.solver._held_pattern
+        data = base.copy()
+        data[at] += self._sigma
+        data[at_c] = self._j0
+        return data
+
+    @cached_property
+    def a_sigma(self):
+        keep, indices, indptr = self.solver._held_pattern[-1]
+        return sp.csr_matrix((self._data()[keep], indices, indptr),
+                             shape=self.solver.operator.shape)
+
+    @cached_property
+    def c(self):
+        c = np.zeros(self.solver.operator.shape[0])
+        c[self.solver._current_entry[0]] = self._j0
+        return c
+
+    def __call__(self, state, t=0.0):
+        out = self.a_sigma @ state.reshape(-1)
+        out += self.c
+        if self.source is not None:
+            out[self.source[0]] += self.solver._src_scale(t) * self.source[1]
+        return out.reshape(state.shape)
+
+    def forcing(self, times):
+        """The inputs of the c and q columns at times, (2, len(times)): 1
+        and the source current s(t) (0 without a source)."""
+        out = np.zeros((2, len(times)))
+        out[0] = 1.0
+        if self.source is not None:
+            out[1] = self.solver._src_scale(times)
+        return out
+
+    def step_matrix(self, dt):
+        """dt [A_sigma | c | q] with two empty rows, (n + 2) x (n + 2),
+        built once per step size."""
+        if self._step is None or self._step[0] != dt:
+            indices, indptr = self.solver._held_pattern[1:3]
+            data = self._data()
+            data *= dt
+            w = len(indptr) - 1
+            self._step = (dt, sp.csr_matrix((data, indices, indptr),
+                                            shape=(w, w)))
+        return self._step[1]

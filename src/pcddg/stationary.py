@@ -378,9 +378,10 @@ class StationaryProblem:
                                        f"{bad[0]}, node {bad[1]}", history)
             g = self._pack(phi, n_e, n_h)
             f = g - s
-            update = max([float(np.max(np.abs(phi - state_in[0])) / v_t)] + [
-                float(np.max(np.abs(n - m) / np.maximum(n, floor)))
-                for n, m in ((n_e, state_in[1]), (n_h, state_in[2]))])
+            # np.max, not max: a NaN update does not pass for converged
+            update = float(np.max([np.max(np.abs(phi - state_in[0])) / v_t] + [
+                np.max(np.abs(n - m) / np.maximum(n, floor))
+                for n, m in ((n_e, state_in[1]), (n_h, state_in[2]))]))
             history.append(update)
             if verbose:
                 print(f"gummel iter {it:3d}: update = {update:.3e}")
@@ -392,17 +393,22 @@ class StationaryProblem:
                 s_hist.pop(0)
                 f_hist.pop(0)
             m = len(s_hist)
+            s = g
             if m > 1:
                 df = np.column_stack([f_hist[i] - f_hist[-1]
                                       for i in range(m - 1)])
-                try:
-                    gamma, *_ = np.linalg.lstsq(df, -f_hist[-1], rcond=1e-10)
-                except np.linalg.LinAlgError:
-                    gamma = np.zeros(m - 1)
-                s = g + sum(gamma[i] * ((s_hist[i] + f_hist[i]) - g)
-                            for i in range(m - 1))
-            else:
-                s = g
+                # residuals that differ only in their round-off (a sweep
+                # that shifts the state by a constant) say nothing of the
+                # fixed point, and lstsq would scale that round-off into an
+                # overflowing step: plain iteration then
+                if np.max(np.abs(df)) > 1e-10 * np.max(np.abs(f)):
+                    try:
+                        gamma, *_ = np.linalg.lstsq(df, -f, rcond=1e-10)
+                    except np.linalg.LinAlgError:
+                        pass
+                    else:
+                        s = g + sum(gamma[i] * ((s_hist[i] + f_hist[i]) - g)
+                                    for i in range(m - 1))
         raise ConvergenceError(
             f"Gummel iteration did not reach {_GUMMEL_TOL} in "
             f"{max_iter} sweeps (last update {history[-1]:.3e})", history)

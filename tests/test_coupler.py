@@ -79,6 +79,22 @@ class TestSteppers:
             want = five_pass_lsrk45_step(u, rhs, dt, t)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_lsrk45_polynomials(self):
+        # derived from RK4A and RK4B: row 0 is LSRK45's stability
+        # polynomial, and no stage's forcing reaches z^5
+        poly = coupler.RK4_POLY
+        assert np.max(np.abs(poly[0] - [1, 1, 1 / 2, 1 / 6, 1 / 24, 1 / 200])
+                      ) <= 1e-15
+        assert not np.any(poly[1:, 5])
+        # on u' = lam u + g(t) the rows give the stage loop's step
+        lam, dt, t, u = -2.3, 0.3, 0.4, 1.3
+        g = np.exp(2.0 * (t + coupler.RK4C * dt))
+        want = lsrk45_step(np.array([u]),
+                           lambda s, tt: lam * s + np.exp(2.0 * tt), dt, t)
+        z = (lam * dt) ** np.arange(6)
+        got = (poly[0] * u + dt * g @ poly[1:]) @ z
+        assert abs(got - want[0]) <= 1e-14 * abs(want[0])
+
     def test_lsrk45_blocks_cover_the_state(self):
         # a state longer than one daxpy block is updated block by block,
         # every entry once

@@ -436,6 +436,19 @@ class TestRobustness:
             prob.gummel_solve()
         assert len(exc.value.history) == 5
 
+    def test_stopping_update_measures_the_densities(self, monkeypatch):
+        # a sweep that leaves phi and n_h alone and raises n_e by 1e-3 has
+        # not converged: each update is the density change, about 1e-3,
+        # and three sweeps end in a ConvergenceError
+        prob = resistor_problem(n=12, v_bias=0.3)
+        phi, n_e, n_h = prob.equilibrium_initial_guess()
+        monkeypatch.setattr(StationaryProblem, "_sweep",
+                            lambda self, phi, n_e, n_h:
+                            (phi, n_e * (1.0 + 1e-3), n_h))
+        with pytest.raises(ConvergenceError, match="in 3 sweeps") as exc:
+            prob._gummel_sweeps(phi, n_e, n_h, [], False, max_iter=3)
+        assert exc.value.history == pytest.approx([1e-3] * 3, rel=1e-2)
+
     def test_tolerance_and_flag(self, monkeypatch):
         prob = resistor_problem(n=30, v_bias=0.1)
         monkeypatch.setattr(stationary, "_GUMMEL_TOL", 1e-7)
