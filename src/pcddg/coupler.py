@@ -179,11 +179,13 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
     (maxwell_step_factor); drude_plasma on Drude metals, with the plasma
     frequency over 3.3 added to the wave rate in quadrature; and with pml
     (a PmlSpec) pml_damping on the elements its damping rate sigma reaches,
-    sigma / 4 in quadrature.  'dd': drift_<c>, h / (v (2p+1)) with
-    v = mu|E| per carrier at state_estimate's 'e_mag' (V/m), within the
-    imaginary-axis limit of ARS(3,4,3)'s explicit part (diffusion is
-    implicit in the DD step).  Returns +inf, and in detail the bound
-    'none' at element -1, when no term limits the step.
+    sigma / 4 in quadrature, and drude_pml where both apply, the wave
+    rate, omega_p / 3.3 and sigma / 4 in one quadrature (a 2D PML must
+    stay off Drude metals: MaxwellSolver refuses one).  'dd': drift_<c>,
+    h / (v (2p+1)) with v = mu|E| per carrier at state_estimate's 'e_mag'
+    (V/m), within the imaginary-axis limit of ARS(3,4,3)'s explicit part
+    (diffusion is implicit in the DD step).  Returns +inf, and in detail
+    the bound 'none' at element -1, when no term limits the step.
     """
     p = disc.ref.p
     mats, mat_idx = materials.element_materials(disc.mesh, disc.elems)
@@ -220,6 +222,13 @@ def stable_timestep(system, disc, materials, state_estimate=None, safety=0.8,
             sigma = np.max(sx + sy, axis=1)
             bounds.append(bound("pml_damping",
                                 np.hypot(c_f, 0.25 * sigma * h), sigma > 0))
+            # a PML over a Drude metal: all three rates in one quadrature
+            # (with the two bounds apart, |R(dt lambda)| reaches 1.033 at
+            # p = 1 on a 1D PML over gold)
+            bounds.append(bound("drude_pml",
+                                np.hypot(np.hypot(c_f, w_p * h / 3.3),
+                                         0.25 * sigma * h),
+                                (w_p > 0) & (sigma > 0)))
     elif system == "dd":
         e_mag = 0.0 if state_estimate is None else float(state_estimate.get("e_mag", 0.0))
         for carrier in ("e", "h"):

@@ -149,7 +149,19 @@ class MaxwellSolver:
         if pml is not None:
             sx, sy = pml_sigma_profiles(disc, pml)
             has_pml = bool(np.any(sx > 0) or np.any(sy > 0))
-        has_drude = any(m.drude for m in mats)
+        metal = per_elem([bool(m.drude) for m in mats])
+        has_drude = bool(np.any(metal))
+        if dim == 2 and has_pml and has_drude:
+            # a PML grows in a dispersive medium at any step (Becache, Joly
+            # & Vinoles, Math. Comp. 2018): in 2D over gold its operator
+            # has Re(lambda) near 0.27 omega_p
+            over = np.flatnonzero(metal & np.any(sx + sy > 0, axis=1))
+            if len(over):
+                g = int(disc.elems[over[0]])
+                raise PhysicsError(
+                    "a 2D PML must stay off Drude metals: it reaches region "
+                    f"{disc.mesh.region_names[disc.mesh.region_id[g]]!r} at "
+                    f"element {g}")
         field_rows, aux_rows, drude_rows = _ROWS[dim]
         self.comp = (field_rows + (aux_rows if has_pml else ())
                      + (drude_rows if has_drude else ()))
@@ -248,7 +260,7 @@ class MaxwellSolver:
             self._tmp = np.empty((nf, K, Np))
         if has_drude:
             # the Drude nodes, flat over the state: E rows, then jp rows
-            metal = np.flatnonzero(per_elem([bool(m.drude) for m in mats]))
+            metal = np.flatnonzero(metal)
             nodes = (metal[:, None] * Np + np.arange(Np)).reshape(-1)
             self._drude_e = (np.arange(dim)[:, None] * n + nodes).reshape(-1)
             self._drude_jp = self._drude_e + self._jp.start * n
@@ -420,9 +432,8 @@ class MaxwellSolver:
         the flat state extended by two entries (the inputs of the c and q
         columns), with two empty rows so that a product maps an extended
         state to one: the data with the operator's entries and q placed
-        (0 elsewhere), the indices and row pointer, the positions of the
-        current and c entries in it, and the n x n pattern of A_sigma (its
-        positions in the data, indices and row pointer)."""
+        (0 elsewhere), the indices and row pointer, and the positions of
+        the current and c entries in it."""
         op = self.operator
         rows, cols, _ = self._current_entry
         n = op.shape[1]
@@ -437,16 +448,10 @@ class MaxwellSolver:
         base[np.searchsorted(keys, op_keys)] = op.data
         if self.source is not None:
             base[np.searchsorted(keys, q_keys)] = self._source_entry[1]
-        indices = (keys % w).astype(op.indices.dtype)
-        keep = np.flatnonzero(indices < n)
-
-        def indptr(k):
-            return np.searchsorted(k, np.arange(w + 1) * w).astype(
-                op.indptr.dtype)
-
-        return (base, indices, indptr(keys), np.searchsorted(keys, cur_keys),
-                np.searchsorted(keys, c_keys),
-                (keep, indices[keep], indptr(keys[keep])[:n + 1]))
+        indptr = np.searchsorted(keys, np.arange(w + 1) * w)
+        return (base, (keys % w).astype(op.indices.dtype),
+                indptr.astype(op.indptr.dtype),
+                np.searchsorted(keys, cur_keys), np.searchsorted(keys, c_keys))
 
     @cached_property
     def _source_entry(self):
@@ -457,79 +462,56 @@ class MaxwellSolver:
         return nodes, q[nodes]
 
     def held_rhs(self, current):
-        """rhs(state, t) in the carrier current current = (sigma, j0) held
-        over a macro step.  In 1D a HeldRhs, u -> A_sigma u + c + s(t) q,
-        from the kernel's responses r to a unit current density (on the
-        rows where J enters) and q to a unit source current: A_sigma is the
-        operator plus r sigma at the E column of each row's node and
-        c = r j0.  It carries A_sigma, c and q, and builds
-        dt [A_sigma | c | q] for lsrk45_step in a pattern fixed per solver
-        (_held_pattern): a copy, a scatter of the current's entries and a
-        scale.  In 2D, rhs with the current bound: there the operator has
-        more than twice the entries per row, and its product is slower
-        than the kernel (measured in the README's package layout)."""
+        """The rhs in the carrier current current = (sigma, j0) held over a
+        macro step, as lsrk45_step takes it.  In 1D a HeldRhs, the affine
+        rhs u -> A_sigma u + c + s(t) q as its step matrix
+        dt [A_sigma | c | q], from the kernel's responses r to a unit
+        current density (on the rows where J enters) and q to a unit
+        source current: A_sigma is the operator plus r sigma at the E
+        column of each row's node and c = r j0, placed in a pattern fixed
+        per solver (_held_pattern).  In 2D, rhs with the current bound:
+        there the operator has more than twice the entries per row, and
+        its product is slower than the kernel (measured in the README's
+        package layout)."""
         if self.disc.ref.dim != 1:
             return partial(self.rhs, current=current)
         return HeldRhs(self, current)
 
 
 class HeldRhs:
-    """The 1D Maxwell rhs u -> A_sigma u + c + s(t) q in a carrier current
-    (sigma, j0) held over a macro step (MaxwellSolver.held_rhs).  Built
-    from the current's entries alone; A_sigma and c on first call, and
-    step_matrix(dt) for lsrk45_step, each in the solver's fixed pattern."""
+    """The 1D Maxwell rhs in a carrier current (sigma, j0) held over a
+    macro step (MaxwellSolver.held_rhs), u' = A_sigma u + c + s(t) q, as
+    the inputs lsrk45_step consumes: the step matrix dt [A_sigma | c | q]
+    and the forcing of its c and q columns.  Built from the current's
+    entries, in the solver's fixed pattern; the rhs itself is evaluated
+    only by the kernel (MaxwellSolver.rhs)."""
 
     def __init__(self, solver, current):
         _, cols, resp = solver._current_entry
         sigma, j0 = (np.reshape(a, -1) for a in current)
         self.solver = solver
-        self.source = None if solver.source is None else solver._source_entry
         self._sigma = resp * sigma[cols]
         self._j0 = resp * j0[cols]
         self._step = None               # (dt, dt [A_sigma | c | q])
-
-    def _data(self):
-        """The data of [A_sigma | c | q] in the solver's held pattern."""
-        base, _, _, at, at_c, _ = self.solver._held_pattern
-        data = base.copy()
-        data[at] += self._sigma
-        data[at_c] = self._j0
-        return data
-
-    @cached_property
-    def a_sigma(self):
-        keep, indices, indptr = self.solver._held_pattern[-1]
-        return sp.csr_matrix((self._data()[keep], indices, indptr),
-                             shape=self.solver.operator.shape)
-
-    @cached_property
-    def c(self):
-        c = np.zeros(self.solver.operator.shape[0])
-        c[self.solver._current_entry[0]] = self._j0
-        return c
-
-    def __call__(self, state, t=0.0):
-        out = self.a_sigma @ state.reshape(-1)
-        out += self.c
-        if self.source is not None:
-            out[self.source[0]] += self.solver._src_scale(t) * self.source[1]
-        return out.reshape(state.shape)
 
     def forcing(self, times):
         """The inputs of the c and q columns at times, (2, len(times)): 1
         and the source current s(t) (0 without a source)."""
         out = np.zeros((2, len(times)))
         out[0] = 1.0
-        if self.source is not None:
+        if self.solver.source is not None:
             out[1] = self.solver._src_scale(times)
         return out
 
     def step_matrix(self, dt):
         """dt [A_sigma | c | q] with two empty rows, (n + 2) x (n + 2),
-        built once per step size."""
+        built once per step size: a copy of the pattern's data, a scatter
+        of the current's entries and a scale."""
         if self._step is None or self._step[0] != dt:
-            indices, indptr = self.solver._held_pattern[1:3]
-            data = self._data()
+            base, indices, indptr, at, at_c = self.solver._held_pattern
+            data = base.copy()
+            data[at] += self._sigma
+            data[at_c] = self._j0
             data *= dt
             w = len(indptr) - 1
             self._step = (dt, sp.csr_matrix((data, indices, indptr),

@@ -5,6 +5,7 @@ import json
 import re
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from pcddg import physics as ph
 from pcddg.coupler import RK4A, RK4B, RK4C, lsrk45_step, stable_timestep
@@ -94,6 +95,22 @@ def rhs_spectrum(solver):
     """Dense eigenvalues of a MaxwellSolver's assembled operator, the
     source-free, current-free part of its rhs that the 1D march applies."""
     return np.linalg.eigvals(solver.operator.toarray())
+
+
+def rhs_ritz(solver, k=30):
+    """The k largest-modulus Ritz values of a MaxwellSolver's source-free,
+    current-free rhs: ARPACK on the kernel, with no assembly, to a relative
+    tolerance of 1e-3 (on one thread of a 2-core VM, grating2d's took
+    0.75 s; at full precision 12 s, for a largest modulus within 1e-13)."""
+    shape = solver.zero_state().shape
+    n = int(np.prod(shape))
+
+    def matvec(v):
+        return solver._kernel(v.reshape(shape)).reshape(-1)
+
+    return eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=k,
+                which="LM", v0=np.random.default_rng(0).normal(size=n),
+                tol=1e-3, return_eigenvectors=False)
 
 
 def pml_round_trip(depth_elems, n=50, p=3):

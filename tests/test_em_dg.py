@@ -1,21 +1,28 @@
+import os
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from pcddg import convergence as cv
 from pcddg import coupler, em_dg, physics as ph
+from pcddg.config import parse_config
 from pcddg.coupler import lsrk45_step, stable_timestep
 from pcddg.dgops import build_discretization
 from pcddg.em_dg import HeldRhs, MaxwellSolver, PmlSpec
 from pcddg.mesh import generate_structured_mesh, make_spec, unit_interval_mesh
 from pcddg.refelem import build_reference_element
 
-from helpers import (five_pass_lsrk45_step, interval_mesh, nodal_field,
-                     observed_orders, optical_source, pml_round_trip,
-                     rhs_spectrum, source_profile)
+from helpers import (five_pass_lsrk45_step, interval_mesh,
+                     lsrk45_amplification, nodal_field, observed_orders,
+                     optical_source, pml_round_trip, rhs_ritz, rhs_spectrum,
+                     source_profile)
+from test_setup_oracle import grating_case
 
 C0, EPS0, MU0 = ph.C0, ph.EPS0, ph.MU0
 Z0 = np.sqrt(MU0 / EPS0)
+DEVICE2D = os.path.join(os.path.dirname(__file__), "decks", "device2d.cfg")
 
 
 def vac_table():
@@ -341,7 +348,10 @@ class ReferenceMaxwell:
 def layered_case(dim, p, boundary, polarization="x"):
     """Vacuum / dielectric / Drude-gold layers along y with an aperture at
     y = 0; 'ABC' cases also carry a graded PML.  'vacuum' is the same
-    geometry with every layer vacuum, ABC walls and no PML."""
+    geometry with every layer vacuum, ABC walls and no PML.  A 2D PML must
+    stay off Drude metals, so the 2D 'ABC' case (PML at xlo and yhi) puts
+    its gold in a 0.5 um bar at the xhi end of the dielectric layer, under
+    a vacuum top layer."""
     um = 1e-6
     width, height = 2 * um, 3 * um
     h = 0.5 * um
@@ -356,6 +366,10 @@ def layered_case(dim, p, boundary, polarization="x"):
                          default_tag=boundary)
     else:
         regions = [(n, [0.0, a], [width, b], h) for n, a, b in layers]
+        if boundary == "ABC" and not vacuum:
+            regions[1:] = [("die", [0.0, 1 * um], [1.5 * um, 2 * um], h),
+                           ("au", [1.5 * um, 1 * um], [width, 2 * um], h),
+                           ("vac", [0.0, 2 * um], [width, height], h)]
         spec = make_spec(2, [0.0, 0.0], [width, height], regions,
                          tag_boxes=[("SOURCE_APERTURE", [0.0, 0.0], [width, 0.0])],
                          default_tag=boundary)
@@ -373,6 +387,14 @@ def layered_case(dim, p, boundary, polarization="x"):
                       else {"xlo": 0.5 * um, "yhi": 1 * um})
     solver = MaxwellSolver(disc, table, source=source, pml=pml)
     return solver, ReferenceMaxwell(solver, pml), disc
+
+
+def held_product(solver, current, u, t, dt):
+    """step_matrix(dt) @ [u; 1; s(t)] of the 1D held rhs in current, in u's
+    shape: dt times the rhs at (u, t)."""
+    rhs = solver.held_rhs(current)
+    v = np.concatenate([u.reshape(-1), rhs.forcing(np.array([t]))[:, 0]])
+    return (rhs.step_matrix(dt) @ v)[:u.size].reshape(u.shape)
 
 
 class TestFusedRhs:
@@ -408,9 +430,10 @@ class TestFusedRhs:
             spec = solver.source
             t = spec.delay + 0.3 / spec.f_c
             assert np.any(optical_source(solver, t))
-            # the march's path, (sigma, j0) held over a macro step (the
-            # assembled operator in 1D); and the assembled operator alone,
-            # at a time where the source envelope is exactly 0
+            # the march's path, (sigma, j0) held over a macro step (in 1D
+            # the held step matrix over a step dt, divided by dt); and the
+            # assembled operator alone, at a time where the source
+            # envelope is exactly 0
             t_off = spec.delay + 40 * spec.sigma_t
             assert spec.envelope(t_off) == 0.0
             cases = ((0.0, None, None), (t, None, None),
@@ -420,7 +443,11 @@ class TestFusedRhs:
                      (t, "held", tuple(sigma_l * e + j0_l)),
                      (t_off, "operator", None))
             for case, (t_, current, j) in enumerate(cases):
-                if current == "held":
+                if current == "held" and dim == 1:
+                    dt = 1e-16
+                    got = held_product(solver, (sigma_l, j0_l), u, t_,
+                                       dt) / dt
+                elif current == "held":
                     got = solver.held_rhs((sigma_l, j0_l))(u, t_)
                 elif current == "operator":
                     got = (solver.operator @ u.reshape(-1)).reshape(u.shape)
@@ -434,8 +461,9 @@ class TestFusedRhs:
 
     @pytest.mark.parametrize("boundary", ["PEC", "ABC"])
     def test_held_rhs_without_source_1d(self, boundary):
-        # a solver without a source has no source response: the held rhs
-        # is the operator with the carrier current folded in, at any time
+        # a solver without a source has no source response: the held step
+        # matrix is dt times the operator with the carrier current folded
+        # in, at any time
         with_source, _, disc = layered_case(1, 2, boundary)
         pml = PmlSpec(thickness={"yhi": 1e-6}) if boundary == "ABC" else None
         solver = MaxwellSolver(disc, with_source.materials, pml=pml)
@@ -448,36 +476,45 @@ class TestFusedRhs:
         layer = (y > 1e-6) & (y < 2e-6)         # the dielectric elements
         current = (rng.uniform(0.0, 2.0, size=(disc.K, disc.Np)) * layer,
                    rng.normal(size=(1, disc.K, disc.Np)) * layer)
+        dt = 2e-16
         for t in (0.0, 1e-14):
-            got = solver.held_rhs(current)(u, t)
-            want = solver.rhs(u, t, current)
+            got = held_product(solver, current, u, t, dt)
+            want = dt * solver.rhs(u, t, current)
             for c, name in enumerate(solver.comp):
                 tol = 1e-13 * np.max(np.abs(want[c]))
                 assert np.max(np.abs(got[c] - want[c])) <= tol, name
 
     @pytest.mark.parametrize("boundary", ["PEC", "ABC"])
     def test_held_operator_is_the_scipy_sum(self, boundary):
-        # the held rhs adds the current entries into a pattern fixed per
-        # solver: bitwise the product of scipy's operator + current sum
+        # the held step matrix adds the current entries into a pattern
+        # fixed per solver: array for array dt times scipy's
+        # [operator + current entries | c | q] with two empty rows.  The
+        # current is nonzero on every node, so no entry of the fixed
+        # pattern is a zero that scipy's sum drops
         solver, _, disc = layered_case(1, 2, boundary)
         rng = np.random.default_rng(11)
-        u = rng.normal(size=solver.zero_state().shape)
-        y = disc.x[:, :, 0].mean(axis=1, keepdims=True)
-        layer = (y > 1e-6) & (y < 2e-6)
-        sigma = rng.uniform(0.0, 2.0, size=(disc.K, disc.Np)) * layer
-        j0 = rng.normal(size=(1, disc.K, disc.Np)) * layer
+        sigma = rng.uniform(0.5, 2.0, size=(disc.K, disc.Np))
+        j0 = rng.uniform(0.5, 2.0, size=(1, disc.K, disc.Np))
         rows, cols, resp = solver._current_entry
+        n = solver.operator.shape[0]
         a_sigma = solver.operator + sp.csr_matrix(
-            (resp * sigma.reshape(-1)[cols], (rows, cols)),
-            shape=solver.operator.shape)
-        nodes, q = solver._source_entry
-        t = solver.source.delay
-        c = np.zeros(a_sigma.shape[0])
+            (resp * sigma.reshape(-1)[cols], (rows, cols)), shape=(n, n))
+        c = np.zeros(n)
         c[rows] = resp * j0.reshape(-1)[cols]
-        want = a_sigma @ u.reshape(-1) + c
-        want[nodes] += solver._src_scale(t) * q
-        got = solver.held_rhs((sigma, j0))(u, t)
-        assert np.array_equal(got.reshape(-1), want)
+        nodes, q = solver._source_entry
+        q_col = np.zeros(n)
+        q_col[nodes] = q
+        want = sp.vstack([sp.hstack([a_sigma, sp.csr_matrix(c[:, None]),
+                                     sp.csr_matrix(q_col[:, None])]),
+                          sp.csr_matrix((2, n + 2))], format="csr")
+        dt = 2e-16
+        want = dt * want
+        want.sort_indices()
+        got = solver.held_rhs((sigma, j0)).step_matrix(dt)
+        assert got.shape == want.shape == (n + 2, n + 2)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name
 
     def test_results_are_fresh_arrays(self):
         solver, _, _ = layered_case(2, 2, "ABC")
@@ -548,7 +585,8 @@ class TestFusedRhs:
 class TestHornerStep:
     """lsrk45_step on the 1D held rhs: R(dt A_sigma) u plus the stages'
     forcing responses by Horner's rule, on the layered 1D case with PML and
-    Drude rows, its source and a random held current."""
+    Drude rows (the PML over the gold), its source and a random held
+    current."""
 
     @staticmethod
     def held_case(p, seed, safety=0.8):
@@ -568,16 +606,18 @@ class TestHornerStep:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_matches_the_stage_loop(self, p):
-        # 200 steps at the stable step through the source pulse: the same
-        # callable in the five-pass stage loop agrees to round-off
+        # 200 steps at the stable step through the source pulse: the
+        # kernel in the same current, in the five-pass stage loop, agrees
+        # to round-off
         solver, current, u, dt = self.held_case(p, 40 + p)
         rhs = solver.held_rhs(current)
         assert isinstance(rhs, HeldRhs)
+        kernel = partial(solver.rhs, current=current)
         u_ref = u
         t = solver.source.delay - 100 * dt
         for _ in range(200):
             u = lsrk45_step(u, rhs, dt, t)
-            u_ref = five_pass_lsrk45_step(u_ref, rhs, dt, t)
+            u_ref = five_pass_lsrk45_step(u_ref, kernel, dt, t)
             t += dt
         assert np.all(np.isfinite(u))
         for c, name in enumerate(solver.comp):
@@ -588,8 +628,9 @@ class TestHornerStep:
         solver, current, u, dt = self.held_case(2, 6)
         rhs = solver.held_rhs(current)
         u0 = u.copy()
-        held = [rhs.a_sigma.data, rhs.a_sigma.indices, rhs.a_sigma.indptr,
-                rhs.c, rhs.source[1]]
+        a_dt = rhs.step_matrix(dt)
+        held = [a_dt.data, a_dt.indices, a_dt.indptr, *solver._held_pattern,
+                solver._source_entry[1]]
         kept = [a.copy() for a in held]
         out = lsrk45_step(u, rhs, dt, solver.source.delay)
         assert np.array_equal(u, u0)
@@ -598,18 +639,15 @@ class TestHornerStep:
             assert np.array_equal(a, copy)
             assert not np.shares_memory(out, a)
 
-    @pytest.mark.parametrize("p", [
-        pytest.param(1, marks=pytest.mark.xfail(strict=True, reason=(
-            "the step bound takes drude_plasma and pml_damping apart; on "
-            "a PML over gold at p = 1 it leaves |R(z)| = 1.033"))),
-        2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_does_not_grow_at_safety_1(self, p):
         # with j0 = 0 and the source off the step is R(dt A_sigma) u: over
         # 2 000 steps of a random state at the step bound the EM energy
         # stays within twice its start.  The random PML and Drude rows feed
         # the fields for a while (at p = 3 the energy settles 19 % above
-        # its start); the growing mode at p = 1 multiplies it by 1e11
-        # every 500 steps
+        # its start).  The step is the drude_pml bound: with drude_plasma
+        # and pml_damping apart, p = 1 had |R(z)| = 1.033 and grew the
+        # energy 1e11-fold every 500 steps
         solver, (sigma, j0), u, dt = self.held_case(p, 50 + p, safety=1.0)
         rhs = solver.held_rhs((sigma, 0.0 * j0))
         t_off = solver.source.delay + 40 * solver.source.sigma_t
@@ -742,6 +780,34 @@ class TestDrudeStepBound:
         assert max(energies) <= energies[0]
 
 
+class TestStepBoundAtDeckSize:
+    @pytest.mark.parametrize("case", ["grating2d", "device2d"])
+    def test_ritz_values_inside_the_stability_region(self, case):
+        # the 30 largest-modulus Ritz values of the source-free rhs, at the
+        # default safety: |R(dt lambda)| <= 1.  At safety 1 LSRK45's limit
+        # along these values is 0.976 times the step on grating2d (max
+        # |R| = 1.26 there; the ROADMAP gives 0.967) and 1.20 times on
+        # device2d.cfg, so only the safety keeps grating2d stable
+        if case == "grating2d":
+            spec, table = grating_case()
+            disc = build_discretization(generate_structured_mesh(spec),
+                                        build_reference_element(2, 2))
+            solver = MaxwellSolver(disc, table)
+            dt = stable_timestep("maxwell", disc, table)
+        else:
+            cfg = parse_config(DEVICE2D)
+            mesh, table = cfg.build_mesh(), cfg.material_table()
+            disc = build_discretization(
+                mesh, build_reference_element(mesh.dim, cfg.p_em))
+            solver = MaxwellSolver(disc, table, pml=cfg.pml)
+            dt = stable_timestep("maxwell", disc, table, safety=cfg.safety,
+                                 pml=cfg.pml)
+        assert disc.K == {"grating2d": 880, "device2d": 480}[case]
+        lam = rhs_ritz(solver)
+        assert len(lam) == 30
+        assert np.max(lsrk45_amplification(dt * lam)) <= 1.0 + 1e-12
+
+
 class TestPML:
     def test_sigma_zero_is_bitwise_plain_maxwell(self, monkeypatch):
         s1, disc = interval_solver(10, 2)
@@ -780,6 +846,21 @@ class TestPML:
         dt = stable_timestep("maxwell", disc, table, safety=1.0, pml=pml)
         lam = rhs_spectrum(MaxwellSolver(disc, table, pml=pml))
         assert np.max(lam.real) * dt <= 1e-10
+
+    def test_2d_layer_over_drude_metal_refused(self):
+        # a PML grows in a dispersive medium: a yhi layer over the gold
+        # layer of the 2D layered case gave max Re(lambda) = 4.17e15,
+        # 3.89e15 and 3.76e15 s^-1 at p = 1, 2, 3, about 0.27 omega_p.
+        # The solver names the first gold element in the layer
+        solver, _, disc = layered_case(2, 1, "PEC")
+        mesh = disc.mesh
+        gold = [g for g in disc.elems
+                if mesh.region_names[mesh.region_id[g]] == "au"]
+        with pytest.raises(ph.PhysicsError, match=(
+                "a 2D PML must stay off Drude metals: it reaches region "
+                f"'au' at element {gold[0]}$")):
+            MaxwellSolver(disc, solver.materials,
+                          pml=PmlSpec(thickness={"yhi": 1e-6}))
 
     def test_negative_thickness_rejected(self):
         with pytest.raises(ph.PhysicsError):
